@@ -34,14 +34,12 @@ class AdapterConfig:
     """Shape and behavior of one adapter slot.
 
     ``dim`` is the bottleneck width (must stay below the hidden size);
-    ``orthogonal`` marks the slot as a target of the orthogonality loss;
-    ``residual`` controls the +x_r term.
+    ``orthogonal`` marks the slot as a target of the orthogonality loss.
     """
 
     dim: int
     kind: str = TASK
     orthogonal: bool = False
-    residual: bool = True
 
     def __post_init__(self):
         if self.kind not in (LANGUAGE, TASK):
@@ -157,7 +155,9 @@ def set_trainable(params: ParamSet, phase: str) -> ParamSet:
 
     lang phase: language adapters only (plus the output projection when the
     MLM head is untied). task phases: task adapters plus task heads. Full
-    fine-tune: everything.
+    fine-tune: everything. Each adapter phase also fixes the slots the model
+    must carry: lang needs a language slot, the stacked task phase needs both
+    slots, and task-only needs a task slot and refuses a language slot.
     """
     if phase not in PHASES:
         raise ConfigError(f"unknown phase {phase!r}; expected one of {PHASES}")
@@ -165,15 +165,21 @@ def set_trainable(params: ParamSet, phase: str) -> ParamSet:
     if phase == PHASE_FULL:
         params.set_trainable(names)
         return params
-    trainable: list[str] = []
+    lang = [n for n in names if n.startswith("adapter.lang.")]
+    task = [n for n in names if n.startswith("adapter.task.")]
     if phase == PHASE_LANG:
-        trainable += [n for n in names if n.startswith("adapter.lang.")]
+        if not lang:
+            raise ConfigError("language adapter training needs a language slot")
+        trainable = lang
         if "head.mlm.proj" in params:
             trainable += [n for n in names if n.startswith("head.mlm.")]
     else:  # task_adapter_training / task_only_adapter_training
-        if phase == PHASE_TASK_ONLY and any(n.startswith("adapter.lang.") for n in names):
+        if not task:
+            raise ConfigError("task adapter training needs a task slot")
+        if phase == PHASE_TASK and not lang:
+            raise ConfigError("stacked task training expects a loaded language slot")
+        if phase == PHASE_TASK_ONLY and lang:
             raise ConfigError("task-only phase must not carry a language slot")
-        trainable += [n for n in names if n.startswith("adapter.task.")]
-        trainable += [n for n in names if n.startswith("head.cls.") or n.startswith("head.tag.")]
+        trainable = task + [n for n in names if n.startswith(("head.cls.", "head.tag."))]
     params.set_trainable(trainable)
     return params

@@ -57,9 +57,6 @@ class Tensor:
         """View of the same values with no graph link and no gradient flow."""
         return Tensor(self.values, requires_grad=False)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def accumulate_grad(self, g: Array) -> None:
         if self.grad is None:
             self.grad = np.zeros_like(self.values)
@@ -106,28 +103,6 @@ class Tensor:
                     pending[id(parent)] = pending[id(parent)] + pg
                 else:
                     pending[id(parent)] = pg
-
-    # operator sugar; the module-level functions do the real work
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0) if isinstance(other, Tensor) else -other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _wrap(x) -> Tensor:
@@ -391,8 +366,8 @@ def cosine_sq(u: Tensor, v: Tensor, eps: float = 1e-12) -> Tensor:
 IGNORE_LABEL = -1
 
 
-def cross_entropy(logits: Tensor, labels: Array, ignore_label: int = IGNORE_LABEL) -> Tensor:
-    """Mean negative log-likelihood over rows whose label is not the ignore marker.
+def cross_entropy(logits: Tensor, labels: Array) -> Tensor:
+    """Mean negative log-likelihood over rows whose label is not ``IGNORE_LABEL``.
 
     ``logits`` is [n, C]; ``labels`` is an int vector of length n. Ignored rows
     contribute neither loss nor gradient.
@@ -403,13 +378,13 @@ def cross_entropy(logits: Tensor, labels: Array, ignore_label: int = IGNORE_LABE
         raise ShapeError(
             f"cross_entropy got logits {logits.shape} for {labels.shape[0]} labels"
         )
-    active = labels != ignore_label
+    active = labels != IGNORE_LABEL
     count = int(active.sum())
     if count == 0:
         raise EmptyLossError("cross_entropy: every position carries the ignore marker")
     n_classes = logits.shape[1]
     if labels[active].min() < 0 or labels[active].max() >= n_classes:
-        raise ValueError(f"labels must lie in [0, {n_classes}) or equal {ignore_label}")
+        raise ValueError(f"labels must lie in [0, {n_classes}) or equal {IGNORE_LABEL}")
     shifted = logits.values - logits.values.max(axis=-1, keepdims=True)
     logsumexp = np.log(np.exp(shifted).sum(axis=-1)) + logits.values.max(axis=-1)
     picked = logits.values[np.arange(labels.shape[0]), np.where(active, labels, 0)]

@@ -3,6 +3,8 @@
 One file = a JSON manifest line (format version, configs, seed, array
 directory) + NUL separator + the raw little-endian float64 bytes of every
 named array in declaration order. Raw bytes make the round-trip bit-exact.
+A checkpoint loads by array name, so any construction order of the saved
+model (heads and adapter stack in either order) reloads.
 """
 
 from __future__ import annotations
@@ -23,8 +25,9 @@ from .adapters import (
 from .autodiff import Tensor
 from .encoder import Encoder, EncoderConfig
 from .errors import MissingArtifactError, SwapError
+from .optim import ParamSet
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _SEP = b"\x00"
 
 
@@ -118,11 +121,21 @@ def load_checkpoint(path) -> tuple[Encoder, AdapterStack | None, dict]:
                 ))
             stack.fill(kind, weights)
         stack.register(encoder.params)
-    expected = encoder.params.names()
-    if expected != [e["name"] for e in manifest["arrays"]]:
-        raise MissingArtifactError(f"{path}: array directory does not match the model")
-    for name in expected:
-        encoder.params[name].values[...] = arrays[name]
+    built = dict(encoder.params.items())
+    stored = [entry["name"] for entry in manifest["arrays"]]
+    missing = [name for name in built if name not in arrays]
+    extra = [name for name in stored if name not in built]
+    if missing or extra:
+        raise MissingArtifactError(f"{path}: array directory does not match the model: "
+                                   f"missing {missing}, unexpected {extra}")
+    # declared in the file's order, so saving the loaded model writes the same bytes
+    encoder.params = ParamSet()
+    for name in stored:
+        tensor = encoder.params.add(name, built[name])
+        if tensor.shape != arrays[name].shape:
+            raise MissingArtifactError(f"{path}: array {name} has shape "
+                                       f"{arrays[name].shape}, the model expects {tensor.shape}")
+        tensor.values[...] = arrays[name]
     return encoder, stack, manifest
 
 

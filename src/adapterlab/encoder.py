@@ -2,10 +2,9 @@
 
 Each layer runs post-norm self-attention and feed-forward sublayers. The
 adapter injection point sits after the feed-forward sublayer's residual
-addition and layer norm (``adapter_pre_norm`` moves it before the norm).
-Occupied adapter slots apply in fixed order: language first, then task. The
-per-layer (slot input, slot output) pairs are recorded so the orthogonality
-loss can read them back.
+addition and layer norm. Occupied adapter slots apply in fixed order:
+language first, then task. The per-layer (slot input, slot output) pairs are
+recorded so the orthogonality loss can read them back.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adapters import AdapterStack, AdapterWeights, adapter_forward
+from .adapters import LANGUAGE, AdapterStack, AdapterWeights, adapter_forward
 from .autodiff import (
     Tensor,
     add,
@@ -47,7 +46,6 @@ class EncoderConfig:
     ffn: int = 64
     max_len: int = 128
     dropout: float = 0.1
-    adapter_pre_norm: bool = False
     tie_mlm: bool = True
 
     def __post_init__(self):
@@ -83,7 +81,7 @@ class LayerActivations:
     mask: np.ndarray | None = None
 
     def slot(self, kind: str) -> list[SlotRecord | None]:
-        return self.lang if kind == "language" else self.task
+        return self.lang if kind == LANGUAGE else self.task
 
 
 def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -222,29 +220,21 @@ class Encoder:
                           p[f"layer.{i}.ln1.bias"], LN_EPS)
 
     def _ffn_adapter_sublayer(self, i, x, stack, acts, drop, rng):
-        c, p = self.config, self.params
+        p = self.params
         inner = relu(add(matmul(x, p[f"layer.{i}.ffn.w1"]), p[f"layer.{i}.ffn.b1"]))
         out = add(matmul(inner, p[f"layer.{i}.ffn.w2"]), p[f"layer.{i}.ffn.b2"])
         if drop > 0.0:
             out = dropout(out, drop, rng)
-        summed = add(x, out)
-        if c.adapter_pre_norm:
-            h = summed
-        else:
-            h = layer_norm(summed, p[f"layer.{i}.ln2.gain"], p[f"layer.{i}.ln2.bias"], LN_EPS)
+        h = layer_norm(add(x, out), p[f"layer.{i}.ln2.gain"], p[f"layer.{i}.ln2.bias"], LN_EPS)
         h = self._apply_slot(stack.lang[i] if stack and stack.lang else None, h, acts.lang)
-        h = self._apply_slot(stack.task[i] if stack and stack.task else None, h, acts.task)
-        if c.adapter_pre_norm:
-            h = layer_norm(h, p[f"layer.{i}.ln2.gain"], p[f"layer.{i}.ln2.bias"], LN_EPS)
-        return h
+        return self._apply_slot(stack.task[i] if stack and stack.task else None, h, acts.task)
 
     @staticmethod
     def _apply_slot(weights: AdapterWeights | None, h: Tensor, record: list) -> Tensor:
         if weights is None:
             record.append(None)
             return h
-        out = adapter_forward(h, h, weights.w_down, weights.w_up,
-                              residual=weights.config.residual)
+        out = adapter_forward(h, h, weights.w_down, weights.w_up)
         record.append(SlotRecord(x_in=h, x_out=out, weights=weights))
         return out
 

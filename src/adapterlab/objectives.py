@@ -24,6 +24,7 @@ from .autodiff import (
 )
 from .encoder import LayerActivations
 from .errors import ConfigError, ContractError
+from .synthlang import FIRST_REGULAR, MASK
 
 COSINE_EPS = 1e-12
 
@@ -33,22 +34,20 @@ class MaskingPolicy:
     """BERT-style masking: which fraction to corrupt, and how.
 
     Of the selected positions, ``split`` = (mask, random, keep) fractions.
-    Reserved ids below ``first_regular_id`` are never selected.
+    Reserved ids below ``FIRST_REGULAR`` are never selected; ``vocab`` bounds
+    the random replacements.
     """
 
     mask_fraction: float = 0.15
     split: tuple[float, float, float] = (0.8, 0.1, 0.1)
-    mask_id: int = 3
-    first_regular_id: int = 5
     vocab: int = 0
-    ignore_label: int = IGNORE_LABEL
 
     def __post_init__(self):
         if not 0.0 < self.mask_fraction <= 1.0:
             raise ConfigError(f"mask fraction must be in (0, 1], got {self.mask_fraction}")
         if abs(sum(self.split) - 1.0) > 1e-12 or any(s < 0 for s in self.split):
             raise ConfigError(f"mask/random/keep split must sum to 1, got {self.split}")
-        if self.vocab and self.vocab <= self.first_regular_id:
+        if self.vocab <= FIRST_REGULAR:
             raise ConfigError("vocab leaves no regular ids to mask")
 
 
@@ -66,11 +65,11 @@ def apply_masking(
     """
     ids = np.asarray(token_ids, dtype=np.int64)
     corrupted = ids.copy()
-    labels = np.full_like(ids, policy.ignore_label)
+    labels = np.full_like(ids, IGNORE_LABEL)
     skipped = 0
     for b in range(ids.shape[0]):
         maskable = np.flatnonzero(
-            (mask[b] == 1) & (ids[b] >= policy.first_regular_id)
+            (mask[b] == 1) & (ids[b] >= FIRST_REGULAR)
         )
         if maskable.size == 0:
             skipped += 1
@@ -82,9 +81,9 @@ def apply_masking(
         p_mask, p_rand, _ = policy.split
         for pos, roll in zip(picked, rolls):
             if roll < p_mask:
-                corrupted[b, pos] = policy.mask_id
+                corrupted[b, pos] = MASK
             elif roll < p_mask + p_rand:
-                corrupted[b, pos] = rng.integers(policy.first_regular_id, policy.vocab)
+                corrupted[b, pos] = rng.integers(FIRST_REGULAR, policy.vocab)
             # else: keep original
     return corrupted, labels, skipped
 
@@ -118,9 +117,11 @@ def ortho_loss(
     detached copy of the slot input, so gradients reach the slot's own
     weights and nothing upstream of it.
     ``exclude_residual`` scores only the bottleneck's own contribution
-    (for adapters that carry the residual term, full orthogonality is
-    unreachable otherwise).
+    (with the residual term, full orthogonality is unreachable).
     """
+    # Looked up in ``adapters`` at call time, not bound at module level (there
+    # is no import cycle): perfbench's tracer rebinds ``adapters.adapter_forward``,
+    # and a module-level binding would hide this recompute from traced runs.
     from .adapters import adapter_forward
 
     records = acts.slot(slot)
@@ -137,10 +138,8 @@ def ortho_loss(
         u = reshape(x_in, (b * t, h))
         if rec.weights is not None and (stop_grad_input or exclude_residual):
             w = rec.weights
-            out = adapter_forward(
-                x_in, x_in, w.w_down, w.w_up,
-                residual=w.config.residual and not exclude_residual,
-            )
+            out = adapter_forward(x_in, x_in, w.w_down, w.w_up,
+                                  residual=not exclude_residual)
         else:
             out = rec.x_out
         v = reshape(out, (b * t, h))
@@ -159,11 +158,10 @@ def ortho_loss(
     return OrthoLossReport(loss=total, per_layer=per_layer, token_counts=counts)
 
 
-def mlm_loss(logits: Tensor, labels: np.ndarray, ignore_label: int = IGNORE_LABEL) -> Tensor:
+def mlm_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean cross-entropy over the labeled (masked) positions of [B, T, V] logits."""
     b, t, v = logits.shape
-    return cross_entropy(reshape(logits, (b * t, v)), np.asarray(labels).reshape(-1),
-                         ignore_label)
+    return cross_entropy(reshape(logits, (b * t, v)), np.asarray(labels).reshape(-1))
 
 
 def seq_cls_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -171,12 +169,7 @@ def seq_cls_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
     return cross_entropy(logits, labels)
 
 
-def tagging_loss(
-    logits: Tensor,
-    labels: np.ndarray,
-    ignore_label: int = IGNORE_LABEL,
-    sum_reduction: bool = False,
-) -> Tensor:
+def tagging_loss(logits: Tensor, labels: np.ndarray, sum_reduction: bool = False) -> Tensor:
     """Token-level cross-entropy over [B, T, C] logits.
 
     Defaults to the mean over labeled tokens so magnitudes stay comparable
@@ -184,8 +177,8 @@ def tagging_loss(
     """
     b, t, c = logits.shape
     flat_labels = np.asarray(labels).reshape(-1)
-    loss = cross_entropy(reshape(logits, (b * t, c)), flat_labels, ignore_label)
+    loss = cross_entropy(reshape(logits, (b * t, c)), flat_labels)
     if sum_reduction:
-        n_labeled = int((flat_labels != ignore_label).sum())
+        n_labeled = int((flat_labels != IGNORE_LABEL).sum())
         loss = mul(loss, float(n_labeled))
     return loss

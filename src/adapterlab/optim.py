@@ -27,9 +27,6 @@ class ParamSet:
         self._params[name] = tensor
         return tensor
 
-    def remove(self, name: str) -> None:
-        del self._params[name]
-
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
@@ -44,10 +41,6 @@ class ParamSet:
 
     def items(self):
         return self._params.items()
-
-    def freeze_all(self) -> None:
-        for t in self._params.values():
-            t.requires_grad = False
 
     def set_trainable(self, names) -> None:
         """Freeze everything, then unfreeze exactly the given names."""

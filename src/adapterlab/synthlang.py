@@ -130,22 +130,13 @@ class SyntheticLanguageSpec:
         return np.roll(np.arange(span_len), k)
 
     def to_file(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"code={self.code}\n")
-            fh.write(f"cipher_seed={self.cipher_seed}\n")
-            fh.write(f"divergence={self.divergence!r}\n")
-            fh.write(f"word_order={self.word_order}\n")
+        write_key_values(path, {"code": self.code, "cipher_seed": self.cipher_seed,
+                                "divergence": repr(self.divergence),
+                                "word_order": self.word_order})
 
     @classmethod
     def from_file(cls, path) -> "SyntheticLanguageSpec":
-        fields = {}
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, _, value = line.partition("=")
-                fields[key] = value
+        fields = read_key_values(path)
         return cls(
             code=fields["code"],
             cipher_seed=int(fields["cipher_seed"]),
@@ -472,12 +463,21 @@ def load_task_dataset(path, vocab: Vocab, kind: str, language: str, split: str,
     return TaskDataset(kind, language, split, examples, num_classes)
 
 
-def save_corpus(lines: list[str], path) -> None:
+def write_key_values(path, entries: dict) -> None:
+    """One ``key=value`` line per entry, in the dict's order."""
     with open(path, "w", encoding="utf-8") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+        for key, value in entries.items():
+            fh.write(f"{key}={value}\n")
 
 
-def load_corpus(path) -> list[str]:
+def read_key_values(path) -> dict[str, str]:
+    """Parse ``key=value`` lines; blank lines and ``#`` comments are skipped."""
+    entries = {}
     with open(path, encoding="utf-8") as fh:
-        return [line.strip() for line in fh if line.strip()]
+        for line in fh:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, _, value = line.partition("=")
+            entries[key] = value
+    return entries

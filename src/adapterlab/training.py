@@ -25,7 +25,7 @@ from .adapters import (
     AdapterStack,
     set_trainable,
 )
-from .autodiff import Tensor, add, mul
+from .autodiff import IGNORE_LABEL, Tensor, add, mul
 from .encoder import Encoder
 from .errors import ConfigError, NumericError
 from .objectives import (
@@ -37,14 +37,27 @@ from .objectives import (
     tagging_loss,
 )
 from .optim import Adam, clip_grad_norm
-from .synthlang import CLS, PAD, SEP, TaskDataset
+from .synthlang import CLS, PAD, SEP, TaskDataset, read_key_values, write_key_values
 
-IGNORE = -1
+MAIN_LOSSES = ("mlm", "seq_cls", "tagging")
+# the main losses each phase may train with
+PHASE_LOSSES = {
+    PHASE_LANG: ("mlm",),
+    PHASE_TASK: ("seq_cls", "tagging"),
+    PHASE_TASK_ONLY: ("seq_cls", "tagging"),
+    PHASE_FULL: MAIN_LOSSES,
+}
 
 
-@dataclass
+@dataclass(frozen=True)
 class PhaseConfig:
-    """One training phase: main loss, optional ortho loss, budgets, seeds."""
+    """One training phase: main loss, optional ortho loss, budgets, seeds.
+
+    ``ortho`` switches the orthogonality loss on for the phase's slot;
+    ``joint_lambda`` only chooses how it runs: ``None`` alternates it with
+    the main loss under its own Adam, a positive weight folds it into the
+    main loss. Frozen, so the fields stay as ``__post_init__`` checked them.
+    """
 
     phase: str
     main_loss: str  # mlm | seq_cls | tagging
@@ -57,16 +70,20 @@ class PhaseConfig:
     alternation_k: int = 1
     seed: int = 0
     joint_lambda: float | None = None
-    ortho_exclude_residual: bool = False
-    ortho_include_padding: bool = False
-    tagging_sum_reduction: bool = False
 
     def __post_init__(self):
         if self.phase not in PHASES:
             raise ConfigError(f"unknown phase {self.phase!r}")
-        if self.main_loss not in ("mlm", "seq_cls", "tagging"):
+        if self.main_loss not in MAIN_LOSSES:
             raise ConfigError(f"unknown main loss {self.main_loss!r}")
-        if self.phase == PHASE_FULL and (self.ortho or self.joint_lambda):
+        if self.main_loss not in PHASE_LOSSES[self.phase]:
+            raise ConfigError(f"phase {self.phase} does not train with the "
+                              f"{self.main_loss} loss")
+        if self.joint_lambda is not None and not self.ortho:
+            raise ConfigError("joint_lambda weights the orthogonality loss; set ortho=True")
+        if self.joint_lambda is not None and not self.joint_lambda > 0.0:
+            raise ConfigError(f"joint_lambda must be > 0, got {self.joint_lambda}")
+        if self.phase == PHASE_FULL and self.ortho:
             raise ConfigError("full fine-tuning runs without the orthogonality loss")
         if self.alternation_k < 1:
             raise ConfigError("alternation granularity must be >= 1")
@@ -130,7 +147,7 @@ def make_tag_batch(examples: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """[CLS]-prefixed sentences with per-token tags; CLS and padding ignored."""
     seqs = [np.concatenate(([CLS], sent)) for sent, _ in examples]
     ids, mask = pad_sequences(seqs)
-    labels = np.full_like(ids, IGNORE)
+    labels = np.full_like(ids, IGNORE_LABEL)
     for i, (_, tags) in enumerate(examples):
         labels[i, 1 : 1 + len(tags)] = tags
     return ids, mask, labels
@@ -171,8 +188,7 @@ def _main_loss(cfg: PhaseConfig, encoder: Encoder, states, labels) -> Tensor:
         return mlm_loss(encoder.mlm_logits(states), labels)
     if cfg.main_loss == "seq_cls":
         return seq_cls_loss(encoder.cls_logits(states), labels)
-    return tagging_loss(encoder.tag_logits(states), labels,
-                        sum_reduction=cfg.tagging_sum_reduction)
+    return tagging_loss(encoder.tag_logits(states), labels)
 
 
 def run_phase(
@@ -185,18 +201,15 @@ def run_phase(
 ) -> TrainStats:
     """Run one training phase over its step budget and return the stats.
 
-    The caller provides either a corpus (mlm) or a task dataset. Freezing
-    follows the phase id; the ortho optimizer is scoped to the target slot's
-    adapter weights and owns separate Adam state.
+    The caller provides either a corpus (mlm) or a task dataset. Freezing,
+    and the slots the model must carry, follow the phase id; the ortho
+    optimizer is scoped to the target slot's adapter weights and owns
+    separate Adam state.
     """
     if cfg.main_loss == "mlm" and corpus is None:
         raise ConfigError("mlm training needs a corpus")
     if cfg.main_loss != "mlm" and dataset is None:
         raise ConfigError(f"{cfg.main_loss} training needs a task dataset")
-    if cfg.ortho or cfg.joint_lambda:
-        slot = cfg.ortho_slot()
-        if stack is None or stack.slot(slot) is None:
-            raise ConfigError(f"ortho loss requires an occupied {slot} slot")
 
     set_trainable(encoder.params, cfg.phase)
     # scope the optimizer to the parameters this phase's loss can reach;
@@ -212,7 +225,7 @@ def run_phase(
         raise ConfigError(f"phase {cfg.phase} has nothing to train")
     opt_main = Adam(encoder.params, names=trainable, lr=cfg.main_lr)
     opt_ortho = None
-    if cfg.ortho and not cfg.joint_lambda:
+    if cfg.ortho and cfg.joint_lambda is None:
         prefix = "adapter.lang." if cfg.ortho_slot() == LANGUAGE else "adapter.task."
         slot_names = [n for n in trainable if n.startswith(prefix)]
         opt_ortho = Adam(encoder.params, names=slot_names, lr=cfg.ortho_lr)
@@ -230,10 +243,8 @@ def run_phase(
         states, acts = encoder.encode(ids, mask, stack=stack,
                                       training=training, rng=drop_rng)
         loss = _main_loss(cfg, encoder, states, labels)
-        if cfg.joint_lambda:
-            report = ortho_loss(acts, cfg.ortho_slot(), mask,
-                                exclude_residual=cfg.ortho_exclude_residual,
-                                include_padding=cfg.ortho_include_padding)
+        if cfg.joint_lambda is not None:
+            report = ortho_loss(acts, cfg.ortho_slot(), mask)
             loss = add(loss, mul(report.loss, cfg.joint_lambda))
         value = loss.item()
         if not math.isfinite(value):
@@ -252,9 +263,7 @@ def run_phase(
             ortho_hash = _batch_hash(ids, mask)
             _, acts = encoder.encode(ids, mask, stack=stack,
                                      training=training, rng=drop_rng)
-            report = ortho_loss(acts, cfg.ortho_slot(), mask,
-                                exclude_residual=cfg.ortho_exclude_residual,
-                                include_padding=cfg.ortho_include_padding)
+            report = ortho_loss(acts, cfg.ortho_slot(), mask)
             total = report.total
             if not math.isfinite(total):
                 raise NumericError(f"non-finite ortho loss {total} at step {step}")
@@ -276,10 +285,8 @@ def train_language_adapter(encoder: Encoder, stack: AdapterStack,
                            corpus: list[np.ndarray], cfg: PhaseConfig,
                            log_path=None) -> TrainStats:
     """Phase 1: MLM over one language's corpus, language slot trainable."""
-    if cfg.phase != PHASE_LANG or cfg.main_loss != "mlm":
-        raise ConfigError("language adapter training is an mlm phase")
-    if stack.lang is None:
-        raise ConfigError("language adapter training needs a language slot")
+    if cfg.phase != PHASE_LANG:
+        raise ConfigError("language adapter training uses the lang_adapter_training phase id")
     return run_phase(encoder, stack, cfg, corpus=corpus, log_path=log_path)
 
 
@@ -289,10 +296,6 @@ def train_task_adapter(encoder: Encoder, stack: AdapterStack,
     """Phase 2: task loss on source data; language slot (if any) frozen."""
     if cfg.phase not in (PHASE_TASK, PHASE_TASK_ONLY):
         raise ConfigError("task adapter training needs a task phase id")
-    if stack.task is None:
-        raise ConfigError("task adapter training needs a task slot")
-    if cfg.phase == PHASE_TASK and stack.lang is None:
-        raise ConfigError("stacked task training expects a loaded language slot")
     return run_phase(encoder, stack, cfg, dataset=dataset, log_path=log_path)
 
 
@@ -323,23 +326,9 @@ def model_selection(candidates: list[tuple[str, float]]) -> str:
     return min(candidates, key=lambda item: (-item[1], item[0]))[0]
 
 
-def write_run_manifest(path, entries: dict) -> None:
-    """Plain-text key=value run manifest, written before step 0."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for key, value in entries.items():
-            fh.write(f"{key}={value}\n")
-
-
-def read_run_manifest(path) -> dict:
-    entries = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            entries[key] = value
-    return entries
+# a run manifest, written before step 0, is plain key=value lines
+write_run_manifest = write_key_values
+read_run_manifest = read_key_values
 
 
 def config_hash(*parts) -> str:

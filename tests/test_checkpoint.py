@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -19,16 +21,25 @@ from adapterlab.encoder import Encoder, EncoderConfig
 from adapterlab.errors import MissingArtifactError
 
 
-def build_model(seed=0):
+# orders in which a pipeline may build heads and register its adapter stack
+ORDERS = (("cls", "stack"), ("stack", "cls"), ("tag", "cls", "stack"))
+
+
+def build_model(seed=0, order=ORDERS[0]):
     enc = Encoder(EncoderConfig(vocab=30, num_layers=2, hidden=8, num_heads=2,
                                 ffn=12, max_len=10, dropout=0.0), seed=seed)
-    enc.ensure_cls_head(3)
     stack = AdapterStack(2)
     stack.fill(LANGUAGE, init_adapter_stack_slot(
         AdapterConfig(dim=3, kind=LANGUAGE), 8, 2, seed + 1))
     stack.fill(TASK, init_adapter_stack_slot(
         AdapterConfig(dim=2, kind=TASK, orthogonal=True), 8, 2, seed + 2))
-    stack.register(enc.params)
+    for part in order:
+        if part == "cls":
+            enc.ensure_cls_head(3)
+        elif part == "tag":
+            enc.ensure_tag_head(4)
+        else:
+            stack.register(enc.params)
     r = np.random.default_rng(seed + 3)
     for w in stack.lang + stack.task:
         w.w_up.values[...] = r.normal(scale=0.3, size=w.w_up.shape)
@@ -36,30 +47,54 @@ def build_model(seed=0):
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
-    enc, stack = build_model()
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(path, enc, stack)
-    loaded, loaded_stack, manifest = load_checkpoint(path)
-    assert manifest["encoder_config"]["hidden"] == 8
-    assert loaded.params.names() == enc.params.names()
-    for name in enc.params.names():
-        assert loaded.params[name].values.tobytes() == enc.params[name].values.tobytes()
-    assert loaded_stack.task[0].config.orthogonal is True
+    for order in ORDERS:
+        enc, stack = build_model(order=order)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, enc, stack)
+        loaded, loaded_stack, manifest = load_checkpoint(path)
+        assert manifest["encoder_config"]["hidden"] == 8
+        assert loaded.params.names() == enc.params.names()
+        for name in enc.params.names():
+            assert loaded.params[name].values.tobytes() == enc.params[name].values.tobytes()
+        assert loaded_stack.task[0].config.orthogonal is True
 
-    ids = np.array([[2, 7, 8, 9]])
-    mask = np.ones_like(ids)
-    a, _ = enc.encode(ids, mask, stack=stack)
-    b, _ = loaded.encode(ids, mask, stack=loaded_stack)
-    np.testing.assert_array_equal(a.values, b.values)
+        ids = np.array([[2, 7, 8, 9]])
+        mask = np.ones_like(ids)
+        a, _ = enc.encode(ids, mask, stack=stack)
+        b, _ = loaded.encode(ids, mask, stack=loaded_stack)
+        np.testing.assert_array_equal(a.values, b.values)
 
 
 def test_checkpoint_double_roundtrip_identical_bytes(tmp_path):
+    for order in ORDERS:
+        enc, stack = build_model(order=order)
+        p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        save_checkpoint(p1, enc, stack)
+        loaded, loaded_stack, _ = load_checkpoint(p1)
+        save_checkpoint(p2, loaded, loaded_stack)
+        assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_checkpoint_directory_mismatch_raises_typed_error(tmp_path):
     enc, stack = build_model()
-    p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-    save_checkpoint(p1, enc, stack)
-    loaded, loaded_stack, _ = load_checkpoint(p1)
-    save_checkpoint(p2, loaded, loaded_stack)
-    assert p1.read_bytes() == p2.read_bytes()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, enc, stack)
+    head, _, body = path.read_bytes().partition(b"\x00")
+
+    def rewrite(edit):
+        manifest = json.loads(head)
+        edit(manifest)
+        path.write_bytes(json.dumps(manifest).encode() + b"\x00" + body)
+
+    rewrite(lambda m: m["arrays"][0].update(name="embed.typo"))
+    with pytest.raises(MissingArtifactError, match="embed.typo"):
+        load_checkpoint(path)
+    rewrite(lambda m: m["arrays"][0].update(shape=[8, 30]))  # same size, transposed
+    with pytest.raises(MissingArtifactError, match="embed.tok"):
+        load_checkpoint(path)
+    rewrite(lambda m: m.update(format_version=1))  # files of the previous format
+    with pytest.raises(MissingArtifactError):
+        load_checkpoint(path)
 
 
 def test_checkpoint_without_stack(tmp_path):

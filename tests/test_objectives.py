@@ -58,6 +58,8 @@ def test_exhaustive_masking():
 def test_zero_mask_fraction_rejected():
     with pytest.raises(ConfigError):
         MaskingPolicy(mask_fraction=0.0)
+    with pytest.raises(ConfigError):  # the default vocab=0 leaves no regular ids
+        MaskingPolicy()
 
 
 def test_bad_split_rejected():

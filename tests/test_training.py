@@ -12,6 +12,7 @@ from adapterlab.adapters import (
     AdapterStack,
     init_adapter_stack_slot,
 )
+from adapterlab.autodiff import IGNORE_LABEL
 from adapterlab.encoder import Encoder, EncoderConfig
 from adapterlab.errors import ConfigError
 from adapterlab.objectives import MaskingPolicy, mlm_loss
@@ -24,7 +25,6 @@ from adapterlab.synthlang import (
     generate_corpus,
 )
 from adapterlab.training import (
-    IGNORE,
     PhaseConfig,
     config_hash,
     make_mlm_batch,
@@ -74,6 +74,24 @@ def test_phase_config_validation():
         PhaseConfig(phase=PHASE_FULL, main_loss="seq_cls", ortho=True)
     with pytest.raises(ConfigError):
         PhaseConfig(phase=PHASE_LANG, main_loss="mlm", alternation_k=0)
+    with pytest.raises(ConfigError):
+        PhaseConfig(phase=PHASE_LANG, main_loss="mlm", ortho=False, joint_lambda=0.5)
+    with pytest.raises(ConfigError):
+        PhaseConfig(phase=PHASE_LANG, main_loss="mlm", ortho=True, joint_lambda=0.0)
+    with pytest.raises(ConfigError):
+        PhaseConfig(phase=PHASE_TASK, main_loss="mlm")
+    with pytest.raises(AttributeError):  # checked once, so no field may change later
+        PhaseConfig(phase=PHASE_LANG, main_loss="mlm").joint_lambda = 0.5
+
+
+def test_lang_phase_without_language_slot_rejected():
+    # untied, head.mlm.* alone would be trainable: the slot rule must still refuse
+    vocab, corpus = setup_bed()
+    enc = Encoder(EncoderConfig(vocab=vocab.size, num_layers=2, hidden=16, num_heads=2,
+                                ffn=24, max_len=32, dropout=0.0, tie_mlm=False), seed=0)
+    cfg = PhaseConfig(phase=PHASE_LANG, main_loss="mlm", steps=2, batch_size=4)
+    with pytest.raises(ConfigError):
+        run_phase(enc, None, cfg, corpus=corpus)
 
 
 def test_batch_builders():
@@ -187,7 +205,7 @@ def _mean_masked_loss(enc, batches):
     total = count = 0
     for ids, mask, labels in batches:
         states, _ = enc.encode(ids, mask)
-        n = int((labels != IGNORE).sum())
+        n = int((labels != IGNORE_LABEL).sum())
         total += mlm_loss(enc.mlm_logits(states), labels).item() * n
         count += n
     return total / count
@@ -214,7 +232,7 @@ def test_mlm_loss_decreases_on_smoke_run():
     after = _mean_masked_loss(enc, batches)
 
     counts = np.bincount(np.concatenate(corpus))
-    labelled = np.concatenate([labels[labels != IGNORE] for _, _, labels in batches])
+    labelled = np.concatenate([labels[labels != IGNORE_LABEL] for _, _, labels in batches])
     unigram = float(-np.log(counts[labelled] / counts.sum()).mean())
 
     assert after < 0.8 * before
