@@ -1,9 +1,9 @@
 """Bottleneck adapters: per-layer slots, stacking order, freezing, swapping.
 
 An adapter maps a hidden state through a down-projection, ReLU, and an
-up-projection, then adds the residual input:
+up-projection, then adds its input back:
 
-    out = relu(x_h @ w_down) @ w_up + x_r
+    out = relu(x @ w_down) @ w_up + x
 
 The up-projection starts at zero, so a fresh adapter is the identity map and
 inserting one changes nothing until training moves it.
@@ -21,6 +21,8 @@ from .optim import ParamSet
 
 LANGUAGE = "language"
 TASK = "task"
+# the ParamSet name prefix of each slot's weights
+SLOT_PREFIX = {LANGUAGE: "adapter.lang.", TASK: "adapter.task."}
 
 PHASE_LANG = "lang_adapter_training"
 PHASE_TASK = "task_adapter_training"
@@ -55,11 +57,11 @@ class AdapterWeights:
     w_up: Tensor  # [d, H]
 
 
-def adapter_forward(x_h: Tensor, x_r: Tensor, w_down: Tensor, w_up: Tensor,
+def adapter_forward(x: Tensor, w_down: Tensor, w_up: Tensor,
                     residual: bool = True) -> Tensor:
-    """Bottleneck adapter transform; differentiable in all four inputs."""
-    core = matmul(relu(matmul(x_h, w_down)), w_up)
-    return add(core, x_r) if residual else core
+    """Bottleneck adapter transform; differentiable in all three inputs."""
+    core = matmul(relu(matmul(x, w_down)), w_up)
+    return add(core, x) if residual else core
 
 
 def init_adapter(config: AdapterConfig, hidden: int, seed: int) -> AdapterWeights:
@@ -113,13 +115,15 @@ class AdapterStack:
 
     def register(self, params: ParamSet) -> None:
         """Declare all adapter tensors in the ParamSet under dotted names."""
-        for kind, slot in ((LANGUAGE, self.lang), (TASK, self.task)):
-            if slot is None:
-                continue
-            short = "lang" if kind == LANGUAGE else "task"
-            for i, w in enumerate(slot):
-                params.add(f"adapter.{short}.{i}.w_down", w.w_down)
-                params.add(f"adapter.{short}.{i}.w_up", w.w_up)
+        for kind in (LANGUAGE, TASK):
+            for i, w in enumerate(self.slot(kind) or ()):
+                params.add(f"{SLOT_PREFIX[kind]}{i}.w_down", w.w_down)
+                params.add(f"{SLOT_PREFIX[kind]}{i}.w_up", w.w_up)
+
+
+def slot_names(params: ParamSet, kind: str) -> list[str]:
+    """Names of one slot's weights in ``params``, in declaration order."""
+    return [n for n in params.names() if n.startswith(SLOT_PREFIX[kind])]
 
 
 def swap_language_adapter(stack: AdapterStack, new_weights: list[tuple[np.ndarray, np.ndarray]]) -> AdapterStack:
@@ -165,8 +169,8 @@ def set_trainable(params: ParamSet, phase: str) -> ParamSet:
     if phase == PHASE_FULL:
         params.set_trainable(names)
         return params
-    lang = [n for n in names if n.startswith("adapter.lang.")]
-    task = [n for n in names if n.startswith("adapter.task.")]
+    lang = slot_names(params, LANGUAGE)
+    task = slot_names(params, TASK)
     if phase == PHASE_LANG:
         if not lang:
             raise ConfigError("language adapter training needs a language slot")

@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import EmptyLossError, ShapeError
+from .errors import ContractError, EmptyLossError, ShapeError
 
 Array = np.ndarray
 
@@ -384,7 +384,7 @@ def cross_entropy(logits: Tensor, labels: Array) -> Tensor:
         raise EmptyLossError("cross_entropy: every position carries the ignore marker")
     n_classes = logits.shape[1]
     if labels[active].min() < 0 or labels[active].max() >= n_classes:
-        raise ValueError(f"labels must lie in [0, {n_classes}) or equal {IGNORE_LABEL}")
+        raise ContractError(f"labels must lie in [0, {n_classes}) or equal {IGNORE_LABEL}")
     shifted = logits.values - logits.values.max(axis=-1, keepdims=True)
     logsumexp = np.log(np.exp(shifted).sum(axis=-1)) + logits.values.max(axis=-1)
     picked = logits.values[np.arange(labels.shape[0]), np.where(active, labels, 0)]

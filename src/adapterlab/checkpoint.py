@@ -3,6 +3,8 @@
 One file = a JSON manifest line (format version, configs, seed, array
 directory) + NUL separator + the raw little-endian float64 bytes of every
 named array in declaration order. Raw bytes make the round-trip bit-exact.
+A read refuses a header that is not UTF-8 JSON and a body that does not hold
+exactly the bytes its array directory lists.
 A checkpoint loads by array name, so any construction order of the saved
 model (heads and adapter stack in either order) reloads.
 """
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -50,24 +53,26 @@ def _read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
         raise MissingArtifactError(f"no such checkpoint or adapter file: {path}")
     raw = path.read_bytes()
     head, _, body = raw.partition(_SEP)
-    manifest = json.loads(head.decode("utf-8"))
-    if manifest.get("format_version") != FORMAT_VERSION:
-        raise MissingArtifactError(
-            f"{path}: unsupported container format {manifest.get('format_version')}"
-        )
+    try:
+        manifest = json.loads(head.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+        raise MissingArtifactError(f"{path}: header is not UTF-8 JSON") from exc
+    version = manifest.get("format_version") if isinstance(manifest, dict) else None
+    if version != FORMAT_VERSION:
+        raise MissingArtifactError(f"{path}: unsupported container format {version}")
+    directory = [(entry["name"], tuple(entry["shape"])) for entry in manifest["arrays"]]
+    listed = sum(8 * math.prod(shape) for _, shape in directory)
+    if len(body) != listed:
+        raise MissingArtifactError(f"{path}: body holds {len(body)} bytes, "
+                                   f"its array directory lists {listed}")
     arrays: dict[str, np.ndarray] = {}
     offset = 0
-    for entry in manifest["arrays"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+    for name, shape in directory:
+        count = math.prod(shape)
         arr = np.frombuffer(body, dtype="<f8", count=count, offset=offset)
-        arrays[entry["name"]] = arr.reshape(shape).astype(np.float64)
+        arrays[name] = arr.reshape(shape).astype(np.float64)
         offset += count * 8
     return manifest, arrays
-
-
-def _adapter_config_dict(cfg: AdapterConfig) -> dict:
-    return dataclasses.asdict(cfg)
 
 
 def save_checkpoint(path, encoder: Encoder, stack: AdapterStack | None = None,
@@ -78,11 +83,11 @@ def save_checkpoint(path, encoder: Encoder, stack: AdapterStack | None = None,
         "seed": encoder.seed,
         "encoder_config": dataclasses.asdict(encoder.config),
         "heads": dict(encoder.head_classes),
+        # the slot kinds are the keys, so renaming a kind changes the file format
         "adapters": {
-            "language": _adapter_config_dict(stack.lang[0].config)
-            if stack and stack.lang else None,
-            "task": _adapter_config_dict(stack.task[0].config)
-            if stack and stack.task else None,
+            kind: dataclasses.asdict(stack.slot(kind)[0].config)
+            if stack and stack.slot(kind) else None
+            for kind in (LANGUAGE, TASK)
         },
     }
     if extra:
@@ -105,21 +110,17 @@ def load_checkpoint(path) -> tuple[Encoder, AdapterStack | None, dict]:
             encoder.ensure_tag_head(n)
     stack = None
     adapters = manifest["adapters"]
-    if adapters["language"] or adapters["task"]:
+    if adapters[LANGUAGE] or adapters[TASK]:
         stack = AdapterStack(config.num_layers)
-        for kind, key in ((LANGUAGE, "language"), (TASK, "task")):
-            if not adapters[key]:
+        for kind in (LANGUAGE, TASK):
+            if not adapters[kind]:
                 continue
-            acfg = AdapterConfig(**adapters[key])
-            short = "lang" if kind == LANGUAGE else "task"
-            weights = []
-            for i in range(config.num_layers):
-                weights.append(AdapterWeights(
-                    acfg,
-                    Tensor(np.zeros((config.hidden, acfg.dim))),
-                    Tensor(np.zeros((acfg.dim, config.hidden))),
-                ))
-            stack.fill(kind, weights)
+            acfg = AdapterConfig(**adapters[kind])
+            stack.fill(kind, [
+                AdapterWeights(acfg, Tensor(np.zeros((config.hidden, acfg.dim))),
+                               Tensor(np.zeros((acfg.dim, config.hidden))))
+                for _ in range(config.num_layers)
+            ])
         stack.register(encoder.params)
     built = dict(encoder.params.items())
     stored = [entry["name"] for entry in manifest["arrays"]]
@@ -146,7 +147,7 @@ def save_adapter(path, weights: list[AdapterWeights], seed: int = 0,
         "kind": "adapter",
         "seed": seed,
         "language": language,
-        "adapter_config": _adapter_config_dict(weights[0].config),
+        "adapter_config": dataclasses.asdict(weights[0].config),
         "num_layers": len(weights),
     }
     arrays = []

@@ -174,8 +174,9 @@ class Encoder:
         p = self.params
         ids = np.asarray(token_ids, dtype=np.int64)
         mask = np.asarray(mask)
-        if ids.ndim != 2 or mask.shape != ids.shape:
-            raise ConfigError(f"ids {ids.shape} and mask {mask.shape} must both be [B, T]")
+        if ids.ndim != 2 or mask.shape != ids.shape or ids.size == 0:
+            raise ConfigError(f"ids {ids.shape} and mask {mask.shape} must both be "
+                              f"[B, T] with B, T >= 1")
         if ids.min() < 0 or ids.max() >= c.vocab:
             raise VocabError(
                 f"token id {int(ids.max())} outside vocabulary of size {c.vocab}"
@@ -234,7 +235,7 @@ class Encoder:
         if weights is None:
             record.append(None)
             return h
-        out = adapter_forward(h, h, weights.w_down, weights.w_up)
+        out = adapter_forward(h, weights.w_down, weights.w_up)
         record.append(SlotRecord(x_in=h, x_out=out, weights=weights))
         return out
 

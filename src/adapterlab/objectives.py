@@ -138,8 +138,7 @@ def ortho_loss(
         u = reshape(x_in, (b * t, h))
         if rec.weights is not None and (stop_grad_input or exclude_residual):
             w = rec.weights
-            out = adapter_forward(x_in, x_in, w.w_down, w.w_up,
-                                  residual=not exclude_residual)
+            out = adapter_forward(x_in, w.w_down, w.w_up, residual=not exclude_residual)
         else:
             out = rec.x_out
         v = reshape(out, (b * t, h))

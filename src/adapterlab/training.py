@@ -1,9 +1,10 @@
 """Two-phase training orchestration: alternating dual-optimizer loops.
 
-Each iteration takes one batch and runs the main-loss step (forward, backward,
-clip, Adam A); when the orthogonality loss is enabled, a fresh forward on the
-same batch feeds the ortho step (backward, clip, Adam B over the target
-slot's weights only). The two optimizers never share moment buffers.
+Each iteration takes one batch and runs the main-loss step (forward, then a
+descent step: backward, clip, Adam A); when the orthogonality loss is
+enabled, a fresh forward on the same batch feeds the ortho step (the same
+descent step under Adam B, over the target slot's weights only). The two
+optimizers never share moment buffers.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .adapters import (
     TASK,
     AdapterStack,
     set_trainable,
+    slot_names,
 )
 from .autodiff import IGNORE_LABEL, Tensor, add, mul
 from .encoder import Encoder
@@ -39,7 +41,9 @@ from .objectives import (
 from .optim import Adam, clip_grad_norm
 from .synthlang import CLS, PAD, SEP, TaskDataset, read_key_values, write_key_values
 
-MAIN_LOSSES = ("mlm", "seq_cls", "tagging")
+# each main loss and the name prefix of the head it trains through
+LOSS_HEADS = {"mlm": "head.mlm.", "seq_cls": "head.cls.", "tagging": "head.tag."}
+MAIN_LOSSES = tuple(LOSS_HEADS)
 # the main losses each phase may train with
 PHASE_LOSSES = {
     PHASE_LANG: ("mlm",),
@@ -94,10 +98,9 @@ class PhaseConfig:
 
 @dataclass
 class TrainStats:
-    """Metrics log plus in-memory bookkeeping the invariants check."""
+    """Metrics log plus the per-step losses and the skipped-sequence count."""
 
     log_lines: list[str] = field(default_factory=list)
-    batch_hashes: list[tuple[int, str, str | None]] = field(default_factory=list)
     main_losses: list[float] = field(default_factory=list)
     ortho_totals: list[float] = field(default_factory=list)
     skipped_sequences: int = 0
@@ -106,13 +109,6 @@ class TrainStats:
         with open(path, "w", encoding="utf-8") as fh:
             for line in self.log_lines:
                 fh.write(line + "\n")
-
-
-def _batch_hash(ids: np.ndarray, mask: np.ndarray) -> str:
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(ids, dtype=np.int64).tobytes())
-    h.update(np.ascontiguousarray(mask, dtype=np.int64).tobytes())
-    return h.hexdigest()
 
 
 def pad_sequences(seqs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -153,34 +149,25 @@ def make_tag_batch(examples: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ids, mask, labels
 
 
-class _BatchSource:
-    """Seeded per-step batch sampler over a corpus or task dataset."""
+def _batches(cfg: PhaseConfig, vocab_size: int, corpus: list[np.ndarray] | None,
+             dataset: TaskDataset | None):
+    """Endless seeded (ids, mask, labels, skipped) batches over a corpus or task dataset.
 
-    def __init__(self, cfg: PhaseConfig, vocab_size: int,
-                 corpus: list[np.ndarray] | None = None,
-                 dataset: TaskDataset | None = None):
-        self.cfg = cfg
-        self.corpus = corpus
-        self.dataset = dataset
-        self.rng = np.random.default_rng([cfg.seed, 1])
-        self.mask_rng = np.random.default_rng([cfg.seed, 2])
-        if cfg.main_loss == "mlm":
-            self.policy = MaskingPolicy(vocab=vocab_size)
-
-    def next(self):
-        cfg = self.cfg
-        if cfg.main_loss == "mlm":
-            picks = self.rng.integers(len(self.corpus), size=cfg.batch_size)
-            ids, mask, labels, skipped = make_mlm_batch(
-                self.corpus, picks, self.policy, self.mask_rng)
-            return ids, mask, labels, skipped
-        picks = self.rng.integers(len(self.dataset.examples), size=cfg.batch_size)
-        examples = [self.dataset.examples[int(i)] for i in picks]
-        if cfg.main_loss == "seq_cls":
-            ids, mask, labels = make_seq_batch(examples)
-        else:
-            ids, mask, labels = make_tag_batch(examples)
-        return ids, mask, labels, 0
+    Each batch is drawn only when the caller asks for it, and each builder is
+    looked up when it is called, so a rebound builder sees every draw.
+    """
+    rng = np.random.default_rng([cfg.seed, 1])
+    if cfg.main_loss == "mlm":
+        policy = MaskingPolicy(vocab=vocab_size)
+        mask_rng = np.random.default_rng([cfg.seed, 2])
+        while True:
+            picks = rng.integers(len(corpus), size=cfg.batch_size)
+            yield make_mlm_batch(corpus, picks, policy, mask_rng)
+    while True:
+        picks = rng.integers(len(dataset.examples), size=cfg.batch_size)
+        examples = [dataset.examples[int(i)] for i in picks]
+        build = make_seq_batch if cfg.main_loss == "seq_cls" else make_tag_batch
+        yield (*build(examples), 0)
 
 
 def _main_loss(cfg: PhaseConfig, encoder: Encoder, states, labels) -> Tensor:
@@ -191,13 +178,28 @@ def _main_loss(cfg: PhaseConfig, encoder: Encoder, states, labels) -> Tensor:
     return tagging_loss(encoder.tag_logits(states), labels)
 
 
+def _descend(loss: Tensor, opt: Adam, clip_norm: float, what: str,
+             step: int) -> tuple[float, float]:
+    """One descent step on ``loss`` over ``opt``'s parameters.
+
+    Refuses a non-finite loss, then backpropagates, clips the gradient norm
+    of ``opt.names`` and steps. Returns the loss value and the pre-clip norm.
+    """
+    value = loss.item()
+    if not math.isfinite(value):
+        raise NumericError(f"non-finite {what} loss {value} at step {step}")
+    loss.backward()
+    norm = clip_grad_norm(opt.params, opt.names, clip_norm)
+    opt.step()
+    return value, norm
+
+
 def run_phase(
     encoder: Encoder,
     stack: AdapterStack | None,
     cfg: PhaseConfig,
     corpus: list[np.ndarray] | None = None,
     dataset: TaskDataset | None = None,
-    log_path=None,
 ) -> TrainStats:
     """Run one training phase over its step budget and return the stats.
 
@@ -214,11 +216,9 @@ def run_phase(
     set_trainable(encoder.params, cfg.phase)
     # scope the optimizer to the parameters this phase's loss can reach;
     # heads of other tasks stay frozen-in-place even under full fine-tuning
-    dead_heads = {"mlm": ("head.cls.", "head.tag."),
-                  "seq_cls": ("head.mlm.", "head.tag."),
-                  "tagging": ("head.mlm.", "head.cls.")}[cfg.main_loss]
+    other_heads = tuple(head for loss, head in LOSS_HEADS.items() if loss != cfg.main_loss)
     for name in encoder.params.names():
-        if name.startswith(dead_heads):
+        if name.startswith(other_heads):
             encoder.params[name].requires_grad = False
     trainable = encoder.params.trainable_names()
     if not trainable:
@@ -226,93 +226,71 @@ def run_phase(
     opt_main = Adam(encoder.params, names=trainable, lr=cfg.main_lr)
     opt_ortho = None
     if cfg.ortho and cfg.joint_lambda is None:
-        prefix = "adapter.lang." if cfg.ortho_slot() == LANGUAGE else "adapter.task."
-        slot_names = [n for n in trainable if n.startswith(prefix)]
-        opt_ortho = Adam(encoder.params, names=slot_names, lr=cfg.ortho_lr)
+        opt_ortho = Adam(encoder.params, names=slot_names(encoder.params, cfg.ortho_slot()),
+                         lr=cfg.ortho_lr)
 
-    source = _BatchSource(cfg, encoder.config.vocab, corpus=corpus, dataset=dataset)
+    batches = _batches(cfg, encoder.config.vocab, corpus, dataset)
     drop_rng = np.random.default_rng([cfg.seed, 3])
     stats = TrainStats()
     training = encoder.config.dropout > 0.0
 
-    for step in range(cfg.steps):
-        ids, mask, labels, skipped = source.next()
+    # the range comes first, so no batch is drawn after the last step
+    for step, (ids, mask, labels, skipped) in zip(range(cfg.steps), batches):
         stats.skipped_sequences += skipped
-        main_hash = _batch_hash(ids, mask)
-
         states, acts = encoder.encode(ids, mask, stack=stack,
                                       training=training, rng=drop_rng)
         loss = _main_loss(cfg, encoder, states, labels)
         if cfg.joint_lambda is not None:
             report = ortho_loss(acts, cfg.ortho_slot(), mask)
             loss = add(loss, mul(report.loss, cfg.joint_lambda))
-        value = loss.item()
-        if not math.isfinite(value):
-            raise NumericError(
-                f"non-finite {cfg.main_loss} loss {value} at step {step}")
-        loss.backward()
-        norm = clip_grad_norm(encoder.params, trainable, cfg.clip_norm)
-        opt_main.step()
+        value, norm = _descend(loss, opt_main, cfg.clip_norm, cfg.main_loss, step)
         stats.main_losses.append(value)
         stats.log_lines.append(
             f"{step}\t{cfg.phase}\t{cfg.main_loss}\t{value!r}\t-\t{norm!r}")
 
-        ortho_hash = None
         if opt_ortho is not None and (step + 1) % cfg.alternation_k == 0:
-            # fresh forward: the main step just moved the weights
-            ortho_hash = _batch_hash(ids, mask)
+            # fresh forward on the same batch: the main step just moved the weights
             _, acts = encoder.encode(ids, mask, stack=stack,
                                      training=training, rng=drop_rng)
             report = ortho_loss(acts, cfg.ortho_slot(), mask)
-            total = report.total
-            if not math.isfinite(total):
-                raise NumericError(f"non-finite ortho loss {total} at step {step}")
-            report.loss.backward()
-            ortho_norm = clip_grad_norm(encoder.params, opt_ortho.names, cfg.clip_norm)
-            opt_ortho.step()
+            total, norm = _descend(report.loss, opt_ortho, cfg.clip_norm, "ortho", step)
             stats.ortho_totals.append(total)
             cos2 = ",".join(repr(v) for v in report.per_layer)
             stats.log_lines.append(
-                f"{step}\t{cfg.phase}\tort\t{total!r}\t{cos2}\t{ortho_norm!r}")
-        stats.batch_hashes.append((step, main_hash, ortho_hash))
-
-    if log_path is not None:
-        stats.write(log_path)
+                f"{step}\t{cfg.phase}\tort\t{total!r}\t{cos2}\t{norm!r}")
     return stats
 
 
 def train_language_adapter(encoder: Encoder, stack: AdapterStack,
-                           corpus: list[np.ndarray], cfg: PhaseConfig,
-                           log_path=None) -> TrainStats:
+                           corpus: list[np.ndarray], cfg: PhaseConfig) -> TrainStats:
     """Phase 1: MLM over one language's corpus, language slot trainable."""
     if cfg.phase != PHASE_LANG:
         raise ConfigError("language adapter training uses the lang_adapter_training phase id")
-    return run_phase(encoder, stack, cfg, corpus=corpus, log_path=log_path)
+    return run_phase(encoder, stack, cfg, corpus=corpus)
 
 
 def train_task_adapter(encoder: Encoder, stack: AdapterStack,
-                       dataset: TaskDataset, cfg: PhaseConfig,
-                       log_path=None) -> TrainStats:
+                       dataset: TaskDataset, cfg: PhaseConfig) -> TrainStats:
     """Phase 2: task loss on source data; language slot (if any) frozen."""
     if cfg.phase not in (PHASE_TASK, PHASE_TASK_ONLY):
         raise ConfigError("task adapter training needs a task phase id")
-    return run_phase(encoder, stack, cfg, dataset=dataset, log_path=log_path)
+    return run_phase(encoder, stack, cfg, dataset=dataset)
 
 
-def train_full_finetune(encoder: Encoder, dataset: TaskDataset, cfg: PhaseConfig,
-                        log_path=None) -> TrainStats:
+def train_full_finetune(encoder: Encoder, dataset: TaskDataset,
+                        cfg: PhaseConfig) -> TrainStats:
     """Single-optimizer fine-tuning of every parameter, no adapters."""
     if cfg.phase != PHASE_FULL:
         raise ConfigError("full fine-tuning uses the full_finetune phase id")
-    return run_phase(encoder, None, cfg, dataset=dataset, log_path=log_path)
+    return run_phase(encoder, None, cfg, dataset=dataset)
 
 
-def pretrain_backbone(encoder: Encoder, corpus: list[np.ndarray], cfg: PhaseConfig,
-                      log_path=None) -> TrainStats:
+def pretrain_backbone(encoder: Encoder, corpus: list[np.ndarray],
+                      cfg: PhaseConfig) -> TrainStats:
     """Short MLM run over the union corpus; stands in for large-scale pretraining."""
     if cfg.phase != PHASE_FULL or cfg.main_loss != "mlm":
         raise ConfigError("backbone pretraining is a full-phase mlm run")
-    return run_phase(encoder, None, cfg, corpus=corpus, log_path=log_path)
+    return run_phase(encoder, None, cfg, corpus=corpus)
 
 
 def model_selection(candidates: list[tuple[str, float]]) -> str:

@@ -30,36 +30,32 @@ def small_encoder(**kw):
 
 def test_zero_up_projection_returns_residual():
     r = np.random.default_rng(0)
-    x_h = Tensor(r.normal(size=(4, 6)))
-    x_r = Tensor(r.normal(size=(4, 6)))
+    x = Tensor(r.normal(size=(4, 6)))
     w_d = Tensor(r.normal(size=(6, 2)))
     w_u = Tensor(np.zeros((2, 6)))
-    out = adapter_forward(x_h, x_r, w_d, w_u)
-    np.testing.assert_array_equal(out.values, x_r.values)
+    out = adapter_forward(x, w_d, w_u)
+    np.testing.assert_array_equal(out.values, x.values)
 
 
 def test_hand_computed_bottleneck():
-    # relu((1,2)·(1,1)^T) = 3; 3·(1,0) = (3,0); residual is zero
+    # relu((1,2)·(1,1)^T) = 3; 3·(1,0) = (3,0); plus the input (1,2)
     out = adapter_forward(
-        Tensor([[1.0, 2.0]]), Tensor([[0.0, 0.0]]),
-        Tensor([[1.0], [1.0]]), Tensor([[1.0, 0.0]]),
+        Tensor([[1.0, 2.0]]), Tensor([[1.0], [1.0]]), Tensor([[1.0, 0.0]]),
     )
-    np.testing.assert_array_equal(out.values, [[3.0, 0.0]])
+    np.testing.assert_array_equal(out.values, [[4.0, 2.0]])
 
 
 def test_relu_dead_case_returns_residual():
-    x_h = Tensor([[1.0, 1.0]])
-    x_r = Tensor([[0.5, -0.5]])
+    x = Tensor([[1.0, 1.0]])
     w_d = Tensor([[-1.0], [-1.0]])  # pre-activation -2 < 0
     w_u = Tensor([[4.0, 4.0]])
-    out = adapter_forward(x_h, x_r, w_d, w_u)
-    np.testing.assert_array_equal(out.values, x_r.values)
+    out = adapter_forward(x, w_d, w_u)
+    np.testing.assert_array_equal(out.values, x.values)
 
 
 def test_adapter_forward_gradcheck():
     r = np.random.default_rng(1)
-    x_h = Tensor(r.normal(size=(4, 8)))
-    x_r = Tensor(r.normal(size=(4, 8)))
+    x = Tensor(r.normal(size=(4, 8)))
     w_d = Tensor(r.normal(size=(8, 3)))
     w_u = Tensor(r.normal(size=(3, 8)) * 0.3)
     w = r.normal(size=(4, 8))
@@ -67,7 +63,7 @@ def test_adapter_forward_gradcheck():
     def f(ts):
         return tsum(mul(adapter_forward(*ts), Tensor(w)))
 
-    assert grad_check(f, [x_h, x_r, w_d, w_u]) < 1e-4
+    assert grad_check(f, [x, w_d, w_u]) < 1e-4
 
 
 def test_init_adapter_identity_and_determinism():

@@ -25,7 +25,7 @@ from adapterlab.autodiff import (
     transpose,
     tsum,
 )
-from adapterlab.errors import EmptyLossError, ShapeError
+from adapterlab.errors import ContractError, EmptyLossError, ShapeError
 
 
 def rng(seed=0):
@@ -238,6 +238,13 @@ def test_cross_entropy_ignored_positions_carry_no_gradient():
 def test_cross_entropy_all_ignored_raises():
     with pytest.raises(EmptyLossError):
         cross_entropy(Tensor(np.zeros((2, 3))), [-1, -1])
+
+
+def test_cross_entropy_label_out_of_range_raises():
+    # e.g. a 6-tag dataset on a 4-class tag head
+    for labels in ([0, 5], [-2, 1]):
+        with pytest.raises(ContractError, match=r"labels must lie in \[0, 3\)"):
+            cross_entropy(Tensor(np.zeros((2, 3))), labels)
 
 
 def test_cross_entropy_gradcheck():

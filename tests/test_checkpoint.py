@@ -96,6 +96,12 @@ def test_checkpoint_directory_mismatch_raises_typed_error(tmp_path):
     with pytest.raises(MissingArtifactError):
         load_checkpoint(path)
 
+    saved = head + b"\x00" + body
+    for damaged in (saved[:-100], saved + bytes(16), b"garbage"):  # cut, padded, no header
+        path.write_bytes(damaged)
+        with pytest.raises(MissingArtifactError):
+            load_checkpoint(path)
+
 
 def test_checkpoint_without_stack(tmp_path):
     enc = Encoder(EncoderConfig(vocab=30, num_layers=1, hidden=8, num_heads=2,

@@ -39,6 +39,8 @@ def test_vocab_and_length_errors():
         enc.encode(np.array([[2, 99]]), np.ones((1, 2)))
     with pytest.raises(SequenceLengthError):
         enc.encode(np.full((1, 9), 2), np.ones((1, 9)))
+    with pytest.raises(ConfigError):  # an empty batch, before any reduction over it
+        enc.encode(np.zeros((0, 4), dtype=np.int64), np.zeros((0, 4)))
 
 
 def test_empty_stack_equals_plain_forward():
