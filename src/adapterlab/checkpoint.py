@@ -3,8 +3,8 @@
 One file = a JSON manifest line (format version, configs, seed, array
 directory) + NUL separator + the raw little-endian float64 bytes of every
 named array in declaration order. Raw bytes make the round-trip bit-exact.
-A read refuses a header that is not UTF-8 JSON and a body that does not hold
-exactly the bytes its array directory lists.
+A read refuses a header that is not UTF-8 JSON or lacks a key it needs, and a
+body that does not hold exactly the bytes its array directory lists.
 A checkpoint loads by array name, so any construction order of the saved
 model (heads and adapter stack in either order) reloads.
 """
@@ -60,6 +60,7 @@ def _read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
     version = manifest.get("format_version") if isinstance(manifest, dict) else None
     if version != FORMAT_VERSION:
         raise MissingArtifactError(f"{path}: unsupported container format {version}")
+    _require(path, manifest, "arrays")
     directory = [(entry["name"], tuple(entry["shape"])) for entry in manifest["arrays"]]
     listed = sum(8 * math.prod(shape) for _, shape in directory)
     if len(body) != listed:
@@ -73,6 +74,12 @@ def _read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
         arrays[name] = arr.reshape(shape).astype(np.float64)
         offset += count * 8
     return manifest, arrays
+
+
+def _require(path, header: dict, *keys: str) -> None:
+    missing = [key for key in keys if key not in header]
+    if missing:
+        raise MissingArtifactError(f"{path}: header lacks {', '.join(missing)}")
 
 
 def save_checkpoint(path, encoder: Encoder, stack: AdapterStack | None = None,
@@ -101,6 +108,8 @@ def load_checkpoint(path) -> tuple[Encoder, AdapterStack | None, dict]:
     manifest, arrays = _read_container(path)
     if manifest.get("kind") != "checkpoint":
         raise MissingArtifactError(f"{path} is not a checkpoint container")
+    _require(path, manifest, "encoder_config", "seed", "heads", "adapters")
+    _require(path, manifest["adapters"], LANGUAGE, TASK)
     config = EncoderConfig(**manifest["encoder_config"])
     encoder = Encoder(config, seed=manifest["seed"])
     for head, n in manifest["heads"].items():
@@ -161,6 +170,7 @@ def load_adapter(path) -> tuple[AdapterConfig, list[tuple[np.ndarray, np.ndarray
     manifest, arrays = _read_container(path)
     if manifest.get("kind") != "adapter":
         raise MissingArtifactError(f"{path} is not an adapter container")
+    _require(path, manifest, "adapter_config", "num_layers")
     config = AdapterConfig(**manifest["adapter_config"])
     pairs = []
     for i in range(manifest["num_layers"]):

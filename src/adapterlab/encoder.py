@@ -177,9 +177,10 @@ class Encoder:
         if ids.ndim != 2 or mask.shape != ids.shape or ids.size == 0:
             raise ConfigError(f"ids {ids.shape} and mask {mask.shape} must both be "
                               f"[B, T] with B, T >= 1")
-        if ids.min() < 0 or ids.max() >= c.vocab:
+        lo, hi = int(ids.min()), int(ids.max())
+        if lo < 0 or hi >= c.vocab:
             raise VocabError(
-                f"token id {int(ids.max())} outside vocabulary of size {c.vocab}"
+                f"token id {lo if lo < 0 else hi} outside vocabulary of size {c.vocab}"
             )
         if ids.shape[1] > c.max_len:
             raise SequenceLengthError(

@@ -22,7 +22,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, MissingArtifactError
 
 PAD, UNK, CLS, MASK, SEP = 0, 1, 2, 3, 4
 RESERVED_TOKENS = ("[PAD]", "[UNK]", "[CLS]", "[MASK]", "[SEP]")
@@ -45,13 +45,12 @@ class Vocab:
     """Whitespace-token vocabulary with fixed reserved ids."""
 
     id_to_token: list[str]
-    token_to_id: dict[str, int] = field(default_factory=dict)
+    token_to_id: dict[str, int] = field(init=False)
 
     def __post_init__(self):
         if self.id_to_token[:FIRST_REGULAR] != list(RESERVED_TOKENS):
             raise ConfigError("vocab must start with the reserved tokens")
-        if not self.token_to_id:
-            self.token_to_id = {t: i for i, t in enumerate(self.id_to_token)}
+        self.token_to_id = {t: i for i, t in enumerate(self.id_to_token)}
         if len(self.token_to_id) != len(self.id_to_token):
             raise ConfigError("vocab tokens must be unique")
 
@@ -84,13 +83,15 @@ def build_vocab(lines: list[str], size: int = 0) -> Vocab:
     return Vocab(list(RESERVED_TOKENS) + [t for t, _ in ranked])
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticLanguageSpec:
     """A language = seeded cipher over regular ids + a word-order transform.
 
-    ``divergence`` is the fraction of the regular vocabulary the cipher
-    remaps; the rest map to themselves. ``word_order`` is "identity",
-    "reverse", or "rotate:<k>".
+    Both act as index maps: ``cipher`` maps each id to its image, and
+    ``order_map`` gives each output position of a sentence its source
+    position. ``divergence`` is the fraction of the regular vocabulary the
+    cipher remaps; the rest map to themselves. ``word_order`` is "identity",
+    "reverse", or "rotate:<k>" (each run rolled by k, as ``np.roll`` does).
     """
 
     code: str
@@ -101,8 +102,13 @@ class SyntheticLanguageSpec:
     def __post_init__(self):
         if not 0.0 <= self.divergence <= 1.0:
             raise ConfigError(f"divergence must be in [0, 1], got {self.divergence}")
-        if self.word_order not in ("identity", "reverse") and not self.word_order.startswith("rotate:"):
-            raise ConfigError(f"unknown word order transform {self.word_order!r}")
+        kind, _, k = self.word_order.partition(":")
+        named = {"identity": 0, "reverse": None}  # how far each run rotates; None reverses
+        try:
+            shift = int(k) if kind == "rotate" else named[self.word_order]
+        except (KeyError, ValueError):
+            raise ConfigError(f"unknown word order transform {self.word_order!r}") from None
+        object.__setattr__(self, "_shift", shift)
 
     def cipher(self, vocab_size: int) -> np.ndarray:
         """Permutation over all ids: reserved fixed, a seeded subset rotated.
@@ -121,13 +127,23 @@ class SyntheticLanguageSpec:
         perm[order] = np.roll(order, 1)
         return perm
 
-    def order_permutation(self, span_len: int) -> np.ndarray:
-        if self.word_order == "identity":
-            return np.arange(span_len)
-        if self.word_order == "reverse":
-            return np.arange(span_len)[::-1]
-        k = int(self.word_order.split(":", 1)[1])
-        return np.roll(np.arange(span_len), k)
+    def order_map(self, ids: np.ndarray) -> np.ndarray:
+        """Word order of one sentence as source positions: ``out = ids[pos]``.
+
+        Each maximal run of regular ids is reordered on its own and reserved
+        ids keep their place. The cipher keeps regular ids regular, so a
+        sentence and its image share the map.
+        """
+        at = np.arange(ids.size)
+        regular = ids >= FIRST_REGULAR
+        # first index of each position's run, and one past its last
+        lo = np.maximum.accumulate(np.where(regular, 0, at + 1))
+        hi = np.minimum.accumulate(np.where(regular, ids.size, at)[::-1])[::-1]
+        if self._shift is None:
+            pos = lo + hi - 1 - at
+        else:  # run length hi - lo is -1 on reserved ids, whose values are dropped
+            pos = lo + (at - lo - self._shift) % (hi - lo)
+        return np.where(regular, pos, at)
 
     def to_file(self, path) -> None:
         write_key_values(path, {"code": self.code, "cipher_seed": self.cipher_seed,
@@ -137,42 +153,27 @@ class SyntheticLanguageSpec:
     @classmethod
     def from_file(cls, path) -> "SyntheticLanguageSpec":
         fields = read_key_values(path)
-        return cls(
-            code=fields["code"],
-            cipher_seed=int(fields["cipher_seed"]),
-            divergence=float(fields["divergence"]),
-            word_order=fields.get("word_order", "identity"),
-        )
+        values = {}
+        for key, parse in (("code", str), ("cipher_seed", int), ("divergence", float)):
+            if key not in fields:
+                raise ConfigError(f"{path}: no {key}= line")
+            try:
+                values[key] = parse(fields[key])
+            except ValueError:
+                raise ConfigError(f"{path}: {key}={fields[key]!r} is not "
+                                  f"a valid {parse.__name__}") from None
+        return cls(**values, word_order=fields.get("word_order", "identity"))
 
 
-def _transform_spans(ids: np.ndarray, spec: SyntheticLanguageSpec,
-                     companion: np.ndarray | None = None,
-                     inverse_order: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
-    """Apply the word-order transform to each contiguous run of regular ids.
-
-    ``companion`` (e.g. a tag sequence) is permuted identically so labels
-    keep riding their tokens.
-    """
-    out = ids.copy()
-    comp = companion.copy() if companion is not None else None
-    start = None
-    bounds = []
-    for i, t in enumerate(ids):
-        if t >= FIRST_REGULAR and start is None:
-            start = i
-        elif t < FIRST_REGULAR and start is not None:
-            bounds.append((start, i))
-            start = None
-    if start is not None:
-        bounds.append((start, len(ids)))
-    for lo, hi in bounds:
-        perm = spec.order_permutation(hi - lo)
-        if inverse_order:
-            perm = np.argsort(perm)
-        out[lo:hi] = out[lo:hi][perm]
-        if comp is not None:
-            comp[lo:hi] = comp[lo:hi][perm]
-    return out, comp
+def _relexify(spec: SyntheticLanguageSpec, cipher: np.ndarray, token_ids, labels=None):
+    """``apply_language`` with the language's cipher built by the caller."""
+    ids = np.asarray(token_ids, dtype=np.int64)
+    if ids.min(initial=0) < 0 or ids.max(initial=0) >= cipher.size:
+        raise ContractError("token id outside the vocabulary")
+    pos = spec.order_map(ids)
+    if labels is None:
+        return cipher[ids[pos]]
+    return cipher[ids[pos]], np.asarray(labels)[pos]
 
 
 def apply_language(
@@ -183,27 +184,20 @@ def apply_language(
 ):
     """Map a base-language id sequence into the given synthetic language.
 
-    Reserved ids stay fixed; regular ids go through the cipher; the word
-    order transform is applied to every contiguous regular-id span. When
-    ``labels`` is given it is permuted alongside and returned too.
+    The output is ``cipher[ids[pos]]`` with ``pos = spec.order_map(ids)``:
+    reserved ids stay fixed, regular ids go through the cipher, and each
+    contiguous regular-id span is reordered. When ``labels`` is given it is
+    indexed by the same ``pos`` and returned too.
     """
-    ids = np.asarray(token_ids, dtype=np.int64)
-    if ids.min(initial=0) < 0 or ids.max(initial=0) >= vocab_size:
-        raise ContractError("token id outside the vocabulary")
-    mapped = spec.cipher(vocab_size)[ids]
-    mapped, labels_out = _transform_spans(
-        mapped, spec, None if labels is None else np.asarray(labels))
-    if labels is None:
-        return mapped
-    return mapped, labels_out
+    return _relexify(spec, spec.cipher(vocab_size), token_ids, labels)
 
 
 def invert_language(spec: SyntheticLanguageSpec, token_ids, vocab_size: int):
     """Inverse of apply_language: undo the word order, then the cipher."""
     ids = np.asarray(token_ids, dtype=np.int64)
-    undone, _ = _transform_spans(ids, spec, inverse_order=True)
-    inverse = np.argsort(spec.cipher(vocab_size))
-    return inverse[undone]
+    undone = np.empty_like(ids)
+    undone[spec.order_map(ids)] = ids
+    return np.argsort(spec.cipher(vocab_size))[undone]
 
 
 def language_overlap(a: SyntheticLanguageSpec, b: SyntheticLanguageSpec,
@@ -298,7 +292,8 @@ def language_corpus(
     spec: SyntheticLanguageSpec, base_ids: list[np.ndarray], vocab: Vocab
 ) -> list[np.ndarray]:
     """Base corpus re-lexified into one synthetic language."""
-    return [apply_language(spec, ids, vocab.size) for ids in base_ids]
+    cipher = spec.cipher(vocab.size)
+    return [_relexify(spec, cipher, ids) for ids in base_ids]
 
 
 # --- task datasets ---------------------------------------------------------------
@@ -352,6 +347,7 @@ def gen_seq_task(
     corpus that cannot fill every class is rejected as degenerate.
     """
     rng = np.random.default_rng(seed)
+    cipher = spec.cipher(vocab.size)
     per_class = n_examples // 3
     quota = {FIRST_LONGER: per_class, SECOND_LONGER: per_class,
              EQUAL: n_examples - 2 * per_class}
@@ -374,8 +370,7 @@ def gen_seq_task(
         if quota[label] == 0:
             continue
         quota[label] -= 1
-        examples.append((apply_language(spec, a, vocab.size),
-                         apply_language(spec, b, vocab.size), label))
+        examples.append((_relexify(spec, cipher, a), _relexify(spec, cipher, b), label))
     order = rng.permutation(len(examples))
     examples = [examples[int(k)] for k in order]
     return TaskDataset(SEQ_CLS, spec.code, split, examples, 3)
@@ -405,11 +400,12 @@ def gen_tag_task(
     """
     rng = np.random.default_rng(seed)
     picks = rng.choice(len(base_ids), size=min(n_examples, len(base_ids)), replace=False)
+    cipher = spec.cipher(vocab.size)
     examples = []
     for i in picks:
         base = base_ids[int(i)]
         tags = tag_labels_for_base(base, vocab, n_tags)
-        ids, tags = apply_language(spec, base, vocab.size, labels=tags)
+        ids, tags = _relexify(spec, cipher, base, tags)
         examples.append((ids, tags))
     return TaskDataset(TAGGING, spec.code, split, examples, n_tags)
 
@@ -434,19 +430,23 @@ def load_task_dataset(path, vocab: Vocab, kind: str, language: str, split: str,
     examples = []
     with open(path, encoding="utf-8") as fh:
         if kind == SEQ_CLS:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.rstrip("\n")
                 if not line:
                     continue
-                label, a, b = line.split("\t")
+                try:
+                    label, a, b = line.split("\t")
+                    label = int(label)
+                except ValueError:
+                    raise _bad_line(path, lineno, "label<TAB>sentence<TAB>sentence") from None
                 examples.append((
                     np.asarray(vocab.encode(a.split()), dtype=np.int64),
                     np.asarray(vocab.encode(b.split()), dtype=np.int64),
-                    int(label),
+                    label,
                 ))
         else:
             ids, tags = [], []
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.rstrip("\n")
                 if not line:
                     if ids:
@@ -454,13 +454,20 @@ def load_task_dataset(path, vocab: Vocab, kind: str, language: str, split: str,
                                          np.asarray(tags, dtype=np.int64)))
                         ids, tags = [], []
                     continue
-                token, tag = line.split("\t")
+                try:
+                    token, tag = line.split("\t")
+                    tags.append(int(tag))
+                except ValueError:
+                    raise _bad_line(path, lineno, "token<TAB>tag") from None
                 ids.append(vocab.token_to_id.get(token, UNK))
-                tags.append(int(tag))
             if ids:
                 examples.append((np.asarray(ids, dtype=np.int64),
                                  np.asarray(tags, dtype=np.int64)))
     return TaskDataset(kind, language, split, examples, num_classes)
+
+
+def _bad_line(path, lineno: int, expected: str) -> MissingArtifactError:
+    return MissingArtifactError(f"{path}: line {lineno} is not {expected}")
 
 
 def write_key_values(path, entries: dict) -> None:

@@ -95,6 +95,10 @@ def test_checkpoint_directory_mismatch_raises_typed_error(tmp_path):
     rewrite(lambda m: m.update(format_version=1))  # files of the previous format
     with pytest.raises(MissingArtifactError):
         load_checkpoint(path)
+    for key in ("arrays", "adapters"):  # a well-formed header without a key it needs
+        rewrite(lambda m: m.pop(key))
+        with pytest.raises(MissingArtifactError, match=key):
+            load_checkpoint(path)
 
     saved = head + b"\x00" + body
     for damaged in (saved[:-100], saved + bytes(16), b"garbage"):  # cut, padded, no header
@@ -143,4 +147,16 @@ def test_adapter_file_rejects_checkpoint(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, enc, stack)
     with pytest.raises(MissingArtifactError):
+        load_adapter(path)
+
+
+def test_adapter_header_without_layer_count_raises_typed_error(tmp_path):
+    enc, stack = build_model()
+    path = tmp_path / "lang.adapter"
+    save_adapter(path, stack.lang)
+    head, _, body = path.read_bytes().partition(b"\x00")
+    manifest = json.loads(head)
+    del manifest["num_layers"]
+    path.write_bytes(json.dumps(manifest).encode() + b"\x00" + body)
+    with pytest.raises(MissingArtifactError, match="num_layers"):
         load_adapter(path)

@@ -37,6 +37,8 @@ def test_vocab_and_length_errors():
     enc = encoder()
     with pytest.raises(VocabError):
         enc.encode(np.array([[2, 99]]), np.ones((1, 2)))
+    with pytest.raises(VocabError, match="-1"):  # the negative id, not the largest one
+        enc.encode(np.array([[-1, 5]]), np.ones((1, 2)))
     with pytest.raises(SequenceLengthError):
         enc.encode(np.full((1, 9), 2), np.ones((1, 9)))
     with pytest.raises(ConfigError):  # an empty batch, before any reduction over it

@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
 
-from adapterlab.errors import ConfigError
+from adapterlab.errors import ConfigError, MissingArtifactError
 from adapterlab.synthlang import (
     CLS,
     EQUAL,
     FIRST_LONGER,
     FIRST_REGULAR,
     PAD,
+    RESERVED_TOKENS,
     SECOND_LONGER,
+    SEP,
     SEQ_CLS,
     TAGGING,
     SyntheticLanguageSpec,
+    Vocab,
     apply_language,
     build_vocab,
     corpus_to_ids,
@@ -19,6 +22,7 @@ from adapterlab.synthlang import (
     gen_tag_task,
     generate_corpus,
     invert_language,
+    language_corpus,
     language_overlap,
     load_bundled_corpus,
     load_task_dataset,
@@ -27,6 +31,9 @@ from adapterlab.synthlang import (
     stable_bucket,
     tag_labels_for_base,
 )
+
+
+WORD_ORDERS = ("identity", "reverse", "rotate:2", "rotate:-1")
 
 
 def toy_setup(n_sentences=400, seed=0):
@@ -55,6 +62,13 @@ def test_vocab_reserved_layout_and_size_cap():
     assert vocab.encode(["a", "zzz"]) == [FIRST_REGULAR, 1]  # unknown -> UNK
 
 
+def test_vocab_map_is_derived_from_the_token_list():
+    vocab = Vocab(list(RESERVED_TOKENS) + ["a"])
+    assert vocab.encode(["a"]) == [FIRST_REGULAR]
+    with pytest.raises(TypeError):  # a map passed in could disagree with the list
+        Vocab(list(RESERVED_TOKENS) + ["a"], token_to_id={"a": 0})
+
+
 def test_vocab_empty_corpus_rejected():
     with pytest.raises(ConfigError):
         build_vocab([])
@@ -78,11 +92,15 @@ def test_identity_spec_is_noop():
 
 def test_cipher_is_a_bijection_with_inverse():
     _, vocab, ids = toy_setup()
-    spec = SyntheticLanguageSpec("tgt", cipher_seed=5, divergence=0.7,
-                                 word_order="reverse")
-    for sent in ids[:20]:
-        out = apply_language(spec, sent, vocab.size)
-        np.testing.assert_array_equal(invert_language(spec, out, vocab.size), sent)
+    for order in WORD_ORDERS:
+        spec = SyntheticLanguageSpec("tgt", cipher_seed=5, divergence=0.7,
+                                     word_order=order)
+        for sent in ids[:20]:
+            # reserved ids inside the sequence split it into runs
+            framed = np.concatenate([[CLS], sent, [SEP], sent[:3], [PAD]])
+            for seq in (sent, framed):
+                out = apply_language(spec, seq, vocab.size)
+                np.testing.assert_array_equal(invert_language(spec, out, vocab.size), seq)
 
 
 def test_reverse_transform_hand_trace():
@@ -93,6 +111,15 @@ def test_reverse_transform_hand_trace():
     seq = np.array([CLS, 6, 7, 8, PAD])
     out = apply_language(spec, seq, vocab_size)
     np.testing.assert_array_equal(out, [CLS, cipher[8], cipher[7], cipher[6], PAD])
+
+    # rotate:1 rolls each run between reserved ids on its own
+    spec = SyntheticLanguageSpec("tgt", cipher_seed=1, divergence=1.0,
+                                 word_order="rotate:1")
+    cipher = spec.cipher(vocab_size)
+    seq = np.array([CLS, 6, 7, 8, SEP, 9, 10, PAD])
+    out = apply_language(spec, seq, vocab_size)
+    np.testing.assert_array_equal(
+        out, [CLS, cipher[8], cipher[6], cipher[7], SEP, cipher[10], cipher[9], PAD])
 
 
 def test_reserved_ids_always_fixed():
@@ -113,6 +140,41 @@ def test_disjoint_seeds_give_low_overlap():
     a = SyntheticLanguageSpec("a", cipher_seed=11, divergence=1.0)
     b = SyntheticLanguageSpec("b", cipher_seed=22, divergence=1.0)
     assert language_overlap(a, b, 125) < 0.05
+
+
+def test_spec_validation(tmp_path):
+    for bad in ({"word_order": "sideways"}, {"word_order": "rotate:abc"},
+                {"word_order": "rotate:"}, {"divergence": 1.5}):
+        with pytest.raises(ConfigError):
+            SyntheticLanguageSpec("xx", **bad)
+    path = tmp_path / "xx.lang"
+    for text in ("code=xx\ndivergence=0.5\n", "code=xx\ncipher_seed=zz\ndivergence=0.5\n"):
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="cipher_seed"):
+            SyntheticLanguageSpec.from_file(path)
+
+
+def test_cipher_built_once_per_corpus_and_dataset(monkeypatch):
+    _, vocab, ids = toy_setup()
+    spec = SyntheticLanguageSpec("tgt", cipher_seed=4, divergence=0.5,
+                                 word_order="rotate:2")
+    expected = [apply_language(spec, sent, vocab.size) for sent in ids]
+    calls = []
+    cipher = SyntheticLanguageSpec.cipher
+
+    def counted(self, vocab_size):
+        calls.append(vocab_size)
+        return cipher(self, vocab_size)
+
+    monkeypatch.setattr(SyntheticLanguageSpec, "cipher", counted)
+    corpus = language_corpus(spec, ids, vocab)
+    assert len(calls) == 1
+    for got, want in zip(corpus, expected):
+        np.testing.assert_array_equal(got, want)
+    gen_seq_task(ids, spec, vocab, 60, "train", seed=1)
+    assert len(calls) == 2
+    gen_tag_task(ids, spec, vocab, 60, "train", seed=1)
+    assert len(calls) == 3
 
 
 def test_spec_file_roundtrip(tmp_path):
@@ -213,22 +275,23 @@ def test_tag_task_every_bucket_populated():
 
 def test_labels_commute_with_language_transforms():
     _, vocab, ids = toy_setup(n_sentences=1000)
-    spec = SyntheticLanguageSpec("tgt", cipher_seed=8, divergence=0.6,
-                                 word_order="reverse")
     n_tags = 5
-    for base in ids[:1000]:
-        base_tags = tag_labels_for_base(base, vocab, n_tags)
-        out, moved_tags = apply_language(spec, base, vocab.size, labels=base_tags)
-        # undoing the transform must recover the base labeling exactly
-        recovered = invert_language(spec, out, vocab.size)
-        np.testing.assert_array_equal(recovered, base)
-        recovered_tags = tag_labels_for_base(recovered, vocab, n_tags)
-        np.testing.assert_array_equal(np.sort(moved_tags), np.sort(recovered_tags))
-        # and the moved tags still ride their own tokens
+    for order in WORD_ORDERS:
+        spec = SyntheticLanguageSpec("tgt", cipher_seed=8, divergence=0.6,
+                                     word_order=order)
         inverse_cipher = np.argsort(spec.cipher(vocab.size))
-        for token_id, tag in zip(out, moved_tags):
-            pre = vocab.id_to_token[int(inverse_cipher[int(token_id)])]
-            assert int(tag) == stable_bucket(pre, n_tags)
+        for base in ids[:1000]:
+            base_tags = tag_labels_for_base(base, vocab, n_tags)
+            out, moved_tags = apply_language(spec, base, vocab.size, labels=base_tags)
+            # undoing the transform must recover the base labeling exactly
+            recovered = invert_language(spec, out, vocab.size)
+            np.testing.assert_array_equal(recovered, base)
+            recovered_tags = tag_labels_for_base(recovered, vocab, n_tags)
+            np.testing.assert_array_equal(np.sort(moved_tags), np.sort(recovered_tags))
+            # and the moved tags still ride their own tokens
+            for token_id, tag in zip(out, moved_tags):
+                pre = vocab.id_to_token[int(inverse_cipher[int(token_id)])]
+                assert int(tag) == stable_bucket(pre, n_tags)
 
 
 def test_splits_disjoint_and_hash_stable():
@@ -263,6 +326,11 @@ def test_seq_dataset_file_roundtrip(tmp_path):
     loaded = load_task_dataset(path, vocab, SEQ_CLS, "src", "dev", 3)
     assert loaded.content_hash() == ds.content_hash()
 
+    first = path.read_text().splitlines()[0]
+    path.write_text(f"{first}\n{first.rsplit(chr(9), 1)[0]}\n")  # line 2 lacks a sentence
+    with pytest.raises(MissingArtifactError, match="line 2"):
+        load_task_dataset(path, vocab, SEQ_CLS, "src", "dev", 3)
+
 
 def test_tag_dataset_file_roundtrip(tmp_path):
     _, vocab, ids = toy_setup()
@@ -271,3 +339,7 @@ def test_tag_dataset_file_roundtrip(tmp_path):
     save_task_dataset(ds, vocab, path)
     loaded = load_task_dataset(path, vocab, TAGGING, "src", "dev", 6)
     assert loaded.content_hash() == ds.content_hash()
+
+    path.write_text(path.read_text().replace("\t", " ", 1))  # line 1 has no tab
+    with pytest.raises(MissingArtifactError, match="line 1"):
+        load_task_dataset(path, vocab, TAGGING, "src", "dev", 6)
