@@ -236,12 +236,6 @@ def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _node(values, (x,), backward)
 
 
-def tmean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    x = _wrap(x)
-    count = x.size if axis is None else x.shape[axis]
-    return mul(tsum(x, axis=axis, keepdims=keepdims), 1.0 / count)
-
-
 def select_token(x: Tensor, position: int) -> Tensor:
     """Pick one sequence position from a [B, T, H] tensor -> [B, H]."""
     x = _wrap(x)
@@ -335,9 +329,9 @@ def cosine_sq_rows(u: Tensor, v: Tensor, eps: float = 1e-12) -> Tensor:
     """
     u, v = _wrap(u), _wrap(v)
     if u.shape != v.shape:
-        raise ShapeError(f"cosine_sq operands differ in shape: {u.shape} vs {v.shape}")
+        raise ShapeError(f"cosine_sq_rows operands differ in shape: {u.shape} vs {v.shape}")
     if eps <= 0.0:
-        raise ValueError("cosine_sq eps must be positive")
+        raise ContractError(f"cosine_sq_rows eps must be positive, got {eps}")
     s = (u.values * v.values).sum(axis=-1)
     p = (u.values * u.values).sum(axis=-1) + eps
     q = (v.values * v.values).sum(axis=-1) + eps
@@ -352,15 +346,6 @@ def cosine_sq_rows(u: Tensor, v: Tensor, eps: float = 1e-12) -> Tensor:
         return ((u, gu), (v, gv))
 
     return _node(values, (u, v), backward)
-
-
-def cosine_sq(u: Tensor, v: Tensor, eps: float = 1e-12) -> Tensor:
-    """Squared cosine similarity of two H-vectors as a differentiable scalar."""
-    u, v = _wrap(u), _wrap(v)
-    if u.ndim != 1 or v.ndim != 1:
-        raise ShapeError(f"cosine_sq expects vectors, got {u.shape} and {v.shape}")
-    rows = cosine_sq_rows(reshape(u, (1, u.shape[0])), reshape(v, (1, v.shape[0])), eps)
-    return reshape(rows, ())
 
 
 IGNORE_LABEL = -1

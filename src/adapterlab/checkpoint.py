@@ -3,8 +3,11 @@
 One file = a JSON manifest line (format version, configs, seed, array
 directory) + NUL separator + the raw little-endian float64 bytes of every
 named array in declaration order. Raw bytes make the round-trip bit-exact.
-A read refuses a header that is not UTF-8 JSON or lacks a key it needs, and a
-body that does not hold exactly the bytes its array directory lists.
+A write goes to a temporary file beside the target and is renamed over it,
+so a write that fails partway leaves any earlier file at the path whole.
+A read refuses a header that is not UTF-8 JSON, lacks a key it needs or
+holds a config entry its class does not take, and a body that does not hold
+exactly the bytes its array directory lists.
 A checkpoint loads by array name, so any construction order of the saved
 model (heads and adapter stack in either order) reloads.
 """
@@ -14,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -41,10 +45,17 @@ def _write_container(path, manifest: dict, arrays: list[tuple[str, np.ndarray]])
         {"name": name, "shape": list(arr.shape)} for name, arr in arrays
     ]
     blob = json.dumps(manifest, sort_keys=True).encode("utf-8") + _SEP
-    with open(path, "wb") as fh:
-        fh.write(blob)
-        for _, arr in arrays:
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(blob)
+            for _, arr in arrays:
+                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
@@ -61,6 +72,8 @@ def _read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
     if version != FORMAT_VERSION:
         raise MissingArtifactError(f"{path}: unsupported container format {version}")
     _require(path, manifest, "arrays")
+    for entry in manifest["arrays"]:
+        _require(path, entry, "name", "shape")
     directory = [(entry["name"], tuple(entry["shape"])) for entry in manifest["arrays"]]
     listed = sum(8 * math.prod(shape) for _, shape in directory)
     if len(body) != listed:
@@ -80,6 +93,15 @@ def _require(path, header: dict, *keys: str) -> None:
     missing = [key for key in keys if key not in header]
     if missing:
         raise MissingArtifactError(f"{path}: header lacks {', '.join(missing)}")
+
+
+def _build(path, cls, header: dict, key: str):
+    """``cls`` built from the header entry ``key``, which must fit its fields."""
+    try:
+        return cls(**header[key])
+    except TypeError as exc:  # an unknown or missing field, or not a mapping
+        raise MissingArtifactError(f"{path}: header entry {key} does not fit "
+                                   f"{cls.__name__}: {exc}") from exc
 
 
 def save_checkpoint(path, encoder: Encoder, stack: AdapterStack | None = None,
@@ -110,7 +132,7 @@ def load_checkpoint(path) -> tuple[Encoder, AdapterStack | None, dict]:
         raise MissingArtifactError(f"{path} is not a checkpoint container")
     _require(path, manifest, "encoder_config", "seed", "heads", "adapters")
     _require(path, manifest["adapters"], LANGUAGE, TASK)
-    config = EncoderConfig(**manifest["encoder_config"])
+    config = _build(path, EncoderConfig, manifest, "encoder_config")
     encoder = Encoder(config, seed=manifest["seed"])
     for head, n in manifest["heads"].items():
         if head == "cls":
@@ -124,7 +146,7 @@ def load_checkpoint(path) -> tuple[Encoder, AdapterStack | None, dict]:
         for kind in (LANGUAGE, TASK):
             if not adapters[kind]:
                 continue
-            acfg = AdapterConfig(**adapters[kind])
+            acfg = _build(path, AdapterConfig, adapters, kind)
             stack.fill(kind, [
                 AdapterWeights(acfg, Tensor(np.zeros((config.hidden, acfg.dim))),
                                Tensor(np.zeros((acfg.dim, config.hidden))))
@@ -171,9 +193,13 @@ def load_adapter(path) -> tuple[AdapterConfig, list[tuple[np.ndarray, np.ndarray
     if manifest.get("kind") != "adapter":
         raise MissingArtifactError(f"{path} is not an adapter container")
     _require(path, manifest, "adapter_config", "num_layers")
-    config = AdapterConfig(**manifest["adapter_config"])
+    config = _build(path, AdapterConfig, manifest, "adapter_config")
+    num_layers = manifest["num_layers"]
+    if type(num_layers) is not int or num_layers < 1:
+        raise MissingArtifactError(f"{path}: header entry num_layers must be a "
+                                   f"positive integer, got {num_layers!r}")
     pairs = []
-    for i in range(manifest["num_layers"]):
+    for i in range(num_layers):
         try:
             pairs.append((arrays[f"{i}.w_down"], arrays[f"{i}.w_up"]))
         except KeyError as exc:

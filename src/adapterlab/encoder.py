@@ -3,8 +3,9 @@
 Each layer runs post-norm self-attention and feed-forward sublayers. The
 adapter injection point sits after the feed-forward sublayer's residual
 addition and layer norm. Occupied adapter slots apply in fixed order:
-language first, then task. The per-layer (slot input, slot output) pairs are
-recorded so the orthogonality loss can read them back.
+language first, then task. Each occupied slot's input and weights are
+recorded per layer, so the orthogonality loss can recompute the slot output
+from a detached copy of that input.
 """
 
 from __future__ import annotations
@@ -61,24 +62,23 @@ class EncoderConfig:
 
 @dataclass
 class SlotRecord:
-    """Input/output activation pair of one occupied adapter slot, one layer.
+    """Input of one occupied adapter slot in one layer, and the slot's weights.
 
-    The slot's weights ride along so a loss can recompute the output from a
+    The weights ride along so a loss can recompute the output from a
     detached input (gradient stop on everything upstream of the slot).
     """
 
     x_in: Tensor
-    x_out: Tensor
-    weights: AdapterWeights | None = None
+    weights: AdapterWeights
 
 
 @dataclass
 class LayerActivations:
-    """Per-layer adapter activations recorded during encode."""
+    """Per-layer adapter activations recorded during encode, and its 0/1 mask."""
 
+    mask: np.ndarray
     lang: list[SlotRecord | None] = field(default_factory=list)
     task: list[SlotRecord | None] = field(default_factory=list)
-    mask: np.ndarray | None = None
 
     def slot(self, kind: str) -> list[SlotRecord | None]:
         return self.lang if kind == LANGUAGE else self.task
@@ -236,9 +236,8 @@ class Encoder:
         if weights is None:
             record.append(None)
             return h
-        out = adapter_forward(h, weights.w_down, weights.w_up)
-        record.append(SlotRecord(x_in=h, x_out=out, weights=weights))
-        return out
+        record.append(SlotRecord(x_in=h, weights=weights))
+        return adapter_forward(h, weights.w_down, weights.w_up)
 
     # --- output heads ------------------------------------------------------------
 

@@ -8,7 +8,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import NumericError
+from .errors import NumericError, ShapeError
 
 
 def grad_check(
@@ -26,7 +26,7 @@ def grad_check(
         t.grad = None
     out = f(inputs)
     if out.shape != ():
-        raise ValueError(f"grad_check needs a scalar function, got shape {out.shape}")
+        raise ShapeError(f"grad_check needs a scalar function, got shape {out.shape}")
     if not math.isfinite(out.item()):
         raise NumericError("grad_check: function value is non-finite at the base point")
     out.backward()

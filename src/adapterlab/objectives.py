@@ -1,9 +1,12 @@
 """Training losses: masked LM, sequence classification, tagging, orthogonality.
 
-The orthogonality loss reads the adapter activations recorded by encode: per
-layer it averages the squared cosine between each token's slot input and slot
-output, then sums the per-layer means. Identity adapters score exactly 1 per
-layer; a slot whose outputs are orthogonal to its inputs scores 0.
+The orthogonality loss is computed one way. Per layer it detaches the slot
+input that encode recorded, recomputes the slot output from it with the
+slot's own weights, and averages the squared cosine between each real
+token's input and output (padding is left out); then it sums the per-layer
+means. Gradients therefore reach the slot's weights and nothing upstream.
+Identity adapters score exactly 1 per layer; a slot whose outputs are
+orthogonal to its inputs scores 0.
 """
 
 from __future__ import annotations
@@ -105,19 +108,17 @@ def ortho_loss(
     acts: LayerActivations,
     slot: str,
     mask: np.ndarray | None = None,
-    stop_grad_input: bool = True,
-    include_padding: bool = False,
     exclude_residual: bool = False,
 ) -> OrthoLossReport:
     """Sum over layers of the per-token mean squared cosine for one slot.
 
-    ``slot`` is "language" or "task"; its input/output pair must be recorded
-    in every layer. Padded tokens are excluded unless ``include_padding``.
-    With ``stop_grad_input`` (default) the slot output is recomputed from a
-    detached copy of the slot input, so gradients reach the slot's own
-    weights and nothing upstream of it.
-    ``exclude_residual`` scores only the bottleneck's own contribution
-    (with the residual term, full orthogonality is unreachable).
+    ``slot`` is "language" or "task"; it must be occupied in every layer.
+    The slot output is recomputed from a detached copy of the recorded slot
+    input, so gradients reach the slot's own weights and nothing upstream of
+    it. Padded tokens (0 in ``mask``, which defaults to the mask encode
+    recorded) are excluded. ``exclude_residual`` scores only the bottleneck's
+    own contribution (with the residual term, full orthogonality is
+    unreachable).
     """
     # Looked up in ``adapters`` at call time, not bound at module level (there
     # is no import cycle): perfbench's tracer rebinds ``adapters.adapter_forward``,
@@ -134,19 +135,12 @@ def ortho_loss(
     counts: list[int] = []
     for rec in records:
         b, t, h = rec.x_in.shape
-        x_in = rec.x_in.detach() if stop_grad_input else rec.x_in
-        u = reshape(x_in, (b * t, h))
-        if rec.weights is not None and (stop_grad_input or exclude_residual):
-            w = rec.weights
-            out = adapter_forward(x_in, w.w_down, w.w_up, residual=not exclude_residual)
-        else:
-            out = rec.x_out
-        v = reshape(out, (b * t, h))
-        cos2 = cosine_sq_rows(u, v, COSINE_EPS)
-        if include_padding or mask is None:
-            include = np.ones(b * t)
-        else:
-            include = (np.asarray(mask).reshape(b * t) == 1).astype(np.float64)
+        x_in = rec.x_in.detach()
+        w = rec.weights
+        out = adapter_forward(x_in, w.w_down, w.w_up, residual=not exclude_residual)
+        cos2 = cosine_sq_rows(reshape(x_in, (b * t, h)), reshape(out, (b * t, h)),
+                              COSINE_EPS)
+        include = (np.asarray(mask).reshape(b * t) == 1).astype(np.float64)
         count = int(include.sum())
         if count == 0:
             raise ContractError("ortho_loss: no tokens left after padding exclusion")
@@ -168,16 +162,7 @@ def seq_cls_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
     return cross_entropy(logits, labels)
 
 
-def tagging_loss(logits: Tensor, labels: np.ndarray, sum_reduction: bool = False) -> Tensor:
-    """Token-level cross-entropy over [B, T, C] logits.
-
-    Defaults to the mean over labeled tokens so magnitudes stay comparable
-    across batch shapes; ``sum_reduction`` restores the plain sum.
-    """
+def tagging_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """Mean token-level cross-entropy over the labeled positions of [B, T, C] logits."""
     b, t, c = logits.shape
-    flat_labels = np.asarray(labels).reshape(-1)
-    loss = cross_entropy(reshape(logits, (b * t, c)), flat_labels)
-    if sum_reduction:
-        n_labeled = int((flat_labels != IGNORE_LABEL).sum())
-        loss = mul(loss, float(n_labeled))
-    return loss
+    return cross_entropy(reshape(logits, (b * t, c)), np.asarray(labels).reshape(-1))

@@ -1,10 +1,11 @@
 """Two-phase training orchestration: alternating dual-optimizer loops.
 
 Each iteration takes one batch and runs the main-loss step (forward, then a
-descent step: backward, clip, Adam A); when the orthogonality loss is
-enabled, a fresh forward on the same batch feeds the ortho step (the same
-descent step under Adam B, over the target slot's weights only). The two
-optimizers never share moment buffers.
+descent step: backward, clip, Adam A). With the orthogonality loss on, every
+``alternation_k``-th iteration then runs a fresh forward on the same batch
+and an ortho step: the same descent step on the orthogonality loss, under
+Adam B, over the target slot's weights only. The ortho loss is never added
+to the main loss, and the two optimizers never share moment buffers.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .adapters import (
     set_trainable,
     slot_names,
 )
-from .autodiff import IGNORE_LABEL, Tensor, add, mul
+from .autodiff import IGNORE_LABEL, Tensor
 from .encoder import Encoder
 from .errors import ConfigError, NumericError
 from .objectives import (
@@ -57,10 +58,9 @@ PHASE_LOSSES = {
 class PhaseConfig:
     """One training phase: main loss, optional ortho loss, budgets, seeds.
 
-    ``ortho`` switches the orthogonality loss on for the phase's slot;
-    ``joint_lambda`` only chooses how it runs: ``None`` alternates it with
-    the main loss under its own Adam, a positive weight folds it into the
-    main loss. Frozen, so the fields stay as ``__post_init__`` checked them.
+    ``ortho`` switches on the orthogonality loss for the phase's slot, run
+    in alternation with the main loss under its own Adam. Frozen, so the
+    fields stay as ``__post_init__`` checked them.
     """
 
     phase: str
@@ -73,7 +73,6 @@ class PhaseConfig:
     clip_norm: float = 1.0
     alternation_k: int = 1
     seed: int = 0
-    joint_lambda: float | None = None
 
     def __post_init__(self):
         if self.phase not in PHASES:
@@ -83,14 +82,14 @@ class PhaseConfig:
         if self.main_loss not in PHASE_LOSSES[self.phase]:
             raise ConfigError(f"phase {self.phase} does not train with the "
                               f"{self.main_loss} loss")
-        if self.joint_lambda is not None and not self.ortho:
-            raise ConfigError("joint_lambda weights the orthogonality loss; set ortho=True")
-        if self.joint_lambda is not None and not self.joint_lambda > 0.0:
-            raise ConfigError(f"joint_lambda must be > 0, got {self.joint_lambda}")
         if self.phase == PHASE_FULL and self.ortho:
             raise ConfigError("full fine-tuning runs without the orthogonality loss")
-        if self.alternation_k < 1:
-            raise ConfigError("alternation granularity must be >= 1")
+        for name in ("steps", "batch_size", "alternation_k"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("main_lr", "ortho_lr", "clip_norm"):
+            if not getattr(self, name) > 0.0:
+                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
 
     def ortho_slot(self) -> str:
         return LANGUAGE if self.phase == PHASE_LANG else TASK
@@ -208,10 +207,10 @@ def run_phase(
     optimizer is scoped to the target slot's adapter weights and owns
     separate Adam state.
     """
-    if cfg.main_loss == "mlm" and corpus is None:
-        raise ConfigError("mlm training needs a corpus")
-    if cfg.main_loss != "mlm" and dataset is None:
-        raise ConfigError(f"{cfg.main_loss} training needs a task dataset")
+    if cfg.main_loss == "mlm" and (corpus is None or len(corpus) == 0):
+        raise ConfigError("mlm training needs a non-empty corpus")
+    if cfg.main_loss != "mlm" and (dataset is None or not dataset.examples):
+        raise ConfigError(f"{cfg.main_loss} training needs a non-empty task dataset")
 
     set_trainable(encoder.params, cfg.phase)
     # scope the optimizer to the parameters this phase's loss can reach;
@@ -225,7 +224,7 @@ def run_phase(
         raise ConfigError(f"phase {cfg.phase} has nothing to train")
     opt_main = Adam(encoder.params, names=trainable, lr=cfg.main_lr)
     opt_ortho = None
-    if cfg.ortho and cfg.joint_lambda is None:
+    if cfg.ortho:
         opt_ortho = Adam(encoder.params, names=slot_names(encoder.params, cfg.ortho_slot()),
                          lr=cfg.ortho_lr)
 
@@ -237,12 +236,9 @@ def run_phase(
     # the range comes first, so no batch is drawn after the last step
     for step, (ids, mask, labels, skipped) in zip(range(cfg.steps), batches):
         stats.skipped_sequences += skipped
-        states, acts = encoder.encode(ids, mask, stack=stack,
-                                      training=training, rng=drop_rng)
+        states, _ = encoder.encode(ids, mask, stack=stack,
+                                   training=training, rng=drop_rng)
         loss = _main_loss(cfg, encoder, states, labels)
-        if cfg.joint_lambda is not None:
-            report = ortho_loss(acts, cfg.ortho_slot(), mask)
-            loss = add(loss, mul(report.loss, cfg.joint_lambda))
         value, norm = _descend(loss, opt_main, cfg.clip_norm, cfg.main_loss, step)
         stats.main_losses.append(value)
         stats.log_lines.append(

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from adapterlab import Tensor, grad_check
 from adapterlab.autodiff import (
     add,
-    cosine_sq,
     cosine_sq_rows,
     cross_entropy,
     embedding_lookup,
@@ -21,7 +20,6 @@ from adapterlab.autodiff import (
     softmax_rows,
     swap_last,
     tanh,
-    tmean,
     transpose,
     tsum,
 )
@@ -76,28 +74,31 @@ def test_matmul_batched_gradcheck():
     assert grad_check(f, [a, b], h=1e-5) < 1e-6
 
 
-# --- cosine_sq ---------------------------------------------------------------
+# --- cosine_sq_rows ----------------------------------------------------------
+
+
+def one_row_cos2(u, v, eps=1e-12) -> float:
+    """Squared cosine of two vectors, through a one-row cosine_sq_rows."""
+    return cosine_sq_rows(Tensor([u]), Tensor([v]), eps).values[0]
 
 
 def test_cosine_sq_orthogonal():
-    assert cosine_sq(Tensor([1.0, 0.0]), Tensor([0.0, 1.0])).item() == 0.0
+    assert one_row_cos2([1.0, 0.0], [0.0, 1.0]) == 0.0
 
 
 def test_cosine_sq_parallel():
-    val = cosine_sq(Tensor([2.0, 2.0]), Tensor([1.0, 1.0])).item()
-    assert abs(val - 1.0) < 1e-10
+    assert abs(one_row_cos2([2.0, 2.0], [1.0, 1.0]) - 1.0) < 1e-10
 
 
 def test_cosine_sq_half():
-    val = cosine_sq(Tensor([1.0, 0.0]), Tensor([1.0, 1.0])).item()
-    assert abs(val - 0.5) < 1e-10
+    assert abs(one_row_cos2([1.0, 0.0], [1.0, 1.0]) - 0.5) < 1e-10
 
 
 def test_cosine_sq_gradcheck():
     r = rng(5)
-    u = Tensor(r.normal(size=(7,)))
-    v = Tensor(r.normal(size=(7,)))
-    assert grad_check(lambda ts: cosine_sq(ts[0], ts[1]), [u, v]) < 1e-6
+    u = Tensor(r.normal(size=(1, 7)))
+    v = Tensor(r.normal(size=(1, 7)))
+    assert grad_check(lambda ts: tsum(cosine_sq_rows(ts[0], ts[1])), [u, v]) < 1e-6
 
 
 def test_cosine_sq_rows_matches_per_row_scalar():
@@ -105,8 +106,16 @@ def test_cosine_sq_rows_matches_per_row_scalar():
     u = r.normal(size=(5, 4))
     v = r.normal(size=(5, 4))
     batched = cosine_sq_rows(Tensor(u), Tensor(v)).values
-    single = [cosine_sq(Tensor(u[i]), Tensor(v[i])).item() for i in range(5)]
+    single = [one_row_cos2(u[i], v[i]) for i in range(5)]
     np.testing.assert_allclose(batched, single, rtol=0, atol=1e-15)
+
+
+def test_cosine_sq_rows_rejects_bad_operands():
+    with pytest.raises(ShapeError):
+        cosine_sq_rows(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))))
+    for eps in (0.0, -1e-12):
+        with pytest.raises(ContractError, match="eps"):
+            cosine_sq_rows(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))), eps)
 
 
 @given(
@@ -117,8 +126,7 @@ def test_cosine_sq_rows_matches_per_row_scalar():
 @settings(max_examples=200, deadline=None)
 def test_cosine_sq_in_unit_interval(u, v, eps):
     n = min(len(u), len(v))
-    val = cosine_sq(Tensor(u[:n]), Tensor(v[:n]), eps=eps).item()
-    assert 0.0 <= val <= 1.0
+    assert 0.0 <= one_row_cos2(u[:n], v[:n], eps) <= 1.0
 
 
 # --- softmax -----------------------------------------------------------------
@@ -278,7 +286,7 @@ def test_tanh_select_token_mean_gradcheck():
     x = Tensor(r.normal(size=(2, 3, 4)))
 
     def f(ts):
-        return tmean(tanh(select_token(ts[0], 0)))
+        return tsum(tanh(select_token(ts[0], 0)))
 
     assert grad_check(f, [x]) < 1e-7
 

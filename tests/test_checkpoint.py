@@ -99,6 +99,17 @@ def test_checkpoint_directory_mismatch_raises_typed_error(tmp_path):
         rewrite(lambda m: m.pop(key))
         with pytest.raises(MissingArtifactError, match=key):
             load_checkpoint(path)
+    for key in ("shape", "name"):  # an array directory entry without a key it needs
+        rewrite(lambda m: m["arrays"][0].pop(key))
+        with pytest.raises(MissingArtifactError, match=key):
+            load_checkpoint(path)
+    # a nested config holding a field its class does not have
+    rewrite(lambda m: m["encoder_config"].update(adapter_pre_norm=True))
+    with pytest.raises(MissingArtifactError, match="encoder_config"):
+        load_checkpoint(path)
+    rewrite(lambda m: m["adapters"][LANGUAGE].update(width=3))
+    with pytest.raises(MissingArtifactError, match=LANGUAGE):
+        load_checkpoint(path)
 
     saved = head + b"\x00" + body
     for damaged in (saved[:-100], saved + bytes(16), b"garbage"):  # cut, padded, no header
@@ -155,8 +166,44 @@ def test_adapter_header_without_layer_count_raises_typed_error(tmp_path):
     path = tmp_path / "lang.adapter"
     save_adapter(path, stack.lang)
     head, _, body = path.read_bytes().partition(b"\x00")
-    manifest = json.loads(head)
-    del manifest["num_layers"]
-    path.write_bytes(json.dumps(manifest).encode() + b"\x00" + body)
-    with pytest.raises(MissingArtifactError, match="num_layers"):
-        load_adapter(path)
+    edits = (
+        ("num_layers", lambda m: m.pop("num_layers")),
+        ("num_layers", lambda m: m.update(num_layers="2")),
+        ("num_layers", lambda m: m.update(num_layers=2.0)),
+        ("adapter_config", lambda m: m["adapter_config"].update(width=3)),
+    )
+    for key, edit in edits:
+        manifest = json.loads(head)
+        edit(manifest)
+        path.write_bytes(json.dumps(manifest).encode() + b"\x00" + body)
+        with pytest.raises(MissingArtifactError, match=key):
+            load_adapter(path)
+
+
+def test_failed_write_leaves_earlier_file_whole(tmp_path, monkeypatch):
+    enc, stack = build_model()
+    real = np.ascontiguousarray
+    writers = {
+        "model.ckpt": lambda path: save_checkpoint(path, enc, stack),
+        "lang.adapter": lambda path: save_adapter(path, stack.lang),
+    }
+    for name, write in writers.items():
+        directory = tmp_path / name.split(".")[1]
+        directory.mkdir()
+        path = directory / name
+        write(path)
+        before = path.read_bytes()
+        calls = []
+
+        def fail_on_second_array(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            return real(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "ascontiguousarray", fail_on_second_array)
+            with pytest.raises(OSError, match="disk full"):
+                write(path)
+        assert path.read_bytes() == before
+        assert list(directory.iterdir()) == [path]  # no temporary file left behind

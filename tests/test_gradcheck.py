@@ -3,7 +3,7 @@ import pytest
 
 from adapterlab import Tensor, grad_check
 from adapterlab.autodiff import mul, tsum
-from adapterlab.errors import NumericError
+from adapterlab.errors import NumericError, ShapeError
 
 
 def test_sum_of_squares_analytic_gradient():
@@ -33,5 +33,5 @@ def test_non_finite_function_raises_with_coordinate():
 
 def test_rejects_non_scalar_function():
     x = Tensor(np.zeros(3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ShapeError):
         grad_check(lambda ts: mul(ts[0], 2.0), [x])

@@ -18,6 +18,7 @@ from adapterlab.errors import ConfigError
 from adapterlab.objectives import MaskingPolicy, mlm_loss
 from adapterlab.synthlang import (
     SyntheticLanguageSpec,
+    TaskDataset,
     build_vocab,
     corpus_to_ids,
     gen_seq_task,
@@ -73,15 +74,27 @@ def test_phase_config_validation():
     with pytest.raises(ConfigError):
         PhaseConfig(phase=PHASE_FULL, main_loss="seq_cls", ortho=True)
     with pytest.raises(ConfigError):
-        PhaseConfig(phase=PHASE_LANG, main_loss="mlm", alternation_k=0)
-    with pytest.raises(ConfigError):
-        PhaseConfig(phase=PHASE_LANG, main_loss="mlm", ortho=False, joint_lambda=0.5)
-    with pytest.raises(ConfigError):
-        PhaseConfig(phase=PHASE_LANG, main_loss="mlm", ortho=True, joint_lambda=0.0)
-    with pytest.raises(ConfigError):
         PhaseConfig(phase=PHASE_TASK, main_loss="mlm")
+    for bad in ({"alternation_k": 0}, {"batch_size": 0}, {"steps": -3}, {"steps": 0},
+                {"main_lr": -1.0}, {"main_lr": 0.0}, {"ortho_lr": 0.0},
+                {"clip_norm": 0.0}, {"clip_norm": float("nan")}):
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            PhaseConfig(phase=PHASE_LANG, main_loss="mlm", **bad)
     with pytest.raises(AttributeError):  # checked once, so no field may change later
-        PhaseConfig(phase=PHASE_LANG, main_loss="mlm").joint_lambda = 0.5
+        PhaseConfig(phase=PHASE_LANG, main_loss="mlm").steps = 0
+
+
+def test_empty_corpus_or_dataset_rejected():
+    vocab, _ = setup_bed()
+    enc, stack = fresh_model(vocab, task=False)
+    cfg = PhaseConfig(phase=PHASE_LANG, main_loss="mlm", steps=2, batch_size=4)
+    with pytest.raises(ConfigError, match="corpus"):
+        run_phase(enc, stack, cfg, corpus=[])
+    enc.ensure_tag_head(3)
+    empty = TaskDataset("tagging", "src", "train", [], 3)
+    cfg = PhaseConfig(phase=PHASE_FULL, main_loss="tagging", steps=2, batch_size=4)
+    with pytest.raises(ConfigError, match="dataset"):
+        run_phase(enc, None, cfg, dataset=empty)
 
 
 def test_lang_phase_without_language_slot_rejected():
@@ -302,17 +315,6 @@ def test_full_finetune_trains_everything_deterministically():
     (sum_a, log_a), (sum_b, log_b) = run(), run()
     assert sum_a == sum_b
     assert log_a == log_b
-
-
-def test_joint_lambda_mode_runs_single_optimizer():
-    vocab, corpus = setup_bed()
-    enc, stack = fresh_model(vocab, task=False)
-    cfg = PhaseConfig(phase=PHASE_LANG, main_loss="mlm", ortho=True,
-                      joint_lambda=0.1, steps=6, batch_size=4, seed=1)
-    stats = train_language_adapter(enc, stack, corpus, cfg)
-    # joint mode folds the ortho term into the main line; no separate steps
-    assert stats.ortho_totals == []
-    assert len(stats.main_losses) == 6
 
 
 def test_model_selection_rules():
