@@ -1,4 +1,4 @@
-"""Bottleneck adapters: per-layer slots, stacking order, freezing, swapping.
+"""Bottleneck adapters: per-layer slots, stacking order, swapping.
 
 An adapter maps a hidden state through a down-projection, ReLU, and an
 up-projection, then adds its input back:
@@ -7,6 +7,9 @@ up-projection, then adds its input back:
 
 The up-projection starts at zero, so a fresh adapter is the identity map and
 inserting one changes nothing until training moves it.
+
+The training phase ids are named here too; which weights each phase trains
+is decided by ``training.trainable_names``.
 """
 
 from __future__ import annotations
@@ -27,8 +30,6 @@ SLOT_PREFIX = {LANGUAGE: "adapter.lang.", TASK: "adapter.task."}
 PHASE_LANG = "lang_adapter_training"
 PHASE_TASK = "task_adapter_training"
 PHASE_FULL = "full_finetune"
-PHASE_TASK_ONLY = "task_only_adapter_training"
-PHASES = (PHASE_LANG, PHASE_TASK, PHASE_FULL, PHASE_TASK_ONLY)
 
 
 @dataclass
@@ -152,38 +153,3 @@ def swap_language_adapter(stack: AdapterStack, new_weights: list[tuple[np.ndarra
         stack.lang[i].w_down.values[...] = w_down
         stack.lang[i].w_up.values[...] = w_up
     return stack
-
-
-def set_trainable(params: ParamSet, phase: str) -> ParamSet:
-    """Apply a phase's freeze map to the ParamSet and return it.
-
-    lang phase: language adapters only (plus the output projection when the
-    MLM head is untied). task phases: task adapters plus task heads. Full
-    fine-tune: everything. Each adapter phase also fixes the slots the model
-    must carry: lang needs a language slot, the stacked task phase needs both
-    slots, and task-only needs a task slot and refuses a language slot.
-    """
-    if phase not in PHASES:
-        raise ConfigError(f"unknown phase {phase!r}; expected one of {PHASES}")
-    names = params.names()
-    if phase == PHASE_FULL:
-        params.set_trainable(names)
-        return params
-    lang = slot_names(params, LANGUAGE)
-    task = slot_names(params, TASK)
-    if phase == PHASE_LANG:
-        if not lang:
-            raise ConfigError("language adapter training needs a language slot")
-        trainable = lang
-        if "head.mlm.proj" in params:
-            trainable += [n for n in names if n.startswith("head.mlm.")]
-    else:  # task_adapter_training / task_only_adapter_training
-        if not task:
-            raise ConfigError("task adapter training needs a task slot")
-        if phase == PHASE_TASK and not lang:
-            raise ConfigError("stacked task training expects a loaded language slot")
-        if phase == PHASE_TASK_ONLY and lang:
-            raise ConfigError("task-only phase must not carry a language slot")
-        trainable = task + [n for n in names if n.startswith(("head.cls.", "head.tag."))]
-    params.set_trainable(trainable)
-    return params

@@ -5,9 +5,10 @@ directory) + NUL separator + the raw little-endian float64 bytes of every
 named array in declaration order. Raw bytes make the round-trip bit-exact.
 A write goes to a temporary file beside the target and is renamed over it,
 so a write that fails partway leaves any earlier file at the path whole.
-A read refuses a header that is not UTF-8 JSON, lacks a key it needs or
-holds a config entry its class does not take, and a body that does not hold
-exactly the bytes its array directory lists.
+A read refuses a header that is not UTF-8 JSON, lacks a key it needs, holds
+a config entry its class does not take, a non-integer count, seed or array
+dimension, or an unknown head, and a body that does not hold exactly the
+bytes its array directory lists.
 A checkpoint loads by array name, so any construction order of the saved
 model (heads and adapter stack in either order) reloads.
 """
@@ -72,9 +73,15 @@ def _read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
     if version != FORMAT_VERSION:
         raise MissingArtifactError(f"{path}: unsupported container format {version}")
     _require(path, manifest, "arrays")
+    directory = []
     for entry in manifest["arrays"]:
         _require(path, entry, "name", "shape")
-    directory = [(entry["name"], tuple(entry["shape"])) for entry in manifest["arrays"]]
+        name, shape = entry["name"], entry["shape"]
+        if type(name) is not str or type(shape) is not list:
+            raise MissingArtifactError(f"{path}: array directory entry {name!r} needs a "
+                                       f"string name and a shape list")
+        directory.append((name, tuple(_integer(path, f"shape of {name}", d, 0)
+                                      for d in shape)))
     listed = sum(8 * math.prod(shape) for _, shape in directory)
     if len(body) != listed:
         raise MissingArtifactError(f"{path}: body holds {len(body)} bytes, "
@@ -93,6 +100,14 @@ def _require(path, header: dict, *keys: str) -> None:
     missing = [key for key in keys if key not in header]
     if missing:
         raise MissingArtifactError(f"{path}: header lacks {', '.join(missing)}")
+
+
+def _integer(path, key: str, value, least: int) -> int:
+    """``value`` if it is an integer of at least ``least``, else a typed error."""
+    if type(value) is not int or value < least:
+        raise MissingArtifactError(f"{path}: header entry {key} must be an integer "
+                                   f">= {least}, got {value!r}")
+    return value
 
 
 def _build(path, cls, header: dict, key: str):
@@ -133,12 +148,13 @@ def load_checkpoint(path) -> tuple[Encoder, AdapterStack | None, dict]:
     _require(path, manifest, "encoder_config", "seed", "heads", "adapters")
     _require(path, manifest["adapters"], LANGUAGE, TASK)
     config = _build(path, EncoderConfig, manifest, "encoder_config")
-    encoder = Encoder(config, seed=manifest["seed"])
+    encoder = Encoder(config, seed=_integer(path, "seed", manifest["seed"], 0))
+    builders = {"cls": encoder.ensure_cls_head, "tag": encoder.ensure_tag_head}
     for head, n in manifest["heads"].items():
-        if head == "cls":
-            encoder.ensure_cls_head(n)
-        else:
-            encoder.ensure_tag_head(n)
+        if head not in builders:
+            raise MissingArtifactError(f"{path}: header entry heads names an unknown "
+                                       f"head {head!r}")
+        builders[head](_integer(path, f"heads.{head}", n, 1))
     stack = None
     adapters = manifest["adapters"]
     if adapters[LANGUAGE] or adapters[TASK]:
@@ -194,10 +210,7 @@ def load_adapter(path) -> tuple[AdapterConfig, list[tuple[np.ndarray, np.ndarray
         raise MissingArtifactError(f"{path} is not an adapter container")
     _require(path, manifest, "adapter_config", "num_layers")
     config = _build(path, AdapterConfig, manifest, "adapter_config")
-    num_layers = manifest["num_layers"]
-    if type(num_layers) is not int or num_layers < 1:
-        raise MissingArtifactError(f"{path}: header entry num_layers must be a "
-                                   f"positive integer, got {num_layers!r}")
+    num_layers = _integer(path, "num_layers", manifest["num_layers"], 1)
     pairs = []
     for i in range(num_layers):
         try:

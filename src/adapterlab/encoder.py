@@ -161,14 +161,14 @@ class Encoder:
         token_ids: np.ndarray,
         mask: np.ndarray,
         stack: AdapterStack | None = None,
-        training: bool = False,
         rng: np.random.Generator | None = None,
     ) -> tuple[Tensor, LayerActivations]:
         """Run the backbone over a [B, T] id batch.
 
         ``mask`` is 1 on real tokens and 0 on padding; padded positions are
-        never attended to. Returns final states [B, T, H] and the recorded
-        adapter activations.
+        never attended to. Dropout at the configured rate applies when an
+        ``rng`` is given and never otherwise. Returns final states [B, T, H]
+        and the recorded adapter activations.
         """
         c = self.config
         p = self.params
@@ -186,9 +186,7 @@ class Encoder:
             raise SequenceLengthError(
                 f"sequence length {ids.shape[1]} exceeds max_len {c.max_len}"
             )
-        drop = c.dropout if training else 0.0
-        if drop > 0.0 and rng is None:
-            raise ConfigError("training-mode encode needs an rng for dropout")
+        drop = c.dropout if rng is not None else 0.0
 
         b, t = ids.shape
         x = add(embedding_lookup(p["embed.tok"], ids),

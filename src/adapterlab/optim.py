@@ -54,10 +54,6 @@ class ParamSet:
     def trainable_names(self) -> list[str]:
         return [n for n, t in self._params.items() if t.requires_grad]
 
-    def zero_grad(self) -> None:
-        for t in self._params.values():
-            t.grad = None
-
     def checksum(self, names=None) -> str:
         """sha256 over raw little-endian float64 bytes, in declaration order."""
         h = hashlib.sha256()

@@ -6,6 +6,11 @@ descent step: backward, clip, Adam A). With the orthogonality loss on, every
 and an ortho step: the same descent step on the orthogonality loss, under
 Adam B, over the target slot's weights only. The ortho loss is never added
 to the main loss, and the two optimizers never share moment buffers.
+
+What a phase trains is decided in one place, ``trainable_names``; every
+other weight is frozen for the phase. A task phase runs on a stack with or
+without a language slot: the stacked (MAD-X) and the task-adapter-only
+configurations differ only in the stack the caller builds.
 """
 
 from __future__ import annotations
@@ -21,11 +26,9 @@ from .adapters import (
     PHASE_FULL,
     PHASE_LANG,
     PHASE_TASK,
-    PHASE_TASK_ONLY,
-    PHASES,
+    SLOT_PREFIX,
     TASK,
     AdapterStack,
-    set_trainable,
     slot_names,
 )
 from .autodiff import IGNORE_LABEL, Tensor
@@ -39,17 +42,16 @@ from .objectives import (
     seq_cls_loss,
     tagging_loss,
 )
-from .optim import Adam, clip_grad_norm
+from .optim import Adam, ParamSet, clip_grad_norm
 from .synthlang import CLS, PAD, SEP, TaskDataset, read_key_values, write_key_values
 
 # each main loss and the name prefix of the head it trains through
 LOSS_HEADS = {"mlm": "head.mlm.", "seq_cls": "head.cls.", "tagging": "head.tag."}
 MAIN_LOSSES = tuple(LOSS_HEADS)
-# the main losses each phase may train with
+# the phases, and the main losses each may train with
 PHASE_LOSSES = {
     PHASE_LANG: ("mlm",),
     PHASE_TASK: ("seq_cls", "tagging"),
-    PHASE_TASK_ONLY: ("seq_cls", "tagging"),
     PHASE_FULL: MAIN_LOSSES,
 }
 
@@ -75,7 +77,7 @@ class PhaseConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.phase not in PHASES:
+        if self.phase not in PHASE_LOSSES:
             raise ConfigError(f"unknown phase {self.phase!r}")
         if self.main_loss not in MAIN_LOSSES:
             raise ConfigError(f"unknown main loss {self.main_loss!r}")
@@ -91,7 +93,8 @@ class PhaseConfig:
             if not getattr(self, name) > 0.0:
                 raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
 
-    def ortho_slot(self) -> str:
+    def slot(self) -> str:
+        """The adapter slot an adapter phase trains."""
         return LANGUAGE if self.phase == PHASE_LANG else TASK
 
 
@@ -177,6 +180,27 @@ def _main_loss(cfg: PhaseConfig, encoder: Encoder, states, labels) -> Tensor:
     return tagging_loss(encoder.tag_logits(states), labels)
 
 
+def trainable_names(params: ParamSet, cfg: PhaseConfig) -> list[str]:
+    """The weights a phase trains, in declaration order.
+
+    Full fine-tuning trains every weight except the heads of the other main
+    losses. An adapter phase trains its slot, which must be present, and its
+    own loss's head; a tied MLM head shares the frozen input embedding, so
+    the lang phase trains the MLM head only when it is untied.
+    """
+    names = params.names()
+    if cfg.phase == PHASE_FULL:
+        others = tuple(head for loss, head in LOSS_HEADS.items() if loss != cfg.main_loss)
+        return [n for n in names if not n.startswith(others)]
+    slot = SLOT_PREFIX[cfg.slot()]
+    if not any(n.startswith(slot) for n in names):
+        raise ConfigError(f"phase {cfg.phase} needs a {cfg.slot()} slot")
+    prefixes = (slot,)
+    if cfg.phase != PHASE_LANG or "head.mlm.proj" in params:
+        prefixes += (LOSS_HEADS[cfg.main_loss],)
+    return [n for n in names if n.startswith(prefixes)]
+
+
 def _descend(loss: Tensor, opt: Adam, clip_norm: float, what: str,
              step: int) -> tuple[float, float]:
     """One descent step on ``loss`` over ``opt``'s parameters.
@@ -202,42 +226,32 @@ def run_phase(
 ) -> TrainStats:
     """Run one training phase over its step budget and return the stats.
 
-    The caller provides either a corpus (mlm) or a task dataset. Freezing,
-    and the slots the model must carry, follow the phase id; the ortho
-    optimizer is scoped to the target slot's adapter weights and owns
-    separate Adam state.
+    The caller provides either a corpus (mlm) or a task dataset. Only the
+    weights ``trainable_names`` picks move; the ortho optimizer is scoped to
+    the phase's slot and owns separate Adam state. Dropout applies at the
+    encoder's configured rate.
     """
     if cfg.main_loss == "mlm" and (corpus is None or len(corpus) == 0):
         raise ConfigError("mlm training needs a non-empty corpus")
     if cfg.main_loss != "mlm" and (dataset is None or not dataset.examples):
         raise ConfigError(f"{cfg.main_loss} training needs a non-empty task dataset")
 
-    set_trainable(encoder.params, cfg.phase)
-    # scope the optimizer to the parameters this phase's loss can reach;
-    # heads of other tasks stay frozen-in-place even under full fine-tuning
-    other_heads = tuple(head for loss, head in LOSS_HEADS.items() if loss != cfg.main_loss)
-    for name in encoder.params.names():
-        if name.startswith(other_heads):
-            encoder.params[name].requires_grad = False
-    trainable = encoder.params.trainable_names()
-    if not trainable:
-        raise ConfigError(f"phase {cfg.phase} has nothing to train")
+    trainable = trainable_names(encoder.params, cfg)
+    encoder.params.set_trainable(trainable)
     opt_main = Adam(encoder.params, names=trainable, lr=cfg.main_lr)
     opt_ortho = None
     if cfg.ortho:
-        opt_ortho = Adam(encoder.params, names=slot_names(encoder.params, cfg.ortho_slot()),
+        opt_ortho = Adam(encoder.params, names=slot_names(encoder.params, cfg.slot()),
                          lr=cfg.ortho_lr)
 
     batches = _batches(cfg, encoder.config.vocab, corpus, dataset)
     drop_rng = np.random.default_rng([cfg.seed, 3])
     stats = TrainStats()
-    training = encoder.config.dropout > 0.0
 
     # the range comes first, so no batch is drawn after the last step
     for step, (ids, mask, labels, skipped) in zip(range(cfg.steps), batches):
         stats.skipped_sequences += skipped
-        states, _ = encoder.encode(ids, mask, stack=stack,
-                                   training=training, rng=drop_rng)
+        states, _ = encoder.encode(ids, mask, stack=stack, rng=drop_rng)
         loss = _main_loss(cfg, encoder, states, labels)
         value, norm = _descend(loss, opt_main, cfg.clip_norm, cfg.main_loss, step)
         stats.main_losses.append(value)
@@ -246,9 +260,8 @@ def run_phase(
 
         if opt_ortho is not None and (step + 1) % cfg.alternation_k == 0:
             # fresh forward on the same batch: the main step just moved the weights
-            _, acts = encoder.encode(ids, mask, stack=stack,
-                                     training=training, rng=drop_rng)
-            report = ortho_loss(acts, cfg.ortho_slot(), mask)
+            _, acts = encoder.encode(ids, mask, stack=stack, rng=drop_rng)
+            report = ortho_loss(acts, cfg.slot(), mask)
             total, norm = _descend(report.loss, opt_ortho, cfg.clip_norm, "ortho", step)
             stats.ortho_totals.append(total)
             cos2 = ",".join(repr(v) for v in report.per_layer)
@@ -268,8 +281,8 @@ def train_language_adapter(encoder: Encoder, stack: AdapterStack,
 def train_task_adapter(encoder: Encoder, stack: AdapterStack,
                        dataset: TaskDataset, cfg: PhaseConfig) -> TrainStats:
     """Phase 2: task loss on source data; language slot (if any) frozen."""
-    if cfg.phase not in (PHASE_TASK, PHASE_TASK_ONLY):
-        raise ConfigError("task adapter training needs a task phase id")
+    if cfg.phase != PHASE_TASK:
+        raise ConfigError("task adapter training uses the task_adapter_training phase id")
     return run_phase(encoder, stack, cfg, dataset=dataset)
 
 

@@ -4,17 +4,13 @@ import pytest
 from adapterlab import Adam, Tensor, grad_check
 from adapterlab.adapters import (
     LANGUAGE,
-    PHASE_FULL,
-    PHASE_LANG,
-    PHASE_TASK,
-    PHASE_TASK_ONLY,
     TASK,
     AdapterConfig,
     AdapterStack,
     adapter_forward,
     init_adapter,
     init_adapter_stack_slot,
-    set_trainable,
+    slot_names,
     swap_language_adapter,
 )
 from adapterlab.autodiff import tsum, mul
@@ -160,67 +156,15 @@ def test_swap_without_language_slot():
         swap_language_adapter(stack, [])
 
 
-# --- phase freeze maps --------------------------------------------------------
+# --- frozen weights -----------------------------------------------------------
 
 
-def build_full_model():
+def test_frozen_parameters_survive_adam_steps_bit_identical():
     enc = small_encoder()
     enc.ensure_cls_head(3)
     stack = trained_like_stack()
     stack.register(enc.params)
-    return enc, stack
-
-
-def test_lang_phase_trains_only_language_adapters():
-    enc, _ = build_full_model()
-    set_trainable(enc.params, PHASE_LANG)
-    trainable = set(enc.params.trainable_names())
-    assert trainable == {n for n in enc.params.names() if n.startswith("adapter.lang.")}
-
-
-def test_lang_phase_includes_untied_mlm_head():
-    cfg = EncoderConfig(vocab=13, num_layers=1, hidden=8, num_heads=2, ffn=12,
-                        max_len=8, dropout=0.0, tie_mlm=False)
-    enc = Encoder(cfg, seed=0)
-    stack = AdapterStack(1)
-    stack.fill(LANGUAGE, init_adapter_stack_slot(AdapterConfig(dim=2, kind=LANGUAGE), 8, 1, 0))
-    stack.register(enc.params)
-    set_trainable(enc.params, PHASE_LANG)
-    trainable = set(enc.params.trainable_names())
-    assert "head.mlm.proj" in trainable and "head.mlm.bias" in trainable
-    assert all(n.startswith(("adapter.lang.", "head.mlm.")) for n in trainable)
-
-
-def test_task_phase_freezes_language_adapter_and_backbone():
-    enc, _ = build_full_model()
-    set_trainable(enc.params, PHASE_TASK)
-    trainable = set(enc.params.trainable_names())
-    expected = {n for n in enc.params.names()
-                if n.startswith("adapter.task.") or n.startswith("head.cls.")}
-    assert trainable == expected
-
-
-def test_full_finetune_unfreezes_everything():
-    enc, _ = build_full_model()
-    set_trainable(enc.params, PHASE_FULL)
-    assert set(enc.params.trainable_names()) == set(enc.params.names())
-
-
-def test_task_only_phase_rejects_language_slot():
-    enc, _ = build_full_model()
-    with pytest.raises(ConfigError):
-        set_trainable(enc.params, PHASE_TASK_ONLY)
-
-
-def test_unknown_phase_rejected():
-    enc, _ = build_full_model()
-    with pytest.raises(ConfigError):
-        set_trainable(enc.params, "warmup")
-
-
-def test_frozen_parameters_survive_adam_steps_bit_identical():
-    enc, stack = build_full_model()
-    set_trainable(enc.params, PHASE_LANG)
+    enc.params.set_trainable(slot_names(enc.params, LANGUAGE))
     backbone = [n for n in enc.params.names() if not n.startswith("adapter.lang.")]
     before = enc.params.checksum(names=backbone)
     opt = Adam(enc.params, names=enc.params.trainable_names(), lr=0.05)

@@ -110,6 +110,14 @@ def test_checkpoint_directory_mismatch_raises_typed_error(tmp_path):
     rewrite(lambda m: m["adapters"][LANGUAGE].update(width=3))
     with pytest.raises(MissingArtifactError, match=LANGUAGE):
         load_checkpoint(path)
+    # scalar header values of the wrong type, and a head the model does not have
+    for key, edit in (("shape", lambda m: m["arrays"][0].update(shape=["a", 8])),
+                      ("heads", lambda m: m["heads"].update(cls="3")),
+                      ("seed", lambda m: m.update(seed="x")),
+                      ("ner", lambda m: m["heads"].update(ner=3))):
+        rewrite(edit)
+        with pytest.raises(MissingArtifactError, match=key):
+            load_checkpoint(path)
 
     saved = head + b"\x00" + body
     for damaged in (saved[:-100], saved + bytes(16), b"garbage"):  # cut, padded, no header

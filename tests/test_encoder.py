@@ -62,17 +62,11 @@ def test_determinism_bit_identical():
 
 def test_dropout_training_mode_is_seeded_and_reproducible():
     enc = encoder(dropout=0.2)
-    a, _ = enc.encode(BATCH, MASK, training=True, rng=np.random.default_rng(5))
-    b, _ = enc.encode(BATCH, MASK, training=True, rng=np.random.default_rng(5))
-    c, _ = enc.encode(BATCH, MASK)  # eval mode: no dropout
+    a, _ = enc.encode(BATCH, MASK, rng=np.random.default_rng(5))
+    b, _ = enc.encode(BATCH, MASK, rng=np.random.default_rng(5))
+    c, _ = enc.encode(BATCH, MASK)  # no rng: no dropout
     np.testing.assert_array_equal(a.values, b.values)
     assert np.any(a.values != c.values)
-
-
-def test_training_mode_requires_rng():
-    enc = encoder(dropout=0.2)
-    with pytest.raises(ConfigError):
-        enc.encode(BATCH, MASK, training=True)
 
 
 def test_batch_permutation_permutes_outputs():

@@ -6,7 +6,6 @@ from adapterlab.adapters import (
     PHASE_FULL,
     PHASE_LANG,
     PHASE_TASK,
-    PHASE_TASK_ONLY,
     TASK,
     AdapterConfig,
     AdapterStack,
@@ -35,6 +34,7 @@ from adapterlab.training import (
     pretrain_backbone,
     read_run_manifest,
     run_phase,
+    trainable_names,
     train_full_finetune,
     train_language_adapter,
     train_task_adapter,
@@ -105,6 +105,51 @@ def test_lang_phase_without_language_slot_rejected():
     cfg = PhaseConfig(phase=PHASE_LANG, main_loss="mlm", steps=2, batch_size=4)
     with pytest.raises(ConfigError):
         run_phase(enc, None, cfg, corpus=corpus)
+
+
+# (phase, main loss, language slot, task slot, tie_mlm, heads built) and the
+# prefixes that train, in the model's declaration order: embeddings, layers,
+# MLM head, the heads built, then the adapter slots; None when the phase is refused
+FREEZE_MAP = (
+    (PHASE_LANG, "mlm", True, False, True, (), ("adapter.lang.",)),
+    (PHASE_LANG, "mlm", True, True, False, ("cls",), ("head.mlm.", "adapter.lang.")),
+    (PHASE_LANG, "mlm", False, True, False, (), None),
+    (PHASE_TASK, "seq_cls", True, True, True, ("cls",), ("head.cls.", "adapter.task.")),
+    (PHASE_TASK, "tagging", True, True, True, ("cls", "tag"), ("head.tag.", "adapter.task.")),
+    (PHASE_TASK, "seq_cls", False, True, True, ("cls", "tag"), ("head.cls.", "adapter.task.")),
+    (PHASE_TASK, "tagging", True, False, True, ("tag",), None),
+    (PHASE_FULL, "mlm", False, False, True, (), ("embed.", "layer.", "head.mlm.")),
+    (PHASE_FULL, "seq_cls", False, False, False, ("cls", "tag"),
+     ("embed.", "layer.", "head.cls.")),
+    (PHASE_FULL, "tagging", True, True, True, ("cls", "tag"),
+     ("embed.", "layer.", "head.tag.", "adapter.")),
+)
+
+
+def test_trainable_names_table():
+    vocab, _ = setup_bed()
+    for phase, loss, lang, task, tie, heads, trains in FREEZE_MAP:
+        row = (phase, loss, lang, task, tie, heads)
+        enc = Encoder(EncoderConfig(vocab=vocab.size, num_layers=2, hidden=16, num_heads=2,
+                                    ffn=24, max_len=32, dropout=0.0, tie_mlm=tie), seed=0)
+        if "cls" in heads:
+            enc.ensure_cls_head(3)
+        if "tag" in heads:
+            enc.ensure_tag_head(N_CLASSES)
+        stack = AdapterStack(2)  # registered after the heads, so it is declared last
+        if lang:
+            stack.fill(LANGUAGE, init_adapter_stack_slot(
+                AdapterConfig(dim=4, kind=LANGUAGE), 16, 2, 1))
+        if task:
+            stack.fill(TASK, init_adapter_stack_slot(AdapterConfig(dim=3, kind=TASK), 16, 2, 2))
+        stack.register(enc.params)
+        cfg = PhaseConfig(phase=phase, main_loss=loss)
+        if trains is None:
+            with pytest.raises(ConfigError, match=LANGUAGE if phase == PHASE_LANG else TASK):
+                trainable_names(enc.params, cfg)
+            continue
+        expected = [n for p in trains for n in enc.params.names() if n.startswith(p)]
+        assert trainable_names(enc.params, cfg) == expected, row
 
 
 def test_batch_builders():
@@ -189,10 +234,9 @@ def test_optimizer_independence_byte_level():
     # replicate one alternating iteration by hand to watch the moment buffers
     from adapterlab.objectives import ortho_loss
     from adapterlab.optim import Adam, clip_grad_norm
-    from adapterlab.adapters import set_trainable
 
-    set_trainable(enc.params, PHASE_LANG)
-    trainable = enc.params.trainable_names()
+    trainable = trainable_names(enc.params, PhaseConfig(phase=PHASE_LANG, main_loss="mlm"))
+    enc.params.set_trainable(trainable)
     opt_main = Adam(enc.params, names=trainable, lr=1e-3)
     opt_ortho = Adam(enc.params, names=trainable, lr=1e-4)
     policy = MaskingPolicy(vocab=vocab.size)
@@ -282,20 +326,10 @@ def test_task_only_phase_matches_variant_contract():
     dataset = gen_tag_task(corpus, spec, vocab, 150, "train", seed=3, n_tags=N_CLASSES)
     enc, stack = fresh_model(vocab, lang=False)
     enc.ensure_tag_head(N_CLASSES)
-    cfg = PhaseConfig(phase=PHASE_TASK_ONLY, main_loss="tagging", ortho=False,
+    cfg = PhaseConfig(phase=PHASE_TASK, main_loss="tagging", ortho=False,
                       steps=20, batch_size=8, seed=4)
     stats = train_task_adapter(enc, stack, dataset, cfg)
     assert len(stats.main_losses) == 20
-
-
-def test_stacked_task_phase_requires_language_slot():
-    vocab, corpus = setup_bed()
-    dataset = gen_seq_task(corpus, SyntheticLanguageSpec("src"), vocab, 60, "train", 0)
-    enc, stack = fresh_model(vocab, lang=False)
-    enc.ensure_cls_head(3)
-    cfg = PhaseConfig(phase=PHASE_TASK, main_loss="seq_cls", steps=5, seed=0)
-    with pytest.raises(ConfigError):
-        train_task_adapter(enc, stack, dataset, cfg)
 
 
 def test_full_finetune_trains_everything_deterministically():
