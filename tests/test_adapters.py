@@ -16,6 +16,13 @@ from adapterlab.adapters import (
 from adapterlab.autodiff import tsum, mul
 from adapterlab.encoder import Encoder, EncoderConfig
 from adapterlab.errors import ConfigError, SwapError
+from adapterlab.training import (
+    PHASE_FULL,
+    PHASE_LANG,
+    PHASE_TASK,
+    PhaseConfig,
+    trainable_names,
+)
 
 
 def small_encoder(**kw):
@@ -159,11 +166,53 @@ def test_swap_without_language_slot():
 # --- frozen weights -----------------------------------------------------------
 
 
-def test_frozen_parameters_survive_adam_steps_bit_identical():
+def build_full_model():
     enc = small_encoder()
     enc.ensure_cls_head(3)
     stack = trained_like_stack()
     stack.register(enc.params)
+    return enc, stack
+
+
+def test_lang_phase_trains_only_language_adapters():
+    enc, _ = build_full_model()
+    trainable = set(trainable_names(enc.params, PhaseConfig(phase=PHASE_LANG, main_loss="mlm")))
+    assert trainable == {n for n in enc.params.names() if n.startswith("adapter.lang.")}
+
+
+def test_lang_phase_includes_untied_mlm_head():
+    cfg = EncoderConfig(vocab=13, num_layers=1, hidden=8, num_heads=2, ffn=12,
+                        max_len=8, dropout=0.0, tie_mlm=False)
+    enc = Encoder(cfg, seed=0)
+    stack = AdapterStack(1)
+    stack.fill(LANGUAGE, init_adapter_stack_slot(AdapterConfig(dim=2, kind=LANGUAGE), 8, 1, 0))
+    stack.register(enc.params)
+    trainable = set(trainable_names(enc.params, PhaseConfig(phase=PHASE_LANG, main_loss="mlm")))
+    assert "head.mlm.proj" in trainable and "head.mlm.bias" in trainable
+    assert all(n.startswith(("adapter.lang.", "head.mlm.")) for n in trainable)
+
+
+def test_task_phase_freezes_language_adapter_and_backbone():
+    enc, _ = build_full_model()
+    cfg = PhaseConfig(phase=PHASE_TASK, main_loss="seq_cls")
+    trainable = set(trainable_names(enc.params, cfg))
+    expected = {n for n in enc.params.names()
+                if n.startswith("adapter.task.") or n.startswith("head.cls.")}
+    assert trainable == expected
+
+
+def test_full_finetune_unfreezes_everything():
+    # everything but the head of a main loss the phase does not train
+    enc, _ = build_full_model()
+    cfg = PhaseConfig(phase=PHASE_FULL, main_loss="seq_cls")
+    trainable = set(trainable_names(enc.params, cfg))
+    assert trainable == {n for n in enc.params.names() if not n.startswith("head.mlm.")}
+    assert any(n.startswith("adapter.lang.") for n in trainable)
+    assert any(n.startswith("adapter.task.") for n in trainable)
+
+
+def test_frozen_parameters_survive_adam_steps_bit_identical():
+    enc, stack = build_full_model()
     enc.params.set_trainable(slot_names(enc.params, LANGUAGE))
     backbone = [n for n in enc.params.names() if not n.startswith("adapter.lang.")]
     before = enc.params.checksum(names=backbone)
