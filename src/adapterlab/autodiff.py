@@ -5,10 +5,16 @@ and a closure computing the local vector-Jacobian product, so the recorded
 graph doubles as the backward tape. Graphs are rebuilt on every forward pass;
 nothing persists across iterations except parameter tensors and their
 (additively accumulated) ``grad`` buffers.
+
+Only work some later step reads is done. An op records a node only when a
+parent requires a gradient, and inside a ``no_grad`` block it records none:
+it returns a constant. A backward rule computes the gradient of each parent
+that requires one and skips the rest (frozen weights, constant operands).
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
@@ -109,9 +115,29 @@ def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+_recording = True
+
+
+@contextmanager
+def no_grad():
+    """Within the block every op returns a constant: no parents, no backward.
+
+    The previous state comes back on exit, also when the block raises, so
+    blocks nest.
+    """
+    global _recording
+    previous = _recording
+    _recording = False
+    try:
+        yield
+    finally:
+        _recording = previous
+
+
 def _node(values: Array, parents: Sequence[Tensor], backward) -> Tensor:
-    out = Tensor(values, requires_grad=any(p.requires_grad for p in parents))
-    if out.requires_grad:
+    out = Tensor(values)
+    if _recording and any(p.requires_grad for p in parents):
+        out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
     return out
@@ -132,7 +158,7 @@ def add(a, b) -> Tensor:
     values = a.values + b.values
 
     def backward(g):
-        return ((a, _unbroadcast(g, a.shape)), (b, _unbroadcast(g, b.shape)))
+        return [(t, _unbroadcast(g, t.shape)) for t in (a, b) if t.requires_grad]
 
     return _node(values, (a, b), backward)
 
@@ -142,10 +168,12 @@ def mul(a, b) -> Tensor:
     values = a.values * b.values
 
     def backward(g):
-        return (
-            (a, _unbroadcast(g * b.values, a.shape)),
-            (b, _unbroadcast(g * a.values, b.shape)),
-        )
+        grads = []
+        if a.requires_grad:
+            grads.append((a, _unbroadcast(g * b.values, a.shape)))
+        if b.requires_grad:
+            grads.append((b, _unbroadcast(g * a.values, b.shape)))
+        return grads
 
     return _node(values, (a, b), backward)
 
@@ -154,7 +182,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product over the last two axes; leading axes broadcast.
 
     Backward: dA = dC @ B^T, dB = A^T @ dC (transposes on the last two axes),
-    summed over any broadcast leading axes.
+    summed over any broadcast leading axes; each only for an operand that
+    requires a gradient.
     """
     a, b = _wrap(a), _wrap(b)
     if a.ndim < 2 or b.ndim < 2:
@@ -164,9 +193,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     values = a.values @ b.values
 
     def backward(g):
-        ga = g @ np.swapaxes(b.values, -1, -2)
-        gb = np.swapaxes(a.values, -1, -2) @ g
-        return ((a, _unbroadcast(ga, a.shape)), (b, _unbroadcast(gb, b.shape)))
+        grads = []
+        if a.requires_grad:
+            grads.append((a, _unbroadcast(g @ np.swapaxes(b.values, -1, -2), a.shape)))
+        if b.requires_grad:
+            grads.append((b, _unbroadcast(np.swapaxes(a.values, -1, -2) @ g, b.shape)))
+        return grads
 
     return _node(values, (a, b), backward)
 
@@ -293,16 +325,21 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tens
     values = xhat * gain.values + bias.values
 
     def backward(g):
+        grads = []
+        if x.requires_grad:
+            dxhat = g * gain.values
+            gx = inv * (
+                dxhat
+                - dxhat.mean(axis=-1, keepdims=True)
+                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+            )
+            grads.append((x, gx))
         lead = tuple(range(g.ndim - 1))
-        g_gain = (g * xhat).sum(axis=lead)
-        g_bias = g.sum(axis=lead)
-        dxhat = g * gain.values
-        gx = inv * (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        )
-        return ((x, gx), (gain, g_gain), (bias, g_bias))
+        if gain.requires_grad:
+            grads.append((gain, (g * xhat).sum(axis=lead)))
+        if bias.requires_grad:
+            grads.append((bias, g.sum(axis=lead)))
+        return grads
 
     return _node(values, (x, gain, bias), backward)
 
@@ -341,9 +378,14 @@ def cosine_sq_rows(u: Tensor, v: Tensor, eps: float = 1e-12) -> Tensor:
     def backward(g):
         # d/du = 2s/(pq) v - 2s^2/(p^2 q) u, and symmetrically for v
         common = (2.0 * s / (p * q) * g)[..., None]
-        gu = common * v.values - (2.0 * s * s / (p * p * q) * g)[..., None] * u.values
-        gv = common * u.values - (2.0 * s * s / (p * q * q) * g)[..., None] * v.values
-        return ((u, gu), (v, gv))
+        grads = []
+        if u.requires_grad:
+            gu = common * v.values - (2.0 * s * s / (p * p * q) * g)[..., None] * u.values
+            grads.append((u, gu))
+        if v.requires_grad:
+            gv = common * u.values - (2.0 * s * s / (p * q * q) * g)[..., None] * v.values
+            grads.append((v, gv))
+        return grads
 
     return _node(values, (u, v), backward)
 

@@ -6,9 +6,9 @@ named array in declaration order. Raw bytes make the round-trip bit-exact.
 A write goes to a temporary file beside the target and is renamed over it,
 so a write that fails partway leaves any earlier file at the path whole.
 A read refuses a header that is not UTF-8 JSON, lacks a key it needs, holds
-a config entry its class does not take, a non-integer count, seed or array
-dimension, or an unknown head, and a body that does not hold exactly the
-bytes its array directory lists.
+a container of the wrong type, a config entry its class does not take, a
+non-integer count, seed or array dimension, or an unknown head, and a body
+that does not hold exactly the bytes its array directory lists.
 A checkpoint loads by array name, so any construction order of the saved
 model (heads and adapter stack in either order) reloads.
 """
@@ -72,10 +72,12 @@ def _read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
     version = manifest.get("format_version") if isinstance(manifest, dict) else None
     if version != FORMAT_VERSION:
         raise MissingArtifactError(f"{path}: unsupported container format {version}")
-    _require(path, manifest, "arrays")
+    _require(path, "header", manifest, "arrays")
+    if type(manifest["arrays"]) is not list:
+        raise MissingArtifactError(f"{path}: header entry arrays must be a list")
     directory = []
-    for entry in manifest["arrays"]:
-        _require(path, entry, "name", "shape")
+    for i, entry in enumerate(manifest["arrays"]):
+        _require(path, f"arrays[{i}]", entry, "name", "shape")
         name, shape = entry["name"], entry["shape"]
         if type(name) is not str or type(shape) is not list:
             raise MissingArtifactError(f"{path}: array directory entry {name!r} needs a "
@@ -96,10 +98,15 @@ def _read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
     return manifest, arrays
 
 
-def _require(path, header: dict, *keys: str) -> None:
+def _require(path, where: str, header, *keys: str) -> dict:
+    """``header`` if it is a mapping holding every key, else a typed error."""
+    if type(header) is not dict:
+        raise MissingArtifactError(f"{path}: header entry {where} must be a mapping, "
+                                   f"got a {type(header).__name__}")
     missing = [key for key in keys if key not in header]
     if missing:
-        raise MissingArtifactError(f"{path}: header lacks {', '.join(missing)}")
+        raise MissingArtifactError(f"{path}: {where} lacks {', '.join(missing)}")
+    return header
 
 
 def _integer(path, key: str, value, least: int) -> int:
@@ -145,18 +152,17 @@ def load_checkpoint(path) -> tuple[Encoder, AdapterStack | None, dict]:
     manifest, arrays = _read_container(path)
     if manifest.get("kind") != "checkpoint":
         raise MissingArtifactError(f"{path} is not a checkpoint container")
-    _require(path, manifest, "encoder_config", "seed", "heads", "adapters")
-    _require(path, manifest["adapters"], LANGUAGE, TASK)
+    _require(path, "header", manifest, "encoder_config", "seed", "heads", "adapters")
+    adapters = _require(path, "adapters", manifest["adapters"], LANGUAGE, TASK)
     config = _build(path, EncoderConfig, manifest, "encoder_config")
     encoder = Encoder(config, seed=_integer(path, "seed", manifest["seed"], 0))
     builders = {"cls": encoder.ensure_cls_head, "tag": encoder.ensure_tag_head}
-    for head, n in manifest["heads"].items():
+    for head, n in _require(path, "heads", manifest["heads"]).items():
         if head not in builders:
             raise MissingArtifactError(f"{path}: header entry heads names an unknown "
                                        f"head {head!r}")
         builders[head](_integer(path, f"heads.{head}", n, 1))
     stack = None
-    adapters = manifest["adapters"]
     if adapters[LANGUAGE] or adapters[TASK]:
         stack = AdapterStack(config.num_layers)
         for kind in (LANGUAGE, TASK):
@@ -208,7 +214,7 @@ def load_adapter(path) -> tuple[AdapterConfig, list[tuple[np.ndarray, np.ndarray
     manifest, arrays = _read_container(path)
     if manifest.get("kind") != "adapter":
         raise MissingArtifactError(f"{path} is not an adapter container")
-    _require(path, manifest, "adapter_config", "num_layers")
+    _require(path, "header", manifest, "adapter_config", "num_layers")
     config = _build(path, AdapterConfig, manifest, "adapter_config")
     num_layers = _integer(path, "num_layers", manifest["num_layers"], 1)
     pairs = []

@@ -7,7 +7,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, no_grad
 from .errors import NumericError, ShapeError
 
 
@@ -20,6 +20,7 @@ def grad_check(
 
     ``f`` must map the given tensors to a differentiable scalar. Returns the
     maximum over all coordinates of |analytic - numeric| / max(1, |numeric|).
+    The perturbed evaluations only read values, so they record no graph.
     """
     for t in inputs:
         t.requires_grad = True
@@ -39,10 +40,11 @@ def grad_check(
         flat = t.values.reshape(-1)
         for k in range(flat.size):
             orig = flat[k]
-            flat[k] = orig + h
-            up = f(inputs).item()
-            flat[k] = orig - h
-            down = f(inputs).item()
+            with no_grad():
+                flat[k] = orig + h
+                up = f(inputs).item()
+                flat[k] = orig - h
+                down = f(inputs).item()
             flat[k] = orig
             if not (math.isfinite(up) and math.isfinite(down)):
                 raise NumericError(

@@ -4,8 +4,11 @@ Each iteration takes one batch and runs the main-loss step (forward, then a
 descent step: backward, clip, Adam A). With the orthogonality loss on, every
 ``alternation_k``-th iteration then runs a fresh forward on the same batch
 and an ortho step: the same descent step on the orthogonality loss, under
-Adam B, over the target slot's weights only. The ortho loss is never added
-to the main loss, and the two optimizers never share moment buffers.
+Adam B, over the target slot's weights only. That forward records no graph
+(``no_grad``): the ortho loss recomputes each slot output from the slot's
+recorded input and live weights, so only that recompute is differentiated.
+The ortho loss is never added to the main loss, and the two optimizers
+never share moment buffers.
 
 What a phase trains is decided in one place, ``trainable_names``; every
 other weight is frozen for the phase. A task phase runs on a stack with or
@@ -31,7 +34,7 @@ from .adapters import (
     AdapterStack,
     slot_names,
 )
-from .autodiff import IGNORE_LABEL, Tensor
+from .autodiff import IGNORE_LABEL, Tensor, no_grad
 from .encoder import Encoder
 from .errors import ConfigError, NumericError
 from .objectives import (
@@ -186,18 +189,23 @@ def trainable_names(params: ParamSet, cfg: PhaseConfig) -> list[str]:
     Full fine-tuning trains every weight except the heads of the other main
     losses. An adapter phase trains its slot, which must be present, and its
     own loss's head; a tied MLM head shares the frozen input embedding, so
-    the lang phase trains the MLM head only when it is untied.
+    the lang phase trains the MLM head only when it is untied. The head of
+    the phase's loss must have been built.
     """
     names = params.names()
+    head = LOSS_HEADS[cfg.main_loss]
+    if not any(n.startswith(head) for n in names):
+        raise ConfigError(f"the {cfg.main_loss} loss needs its head {head}*, "
+                          f"which the model has not built")
     if cfg.phase == PHASE_FULL:
-        others = tuple(head for loss, head in LOSS_HEADS.items() if loss != cfg.main_loss)
+        others = tuple(h for loss, h in LOSS_HEADS.items() if loss != cfg.main_loss)
         return [n for n in names if not n.startswith(others)]
     slot = SLOT_PREFIX[cfg.slot()]
     if not any(n.startswith(slot) for n in names):
         raise ConfigError(f"phase {cfg.phase} needs a {cfg.slot()} slot")
     prefixes = (slot,)
     if cfg.phase != PHASE_LANG or "head.mlm.proj" in params:
-        prefixes += (LOSS_HEADS[cfg.main_loss],)
+        prefixes += (head,)
     return [n for n in names if n.startswith(prefixes)]
 
 
@@ -260,7 +268,8 @@ def run_phase(
 
         if opt_ortho is not None and (step + 1) % cfg.alternation_k == 0:
             # fresh forward on the same batch: the main step just moved the weights
-            _, acts = encoder.encode(ids, mask, stack=stack, rng=drop_rng)
+            with no_grad():  # ortho_loss differentiates its own recompute only
+                _, acts = encoder.encode(ids, mask, stack=stack, rng=drop_rng)
             report = ortho_loss(acts, cfg.slot(), mask)
             total, norm = _descend(report.loss, opt_ortho, cfg.clip_norm, "ortho", step)
             stats.ortho_totals.append(total)

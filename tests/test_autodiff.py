@@ -14,6 +14,7 @@ from adapterlab.autodiff import (
     layer_norm,
     matmul,
     mul,
+    no_grad,
     relu,
     reshape,
     select_token,
@@ -304,6 +305,99 @@ def test_gradients_accumulate_across_uses():
     # second backward adds on top, no implicit zeroing
     tsum(add(mul(x, 3.0), mul(x, x))).backward()
     np.testing.assert_allclose(x.grad, [14.0])
+
+
+# --- no_grad and frozen operands ------------------------------------------------
+
+
+def test_no_grad_ops_return_constants():
+    r = rng(30)
+    x = Tensor(r.normal(size=(2, 3)), requires_grad=True)
+    w = Tensor(r.normal(size=(3, 3)), requires_grad=True)
+    gain = Tensor(np.ones(3), requires_grad=True)
+    bias = Tensor(np.zeros(3), requires_grad=True)
+    ops = (lambda: matmul(x, w), lambda: add(x, bias), lambda: mul(x, 2.0),
+           lambda: relu(x), lambda: layer_norm(x, gain, bias),
+           lambda: cosine_sq_rows(x, x), lambda: softmax_rows(x),
+           lambda: embedding_lookup(w, np.array([0, 2])),
+           lambda: cross_entropy(x, np.array([0, 1])))
+    with no_grad():
+        constants = [op() for op in ops]
+    for op, const in zip(ops, constants):
+        assert not const.requires_grad
+        assert const._backward is None and const._parents == ()
+        recorded = op()  # recording again after the block, same values
+        assert recorded.requires_grad and recorded._backward is not None
+        assert recorded.values.tobytes() == const.values.tobytes()
+
+
+def test_no_grad_nests_and_restores_on_error():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+
+    def records():
+        return relu(x).requires_grad
+
+    with no_grad():
+        with no_grad():
+            assert not records()
+        assert not records()  # leaving the inner block keeps the outer state
+    assert records()
+    with pytest.raises(ShapeError):
+        with no_grad():
+            matmul(x, x)  # 1-d operands
+    assert records()
+
+
+# each multi-operand op, with operands shaped as the encoder uses them: an
+# activation times a weight, a bias or a scalar broadcast over an activation,
+# a norm's gain and bias, a detached slot input against the slot output
+FROZEN_CASES = {
+    "matmul": (matmul, [(2, 3, 4), (4, 5)]),
+    "add": (add, [(2, 3, 4), (4,)]),
+    "mul": (mul, [(2, 3, 4), ()]),
+    "layer_norm": (layer_norm, [(3, 4), (4,), (4,)]),
+    "cosine_sq_rows": (cosine_sq_rows, [(3, 4), (3, 4)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_CASES))
+def test_frozen_operand_gets_no_gradient(name):
+    op, shapes = FROZEN_CASES[name]
+    r = rng(31)
+    values = [r.normal(size=s) for s in shapes]
+    for k in range(len(values)):
+        grads = []
+        for others_require in (True, False):
+            ts = [Tensor(v.copy(), requires_grad=others_require or i == k)
+                  for i, v in enumerate(values)]
+            out = op(*ts)
+            g = rng(32).normal(size=out.shape)
+            # the rule computes a gradient only for the operands that require one
+            assert [id(t) for t, _ in out._backward(g)] == [
+                id(t) for t in ts if t.requires_grad]
+            out.backward(g)
+            grads.append(ts[k].grad.tobytes())
+            if not others_require:
+                assert all(t.grad is None for i, t in enumerate(ts) if i != k)
+        assert grads[0] == grads[1], (name, k)
+
+
+def test_grad_check_with_a_frozen_operand():
+    r = rng(33)
+    w = Tensor(r.normal(size=(4, 2)))  # frozen: none of these is a grad_check input
+    u = Tensor(r.normal(size=(3, 4)))
+    gain, bias = Tensor(r.normal(size=4)), Tensor(r.normal(size=4))
+    c = Tensor(r.normal(size=(3, 4)))
+    cases = (
+        (lambda ts: tsum(matmul(ts[0], w)), r.normal(size=(3, 4))),
+        (lambda ts: tsum(matmul(u, ts[0])), r.normal(size=(4, 2))),
+        (lambda ts: tsum(mul(layer_norm(ts[0], gain, bias), c)), r.normal(size=(3, 4))),
+        (lambda ts: tsum(mul(layer_norm(u, ts[0], bias), c)), r.normal(size=4)),
+        (lambda ts: tsum(cosine_sq_rows(u, ts[0])), r.normal(size=(3, 4))),
+    )
+    for f, x in cases:
+        assert grad_check(f, [Tensor(x)]) < 1e-6
+    assert all(t.grad is None for t in (w, u, gain, bias, c))
 
 
 def test_forward_values_stay_finite():

@@ -114,7 +114,12 @@ def test_checkpoint_directory_mismatch_raises_typed_error(tmp_path):
     for key, edit in (("shape", lambda m: m["arrays"][0].update(shape=["a", 8])),
                       ("heads", lambda m: m["heads"].update(cls="3")),
                       ("seed", lambda m: m.update(seed="x")),
-                      ("ner", lambda m: m["heads"].update(ner=3))):
+                      ("ner", lambda m: m["heads"].update(ner=3)),
+                      # containers of the wrong type
+                      ("heads", lambda m: m.update(heads=[["cls", 3]])),
+                      ("arrays", lambda m: m["arrays"].__setitem__(0, 5)),
+                      ("arrays", lambda m: m.update(arrays={})),
+                      ("adapters", lambda m: m.update(adapters=[LANGUAGE, TASK]))):
         rewrite(edit)
         with pytest.raises(MissingArtifactError, match=key):
             load_checkpoint(path)

@@ -31,6 +31,19 @@ def test_non_finite_function_raises_with_coordinate():
         grad_check(f, [x], h=1e-5)
 
 
+def test_perturbed_evaluations_record_no_graph():
+    x = Tensor(np.array([1.0, 2.0]))
+    recorded = []
+
+    def f(ts):
+        out = tsum(mul(ts[0], ts[0]))
+        recorded.append(out.requires_grad)
+        return out
+
+    grad_check(f, [x], h=1e-5)
+    assert recorded == [True] + [False] * 4  # the base point, then two per coordinate
+
+
 def test_rejects_non_scalar_function():
     x = Tensor(np.zeros(3))
     with pytest.raises(ShapeError):

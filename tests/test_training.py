@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from adapterlab.adapters import (
     AdapterStack,
     init_adapter_stack_slot,
 )
-from adapterlab.autodiff import IGNORE_LABEL
+from adapterlab.autodiff import IGNORE_LABEL, no_grad
 from adapterlab.encoder import Encoder, EncoderConfig
 from adapterlab.errors import ConfigError
 from adapterlab.objectives import MaskingPolicy, mlm_loss
@@ -109,15 +111,20 @@ def test_lang_phase_without_language_slot_rejected():
 
 # (phase, main loss, language slot, task slot, tie_mlm, heads built) and the
 # prefixes that train, in the model's declaration order: embeddings, layers,
-# MLM head, the heads built, then the adapter slots; None when the phase is refused
+# MLM head, the heads built, then the adapter slots; when the phase is refused,
+# the slot or head its ConfigError must name instead
 FREEZE_MAP = (
     (PHASE_LANG, "mlm", True, False, True, (), ("adapter.lang.",)),
     (PHASE_LANG, "mlm", True, True, False, ("cls",), ("head.mlm.", "adapter.lang.")),
-    (PHASE_LANG, "mlm", False, True, False, (), None),
+    (PHASE_LANG, "mlm", False, True, False, (), LANGUAGE),
     (PHASE_TASK, "seq_cls", True, True, True, ("cls",), ("head.cls.", "adapter.task.")),
     (PHASE_TASK, "tagging", True, True, True, ("cls", "tag"), ("head.tag.", "adapter.task.")),
     (PHASE_TASK, "seq_cls", False, True, True, ("cls", "tag"), ("head.cls.", "adapter.task.")),
-    (PHASE_TASK, "tagging", True, False, True, ("tag",), None),
+    (PHASE_TASK, "tagging", True, False, True, ("tag",), TASK),
+    (PHASE_TASK, "seq_cls", True, True, True, ("tag",), "head.cls."),
+    (PHASE_TASK, "tagging", False, True, True, ("cls",), "head.tag."),
+    (PHASE_FULL, "seq_cls", False, False, True, (), "head.cls."),
+    (PHASE_FULL, "tagging", True, True, True, ("cls",), "head.tag."),
     (PHASE_FULL, "mlm", False, False, True, (), ("embed.", "layer.", "head.mlm.")),
     (PHASE_FULL, "seq_cls", False, False, False, ("cls", "tag"),
      ("embed.", "layer.", "head.cls.")),
@@ -144,8 +151,8 @@ def test_trainable_names_table():
             stack.fill(TASK, init_adapter_stack_slot(AdapterConfig(dim=3, kind=TASK), 16, 2, 2))
         stack.register(enc.params)
         cfg = PhaseConfig(phase=phase, main_loss=loss)
-        if trains is None:
-            with pytest.raises(ConfigError, match=LANGUAGE if phase == PHASE_LANG else TASK):
+        if isinstance(trains, str):
+            with pytest.raises(ConfigError, match=re.escape(trains)):
                 trainable_names(enc.params, cfg)
             continue
         expected = [n for p in trains for n in enc.params.names() if n.startswith(p)]
@@ -216,6 +223,25 @@ def test_alternation_consumes_identical_batches(monkeypatch):
         np.testing.assert_array_equal(ortho_mask, main_mask)
 
 
+def test_ortho_forward_records_no_graph(monkeypatch):
+    vocab, corpus = setup_bed()
+    enc, stack = fresh_model(vocab, task=False)
+    records = []
+    encode = Encoder.encode
+
+    def recording_encode(self, *args, **kwargs):
+        states, acts = encode(self, *args, **kwargs)
+        records.append(states.requires_grad)
+        return states, acts
+
+    monkeypatch.setattr(Encoder, "encode", recording_encode)
+    cfg = PhaseConfig(phase=PHASE_LANG, main_loss="mlm", ortho=True,
+                      steps=4, batch_size=4, seed=2)
+    stats = train_language_adapter(enc, stack, corpus, cfg)
+    assert records == [True, False] * 4  # per step: the main forward, then the ortho one
+    assert len(stats.ortho_totals) == 4
+
+
 def test_alternation_granularity():
     vocab, corpus = setup_bed()
     enc, stack = fresh_model(vocab, task=False)
@@ -271,9 +297,11 @@ def _mean_masked_loss(enc, batches):
     """Mean cross-entropy over every labelled position of the set (forward only)."""
     total = count = 0
     for ids, mask, labels in batches:
-        states, _ = enc.encode(ids, mask)
+        with no_grad():
+            states, _ = enc.encode(ids, mask)
+            loss = mlm_loss(enc.mlm_logits(states), labels).item()
         n = int((labels != IGNORE_LABEL).sum())
-        total += mlm_loss(enc.mlm_logits(states), labels).item() * n
+        total += loss * n
         count += n
     return total / count
 
