@@ -181,15 +181,20 @@ def mul(a, b) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product over the last two axes; leading axes broadcast.
 
-    Backward: dA = dC @ B^T, dB = A^T @ dC (transposes on the last two axes),
-    summed over any broadcast leading axes; each only for an operand that
-    requires a gradient.
+    With a 2-D right operand (a weight), ``a`` is viewed as [n, K] over its
+    flattened leading axes and the product is one GEMM; so is the weight's
+    gradient, A^T @ dC over all n rows. Otherwise (attention's 4-D @ 4-D)
+    the product is batched: dA = dC @ B^T, dB = A^T @ dC on the last two
+    axes, summed over any broadcast leading axes. A gradient is computed
+    only for an operand that requires one.
     """
     a, b = _wrap(a), _wrap(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
+    if b.ndim == 2:
+        return _matmul_flat(a, b)
     values = a.values @ b.values
 
     def backward(g):
@@ -198,6 +203,24 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             grads.append((a, _unbroadcast(g @ np.swapaxes(b.values, -1, -2), a.shape)))
         if b.requires_grad:
             grads.append((b, _unbroadcast(np.swapaxes(a.values, -1, -2) @ g, b.shape)))
+        return grads
+
+    return _node(values, (a, b), backward)
+
+
+def _matmul_flat(a: Tensor, b: Tensor) -> Tensor:
+    """``a @ b`` for a 2-D ``b`` as a single [n, K] @ [K, N] GEMM."""
+    k, n = b.shape
+    a2 = a.values.reshape(-1, k)  # a view when ``a`` is contiguous
+    values = (a2 @ b.values).reshape(a.shape[:-1] + (n,))
+
+    def backward(g):
+        g2 = g.reshape(-1, n)
+        grads = []
+        if a.requires_grad:
+            grads.append((a, (g2 @ b.values.T).reshape(a.shape)))
+        if b.requires_grad:
+            grads.append((b, a2.T @ g2))
         return grads
 
     return _node(values, (a, b), backward)

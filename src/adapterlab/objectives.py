@@ -21,12 +21,13 @@ from .autodiff import (
     add,
     cosine_sq_rows,
     cross_entropy,
+    embedding_lookup,
     mul,
     reshape,
     tsum,
 )
 from .encoder import LayerActivations
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, EmptyLossError, ShapeError
 from .synthlang import FIRST_REGULAR, MASK
 
 COSINE_EPS = 1e-12
@@ -151,10 +152,33 @@ def ortho_loss(
     return OrthoLossReport(loss=total, per_layer=per_layer, token_counts=counts)
 
 
+def labelled_rows(states: Tensor, labels: np.ndarray) -> tuple[Tensor, np.ndarray]:
+    """The rows of [B, T, H] states whose label is not ``IGNORE_LABEL``.
+
+    Returns them as [n, H], in row-major position order, with their n
+    labels, so a head can score only the positions a loss reads. Raises
+    ``EmptyLossError`` when no position carries a label.
+    """
+    b, t, h = states.shape
+    labels = np.asarray(labels)
+    if labels.shape != (b, t):
+        raise ShapeError(f"labels {labels.shape} do not match states {states.shape}")
+    flat = labels.reshape(-1)
+    picked = np.flatnonzero(flat != IGNORE_LABEL)
+    if picked.size == 0:
+        raise EmptyLossError("every position carries the ignore marker")
+    return embedding_lookup(reshape(states, (b * t, h)), picked), flat[picked]
+
+
 def mlm_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean cross-entropy over the labeled (masked) positions of [B, T, V] logits."""
-    b, t, v = logits.shape
-    return cross_entropy(reshape(logits, (b * t, v)), np.asarray(labels).reshape(-1))
+    """Mean cross-entropy over the labeled (masked) positions of [..., V] logits.
+
+    The logits may cover every position ([B, T, V] with [B, T] labels) or
+    only the labelled ones (``labelled_rows`` then the head: [n, V] with n
+    labels); both give the same loss.
+    """
+    v = logits.shape[-1]
+    return cross_entropy(reshape(logits, (-1, v)), np.asarray(labels).reshape(-1))
 
 
 def seq_cls_loss(logits: Tensor, labels: np.ndarray) -> Tensor:

@@ -40,6 +40,7 @@ from .errors import ConfigError, NumericError
 from .objectives import (
     MaskingPolicy,
     apply_masking,
+    labelled_rows,
     mlm_loss,
     ortho_loss,
     seq_cls_loss,
@@ -177,7 +178,9 @@ def _batches(cfg: PhaseConfig, vocab_size: int, corpus: list[np.ndarray] | None,
 
 def _main_loss(cfg: PhaseConfig, encoder: Encoder, states, labels) -> Tensor:
     if cfg.main_loss == "mlm":
-        return mlm_loss(encoder.mlm_logits(states), labels)
+        # only the labelled positions reach the vocabulary projection
+        rows, targets = labelled_rows(states, labels)
+        return mlm_loss(encoder.mlm_logits(rows), targets)
     if cfg.main_loss == "seq_cls":
         return seq_cls_loss(encoder.cls_logits(states), labels)
     return tagging_loss(encoder.tag_logits(states), labels)
@@ -235,9 +238,10 @@ def run_phase(
     """Run one training phase over its step budget and return the stats.
 
     The caller provides either a corpus (mlm) or a task dataset. Only the
-    weights ``trainable_names`` picks move; the ortho optimizer is scoped to
-    the phase's slot and owns separate Adam state. Dropout applies at the
-    encoder's configured rate.
+    weights ``trainable_names`` picks move, and each adapter slot among them
+    must be in ``stack``, which the forward runs; the ortho optimizer is
+    scoped to the phase's slot and owns separate Adam state. Dropout applies
+    at the encoder's configured rate.
     """
     if cfg.main_loss == "mlm" and (corpus is None or len(corpus) == 0):
         raise ConfigError("mlm training needs a non-empty corpus")
@@ -245,6 +249,12 @@ def run_phase(
         raise ConfigError(f"{cfg.main_loss} training needs a non-empty task dataset")
 
     trainable = trainable_names(encoder.params, cfg)
+    for kind, prefix in SLOT_PREFIX.items():
+        # a registered slot the forward never runs would get no gradient
+        if (stack is None or stack.slot(kind) is None) and any(
+                n.startswith(prefix) for n in trainable):
+            raise ConfigError(f"phase {cfg.phase} trains the {kind} slot ({prefix}*), "
+                              f"but the stack it runs has no {kind} slot")
     encoder.params.set_trainable(trainable)
     opt_main = Adam(encoder.params, names=trainable, lr=cfg.main_lr)
     opt_ortho = None

@@ -75,6 +75,56 @@ def test_matmul_batched_gradcheck():
     assert grad_check(f, [a, b], h=1e-5) < 1e-6
 
 
+# a 2-D right operand takes the flattened single-GEMM path; operands as the
+# encoder makes them, including non-contiguous views: a transposed activation
+# on the left, the tied MLM head's swap_last of the [V, H] embedding table on
+# the right
+FLAT_MATMUL_CASES = {
+    "3d_transposed_left": ((3, 2, 4), (1, 0, 2), (4, 5), False),
+    "4d_transposed_left": ((2, 3, 2, 4), (0, 2, 1, 3), (4, 5), False),
+    "3d_swapped_table": ((2, 3, 4), None, (5, 4), True),
+    "4d_swapped_table": ((2, 2, 3, 4), None, (5, 4), True),
+}
+
+
+def _flat_operands(case, ts):
+    _, axes, _, swap = FLAT_MATMUL_CASES[case]
+    a = ts[0] if axes is None else transpose(ts[0], axes)
+    b = swap_last(ts[1]) if swap else ts[1]
+    return a, b
+
+
+@pytest.mark.parametrize("case", sorted(FLAT_MATMUL_CASES))
+def test_matmul_flat_gradcheck(case):
+    a_shape, _, b_shape, _ = FLAT_MATMUL_CASES[case]
+    r = rng(5)
+    ts = [Tensor(r.normal(size=a_shape)), Tensor(r.normal(size=b_shape))]
+    a, b = _flat_operands(case, ts)
+    assert not (a.values.flags.c_contiguous and b.values.flags.c_contiguous)
+    w = rng(6).normal(size=a.shape[:-1] + (b.shape[-1],))
+
+    def f(ts):
+        return tsum(mul(matmul(*_flat_operands(case, ts)), Tensor(w)))
+
+    assert grad_check(f, ts, h=1e-5) < 1e-6
+
+
+@pytest.mark.parametrize("shapes", [((3, 4), (4, 5)), ((2, 3, 4), (4, 5)),
+                                    ((2, 2, 3, 4), (4, 5)), ((2, 2, 3, 4), (2, 2, 4, 3))],
+                         ids=["2d", "3d_2d", "4d_2d", "4d_4d"])
+def test_matmul_values_match_numpy(shapes):
+    r = rng(7)
+    a, b = (r.normal(size=s) for s in shapes)
+
+    def transposed(x):  # equal values, stored transposed in the last two axes
+        return np.swapaxes(np.swapaxes(x, -1, -2).copy(), -1, -2)
+
+    for x, y in ((a, b), (transposed(a), b), (a, transposed(b))):
+        out, ref = matmul(Tensor(x), Tensor(y)).values, np.matmul(x, y)
+        assert out.shape == ref.shape
+        assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 # --- cosine_sq_rows ----------------------------------------------------------
 
 
@@ -353,6 +403,8 @@ def test_no_grad_nests_and_restores_on_error():
 # a norm's gain and bias, a detached slot input against the slot output
 FROZEN_CASES = {
     "matmul": (matmul, [(2, 3, 4), (4, 5)]),
+    "matmul_4d": (matmul, [(2, 2, 3, 4), (4, 5)]),
+    "matmul_batched": (matmul, [(2, 2, 3, 4), (2, 2, 4, 3)]),
     "add": (add, [(2, 3, 4), (4,)]),
     "mul": (mul, [(2, 3, 4), ()]),
     "layer_norm": (layer_norm, [(3, 4), (4,), (4,)]),

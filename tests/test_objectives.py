@@ -14,11 +14,12 @@ from adapterlab.adapters import (
 )
 from adapterlab.autodiff import cross_entropy
 from adapterlab.encoder import Encoder, EncoderConfig, LayerActivations, SlotRecord
-from adapterlab.errors import ConfigError, ContractError
+from adapterlab.errors import ConfigError, ContractError, EmptyLossError, ShapeError
 from adapterlab.objectives import (
     MaskingPolicy,
     OrthoLossReport,
     apply_masking,
+    labelled_rows,
     mlm_loss,
     ortho_loss,
     seq_cls_loss,
@@ -276,6 +277,49 @@ def test_mlm_loss_delegates_to_cross_entropy():
     labels = np.array([[1, -1, 2], [-1, 0, -1]])
     direct = cross_entropy(Tensor(logits.values.reshape(6, 5)), labels.reshape(-1))
     assert mlm_loss(logits, labels).item() == pytest.approx(direct.item(), abs=1e-15)
+
+
+@pytest.mark.parametrize("tie_mlm", [True, False], ids=["tied", "untied"])
+def test_labelled_rows_match_full_logits(tie_mlm):
+    # a padded, masked batch: the head over the labelled rows alone must give
+    # the loss and every weight's gradient of the head over all B*T positions
+    cfg = EncoderConfig(vocab=VOCAB, num_layers=2, hidden=8, num_heads=2, ffn=12,
+                        max_len=10, dropout=0.0, tie_mlm=tie_mlm)
+    r = np.random.default_rng(4)
+    ids = r.integers(FIRST_REGULAR, VOCAB, size=(3, 7))
+    mask = np.ones_like(ids)
+    mask[1, 4:] = mask[2, 2:] = 0
+    ids[mask == 0] = 0
+    ids, labels, _ = apply_masking(ids, mask, MaskingPolicy(mask_fraction=0.3, vocab=VOCAB), r)
+    assert 0 < (labels != -1).sum() < ids.size
+
+    results = []
+    for labelled in (False, True):
+        enc = Encoder(cfg, seed=3)
+        states, _ = enc.encode(ids, mask)
+        if labelled:
+            rows, targets = labelled_rows(states, labels)
+            assert rows.shape == (int((labels != -1).sum()), 8)
+            loss = mlm_loss(enc.mlm_logits(rows), targets)
+        else:
+            loss = mlm_loss(enc.mlm_logits(states), labels)
+        loss.backward()
+        results.append((loss.item(), {n: t.grad for n, t in enc.params.items()}))
+    (full, full_grads), (rows_loss, rows_grads) = results
+    assert rows_loss == pytest.approx(full, rel=1e-12, abs=0.0)
+    assert full_grads.keys() == rows_grads.keys() and len(full_grads) == len(enc.params)
+    for name, g in full_grads.items():
+        assert np.abs(rows_grads[name] - g).max() <= 1e-12 * max(1.0, np.abs(g).max()), name
+
+
+def test_labelled_rows_refuses_bad_labels():
+    enc, _ = encoder_with_stack()
+    ids = np.array([[2, 7, 8], [2, 9, 0]])
+    states, _ = enc.encode(ids, np.array([[1, 1, 1], [1, 1, 0]]))
+    with pytest.raises(EmptyLossError):
+        labelled_rows(states, np.full(ids.shape, -1))
+    with pytest.raises(ShapeError):
+        labelled_rows(states, np.array([7, 8, 9]))
 
 
 def test_seq_cls_loss_uniform_logits():

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from adapterlab import training
 from adapterlab.adapters import (
     LANGUAGE,
     PHASE_FULL,
@@ -15,7 +16,7 @@ from adapterlab.adapters import (
 )
 from adapterlab.autodiff import IGNORE_LABEL, no_grad
 from adapterlab.encoder import Encoder, EncoderConfig
-from adapterlab.errors import ConfigError
+from adapterlab.errors import ConfigError, EmptyLossError
 from adapterlab.objectives import MaskingPolicy, mlm_loss
 from adapterlab.synthlang import (
     SyntheticLanguageSpec,
@@ -157,6 +158,47 @@ def test_trainable_names_table():
             continue
         expected = [n for p in trains for n in enc.params.names() if n.startswith(p)]
         assert trainable_names(enc.params, cfg) == expected, row
+
+
+def test_adapter_slot_the_forward_skips_is_refused_before_step_0(monkeypatch):
+    # a registered slot missing from the stack the phase runs would train
+    # weights no forward reaches; they get no gradient, so refuse up front
+    vocab, corpus = setup_bed()
+    enc, stack = fresh_model(vocab)
+    enc.ensure_tag_head(N_CLASSES)
+    dataset = gen_tag_task(corpus, SyntheticLanguageSpec("src"), vocab, 40, "train", 1,
+                           N_CLASSES)
+    lang_only = AdapterStack(2)
+    lang_only.fill(LANGUAGE, stack.lang)
+
+    def no_forward(*args, **kwargs):
+        raise AssertionError("a forward ran")
+
+    monkeypatch.setattr(Encoder, "encode", no_forward)
+    full_mlm = PhaseConfig(phase=PHASE_FULL, main_loss="mlm", steps=2, batch_size=4)
+    full_tag = PhaseConfig(phase=PHASE_FULL, main_loss="tagging", steps=2, batch_size=4)
+    lang = PhaseConfig(phase=PHASE_LANG, main_loss="mlm", steps=2, batch_size=4)
+    for run, slot in ((lambda: pretrain_backbone(enc, corpus, full_mlm), LANGUAGE),
+                      (lambda: train_full_finetune(enc, dataset, full_tag), LANGUAGE),
+                      (lambda: run_phase(enc, lang_only, full_mlm, corpus=corpus), TASK),
+                      (lambda: run_phase(enc, None, lang, corpus=corpus), LANGUAGE)):
+        with pytest.raises(ConfigError, match=f"{slot} slot"):
+            run()
+
+
+@pytest.mark.parametrize("tie_mlm", [True, False], ids=["tied", "untied"])
+def test_unlabelled_mlm_batch_raises_empty_loss(monkeypatch, tie_mlm):
+    vocab, corpus = setup_bed()
+    enc = Encoder(EncoderConfig(vocab=vocab.size, num_layers=1, hidden=16, num_heads=2,
+                                ffn=24, max_len=32, dropout=0.0, tie_mlm=tie_mlm), seed=0)
+
+    def mask_nothing(ids, mask, policy, rng):
+        return ids.copy(), np.full_like(ids, IGNORE_LABEL), 0
+
+    monkeypatch.setattr(training, "apply_masking", mask_nothing)
+    cfg = PhaseConfig(phase=PHASE_FULL, main_loss="mlm", steps=2, batch_size=4)
+    with pytest.raises(EmptyLossError):
+        pretrain_backbone(enc, corpus, cfg)
 
 
 def test_batch_builders():
