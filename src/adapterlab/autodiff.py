@@ -24,18 +24,13 @@ from .errors import ContractError, EmptyLossError, ShapeError
 Array = np.ndarray
 
 
-def _as_array(values) -> Array:
-    arr = np.asarray(values, dtype=np.float64)
-    return arr
-
-
 class Tensor:
     """Dense float64 value array with an optional gradient buffer."""
 
     __slots__ = ("values", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, values, requires_grad: bool = False):
-        self.values = _as_array(values)
+        self.values = np.asarray(values, dtype=np.float64)
         self.grad: Array | None = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
@@ -58,10 +53,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    def detach(self) -> "Tensor":
-        """View of the same values with no graph link and no gradient flow."""
-        return Tensor(self.values, requires_grad=False)
 
     def accumulate_grad(self, g: Array) -> None:
         if self.grad is None:
@@ -246,10 +237,8 @@ def tanh(x: Tensor) -> Tensor:
     return _node(values, (x,), backward)
 
 
-def transpose(x: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
+def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     x = _wrap(x)
-    if axes is None:
-        axes = tuple(reversed(range(x.ndim)))
     values = np.transpose(x.values, axes)
     inverse = tuple(np.argsort(axes))
 
@@ -276,17 +265,13 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _node(values, (x,), backward)
 
 
-def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(x: Tensor) -> Tensor:
+    """Sum of every element, a 0-d tensor."""
     x = _wrap(x)
-    values = x.values.sum(axis=axis, keepdims=keepdims)
+    values = x.values.sum()
 
     def backward(g):
-        if axis is None:
-            return ((x, np.broadcast_to(g, x.shape).copy()),)
-        gx = g
-        if not keepdims:
-            gx = np.expand_dims(gx, axis)
-        return ((x, np.broadcast_to(gx, x.shape).copy()),)
+        return ((x, np.broadcast_to(g, x.shape).copy()),)
 
     return _node(values, (x,), backward)
 
@@ -305,15 +290,20 @@ def select_token(x: Tensor, position: int) -> Tensor:
 
 
 def embedding_lookup(table: Tensor, ids: Array) -> Tensor:
-    """Gather rows of ``table`` ([V, H]) for an integer id array of any shape."""
+    """Gather rows of ``table`` ([V, H]) for an integer id array of any shape.
+
+    The backward sums each row's gradients with one ``np.bincount`` over
+    ``id * H + column`` bins; it adds each bin in input order, as
+    ``np.add.at`` would, so repeated ids accumulate bit for bit the same.
+    """
     table = _wrap(table)
     ids = np.asarray(ids, dtype=np.int64)
     values = table.values[ids]
 
     def backward(g):
-        gt = np.zeros_like(table.values)
-        np.add.at(gt, ids, g)
-        return ((table, gt),)
+        v, h = table.shape
+        bins = (ids[..., None] * h + np.arange(h)).ravel()
+        return ((table, np.bincount(bins, g.ravel(), v * h).reshape(v, h)),)
 
     return _node(values, (table,), backward)
 
@@ -413,14 +403,15 @@ def cosine_sq_rows(u: Tensor, v: Tensor, eps: float = 1e-12) -> Tensor:
     return _node(values, (u, v), backward)
 
 
+# the label of a position no loss reads; ``objectives.labelled_rows`` drops them
 IGNORE_LABEL = -1
 
 
 def cross_entropy(logits: Tensor, labels: Array) -> Tensor:
-    """Mean negative log-likelihood over rows whose label is not ``IGNORE_LABEL``.
+    """Mean negative log-likelihood over every row of [n, C] logits.
 
-    ``logits`` is [n, C]; ``labels`` is an int vector of length n. Ignored rows
-    contribute neither loss nor gradient.
+    ``labels`` is an int vector of n classes, each in [0, C). The caller
+    passes only the rows the loss reads; zero rows raise ``EmptyLossError``.
     """
     logits = _wrap(logits)
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
@@ -428,25 +419,21 @@ def cross_entropy(logits: Tensor, labels: Array) -> Tensor:
         raise ShapeError(
             f"cross_entropy got logits {logits.shape} for {labels.shape[0]} labels"
         )
-    active = labels != IGNORE_LABEL
-    count = int(active.sum())
-    if count == 0:
-        raise EmptyLossError("cross_entropy: every position carries the ignore marker")
-    n_classes = logits.shape[1]
-    if labels[active].min() < 0 or labels[active].max() >= n_classes:
-        raise ContractError(f"labels must lie in [0, {n_classes}) or equal {IGNORE_LABEL}")
+    n, n_classes = logits.shape
+    if n == 0:
+        raise EmptyLossError("cross_entropy over zero rows")
+    if labels.min() < 0 or labels.max() >= n_classes:
+        raise ContractError(f"labels must lie in [0, {n_classes})")
+    rows = np.arange(n)
     shifted = logits.values - logits.values.max(axis=-1, keepdims=True)
     logsumexp = np.log(np.exp(shifted).sum(axis=-1)) + logits.values.max(axis=-1)
-    picked = logits.values[np.arange(labels.shape[0]), np.where(active, labels, 0)]
-    nll = np.where(active, logsumexp - picked, 0.0)
-    values = np.asarray(nll.sum() / count)
+    values = np.asarray((logsumexp - logits.values[rows, labels]).sum() / n)
 
     def backward(g):
         probs = np.exp(shifted)
         probs /= probs.sum(axis=-1, keepdims=True)
-        gl = probs
-        gl[np.arange(labels.shape[0]), np.where(active, labels, 0)] -= 1.0
-        gl *= (active / count)[:, None] * g
-        return ((logits, gl),)
+        probs[rows, labels] -= 1.0
+        probs *= g / n
+        return ((logits, probs),)
 
     return _node(values, (logits,), backward)

@@ -1,12 +1,19 @@
 """Training losses: masked LM, sequence classification, tagging, orthogonality.
 
-The orthogonality loss is computed one way. Per layer it detaches the slot
-input that encode recorded, recomputes the slot output from it with the
-slot's own weights, and averages the squared cosine between each real
-token's input and output (padding is left out); then it sums the per-layer
-means. Gradients therefore reach the slot's weights and nothing upstream.
-Identity adapters score exactly 1 per layer; a slot whose outputs are
-orthogonal to its inputs scores 0.
+Every loss is a plain mean over the rows it receives, and which rows a loss
+reads is decided once, before the head or the adapter recompute runs:
+``labelled_rows`` picks the masked-LM and tagged positions (the ones whose
+label is not ``IGNORE_LABEL``), sequence classification reads the [CLS]
+pool, and ``ortho_loss`` reads the real tokens (1 in the mask). A position
+a loss does not read cannot move its value or its gradient.
+
+The orthogonality loss is computed one way. Per layer it takes the real
+tokens' rows of the slot input that encode recorded, as a constant,
+recomputes the slot output from them with the slot's own weights, and
+averages the squared cosine between each token's input and output; then it
+sums the per-layer means. Gradients therefore reach the slot's weights and
+nothing upstream. Identity adapters score exactly 1 per layer; a slot whose
+outputs are orthogonal to its inputs scores 0.
 """
 
 from __future__ import annotations
@@ -98,7 +105,6 @@ class OrthoLossReport:
 
     loss: Tensor
     per_layer: list[float] = field(default_factory=list)
-    token_counts: list[int] = field(default_factory=list)
 
     @property
     def total(self) -> float:
@@ -114,12 +120,12 @@ def ortho_loss(
     """Sum over layers of the per-token mean squared cosine for one slot.
 
     ``slot`` is "language" or "task"; it must be occupied in every layer.
-    The slot output is recomputed from a detached copy of the recorded slot
-    input, so gradients reach the slot's own weights and nothing upstream of
-    it. Padded tokens (0 in ``mask``, which defaults to the mask encode
-    recorded) are excluded. ``exclude_residual`` scores only the bottleneck's
-    own contribution (with the residual term, full orthogonality is
-    unreachable).
+    The slot output is recomputed from the real tokens' rows of the recorded
+    slot input, taken as a constant, so gradients reach the slot's own
+    weights and nothing upstream of it. Padded tokens (0 in ``mask``, which
+    defaults to the mask encode recorded) are never read. ``exclude_residual``
+    scores only the bottleneck's own contribution (with the residual term,
+    full orthogonality is unreachable).
     """
     # Looked up in ``adapters`` at call time, not bound at module level (there
     # is no import cycle): perfbench's tracer rebinds ``adapters.adapter_forward``,
@@ -129,27 +135,23 @@ def ortho_loss(
     records = acts.slot(slot)
     if not records or any(r is None for r in records):
         raise ContractError(f"ortho_loss: the {slot} slot is not occupied in every layer")
-    if mask is None:
-        mask = acts.mask
+    mask = np.asarray(acts.mask if mask is None else mask)
+    if mask.shape != records[0].x_in.shape[:-1]:
+        raise ShapeError(f"mask {mask.shape} does not match the slot inputs "
+                         f"{records[0].x_in.shape}")
+    real = np.flatnonzero(mask.reshape(-1) == 1)
+    if real.size == 0:
+        raise ContractError("ortho_loss: no tokens left after padding exclusion")
     total: Tensor | None = None
     per_layer: list[float] = []
-    counts: list[int] = []
     for rec in records:
-        b, t, h = rec.x_in.shape
-        x_in = rec.x_in.detach()
+        x_in = Tensor(rec.x_in.values.reshape(-1, rec.x_in.shape[-1])[real])
         w = rec.weights
         out = adapter_forward(x_in, w.w_down, w.w_up, residual=not exclude_residual)
-        cos2 = cosine_sq_rows(reshape(x_in, (b * t, h)), reshape(out, (b * t, h)),
-                              COSINE_EPS)
-        include = (np.asarray(mask).reshape(b * t) == 1).astype(np.float64)
-        count = int(include.sum())
-        if count == 0:
-            raise ContractError("ortho_loss: no tokens left after padding exclusion")
-        layer_mean = mul(tsum(mul(cos2, Tensor(include))), 1.0 / count)
+        layer_mean = mul(tsum(cosine_sq_rows(x_in, out, COSINE_EPS)), 1.0 / real.size)
         total = layer_mean if total is None else add(total, layer_mean)
         per_layer.append(layer_mean.item())
-        counts.append(count)
-    return OrthoLossReport(loss=total, per_layer=per_layer, token_counts=counts)
+    return OrthoLossReport(loss=total, per_layer=per_layer)
 
 
 def labelled_rows(states: Tensor, labels: np.ndarray) -> tuple[Tensor, np.ndarray]:
@@ -171,22 +173,15 @@ def labelled_rows(states: Tensor, labels: np.ndarray) -> tuple[Tensor, np.ndarra
 
 
 def mlm_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean cross-entropy over the labeled (masked) positions of [..., V] logits.
+    """Mean cross-entropy of [n, C] logits against their n labels.
 
-    The logits may cover every position ([B, T, V] with [B, T] labels) or
-    only the labelled ones (``labelled_rows`` then the head: [n, V] with n
-    labels); both give the same loss.
+    The rows are the ones the loss reads, chosen before the head: the
+    ``labelled_rows`` of the states for masked LM and tagging, one [CLS] pool
+    per sequence for sequence classification.
     """
-    v = logits.shape[-1]
-    return cross_entropy(reshape(logits, (-1, v)), np.asarray(labels).reshape(-1))
-
-
-def seq_cls_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Cross-entropy over whole-sequence class logits [B, C]."""
     return cross_entropy(logits, labels)
 
 
-def tagging_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean token-level cross-entropy over the labeled positions of [B, T, C] logits."""
-    b, t, c = logits.shape
-    return cross_entropy(reshape(logits, (b * t, c)), np.asarray(labels).reshape(-1))
+# one definition under the three names ``training`` calls (perfbench's tracer
+# rebinds each there)
+seq_cls_loss = tagging_loss = mlm_loss

@@ -177,13 +177,18 @@ def _batches(cfg: PhaseConfig, vocab_size: int, corpus: list[np.ndarray] | None,
 
 
 def _main_loss(cfg: PhaseConfig, encoder: Encoder, states, labels) -> Tensor:
-    if cfg.main_loss == "mlm":
-        # only the labelled positions reach the vocabulary projection
-        rows, targets = labelled_rows(states, labels)
-        return mlm_loss(encoder.mlm_logits(rows), targets)
+    """The phase's main loss on one batch's final states.
+
+    The rows a loss reads are picked before its head runs: masked LM and
+    tagging score only the ``labelled_rows`` of the states, sequence
+    classification one [CLS] pool per sequence.
+    """
     if cfg.main_loss == "seq_cls":
         return seq_cls_loss(encoder.cls_logits(states), labels)
-    return tagging_loss(encoder.tag_logits(states), labels)
+    rows, targets = labelled_rows(states, labels)
+    if cfg.main_loss == "mlm":
+        return mlm_loss(encoder.mlm_logits(rows), targets)
+    return tagging_loss(encoder.tag_logits(rows), targets)
 
 
 def trainable_names(params: ParamSet, cfg: PhaseConfig) -> list[str]:

@@ -6,7 +6,7 @@ from adapterlab.adapters import AdapterConfig, AdapterStack, init_adapter_stack_
 from adapterlab.autodiff import tsum, mul
 from adapterlab.encoder import Encoder, EncoderConfig
 from adapterlab.errors import ConfigError, SequenceLengthError, VocabError
-from adapterlab.objectives import mlm_loss
+from adapterlab.objectives import labelled_rows, mlm_loss
 
 
 def encoder(**kw):
@@ -160,7 +160,8 @@ def test_end_to_end_mlm_gradcheck_one_layer():
 
     def f(_):
         states, _acts = enc.encode(ids, mask)
-        return mlm_loss(enc.mlm_logits(states), labels)
+        rows, targets = labelled_rows(states, labels)
+        return mlm_loss(enc.mlm_logits(rows), targets)
 
     tensors = [enc.params[n] for n in enc.params.names()]
     assert grad_check(f, tensors, h=1e-5) < 1e-4

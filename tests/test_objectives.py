@@ -12,7 +12,7 @@ from adapterlab.adapters import (
     AdapterWeights,
     init_adapter_stack_slot,
 )
-from adapterlab.autodiff import cross_entropy
+from adapterlab.autodiff import cross_entropy, matmul
 from adapterlab.encoder import Encoder, EncoderConfig, LayerActivations, SlotRecord
 from adapterlab.errors import ConfigError, ContractError, EmptyLossError, ShapeError
 from adapterlab.objectives import (
@@ -175,14 +175,25 @@ def test_padded_positions_do_not_affect_loss():
     ids = np.array([[2, 7, 8, 0, 0]])
     mask = np.array([[1, 1, 1, 0, 0]])
     _, acts = enc.encode(ids, mask, stack=stack)
-    base = ortho_loss(acts, TASK, mask).total
-    # perturb the recorded slot input at padded positions only
+    weights = [stack.task[0].w_down, stack.task[0].w_up]
+
+    def loss_and_grads():
+        for w in weights:
+            w.requires_grad, w.grad = True, None
+        report = ortho_loss(acts, TASK, mask)
+        report.loss.backward()
+        return report.total, [w.grad.tobytes() for w in weights]
+
+    base = loss_and_grads()
     x_in = acts.task[0].x_in.values
-    x_in[0, 3:, :] -= 3.0
-    assert ortho_loss(acts, TASK, mask).total == pytest.approx(base, abs=1e-12)
-    # the same perturbation at a real position does move the loss
+    # a padded position is never read: neither an offset nor a NaN there moves
+    # the loss or the slot's gradient
+    for fill in (x_in[0, 3:, :] - 3.0, np.nan):
+        x_in[0, 3:, :] = fill
+        assert loss_and_grads() == base
+    # the same offset at a real position does move the loss
     x_in[0, 1, :] -= 3.0
-    assert ortho_loss(acts, TASK, mask).total != pytest.approx(base, abs=1e-6)
+    assert loss_and_grads()[0] != pytest.approx(base[0], abs=1e-6)
 
 
 def test_missing_slot_raises():
@@ -191,6 +202,15 @@ def test_missing_slot_raises():
     _, acts = enc.encode(ids, np.ones_like(ids), stack=stack)
     with pytest.raises(ContractError):
         ortho_loss(acts, LANGUAGE)
+
+
+def test_mask_shape_mismatch_raises():
+    enc, stack = encoder_with_stack()
+    ids = np.array([[2, 7, 8]])
+    _, acts = enc.encode(ids, np.ones_like(ids), stack=stack)
+    for mask in (np.ones((1, 2)), np.ones((1, 4)), np.ones(3)):
+        with pytest.raises(ShapeError):
+            ortho_loss(acts, TASK, mask)
 
 
 def test_stop_grad_keeps_backbone_out_of_ortho_gradient():
@@ -273,16 +293,19 @@ def test_minimizing_ortho_alone_trains():
 
 
 def test_mlm_loss_delegates_to_cross_entropy():
-    logits = Tensor(np.random.default_rng(0).normal(size=(2, 3, 5)))
-    labels = np.array([[1, -1, 2], [-1, 0, -1]])
-    direct = cross_entropy(Tensor(logits.values.reshape(6, 5)), labels.reshape(-1))
-    assert mlm_loss(logits, labels).item() == pytest.approx(direct.item(), abs=1e-15)
+    # the three main losses are one [n, C] definition
+    logits = Tensor(np.random.default_rng(0).normal(size=(4, 5)))
+    labels = np.array([1, 2, 0, 4])
+    direct = cross_entropy(logits, labels).item()
+    for loss in (mlm_loss, seq_cls_loss, tagging_loss):
+        assert loss(logits, labels).item() == direct
 
 
 @pytest.mark.parametrize("tie_mlm", [True, False], ids=["tied", "untied"])
 def test_labelled_rows_match_full_logits(tie_mlm):
-    # a padded, masked batch: the head over the labelled rows alone must give
-    # the loss and every weight's gradient of the head over all B*T positions
+    # a padded batch: the MLM and tag heads over the labelled rows alone must
+    # give the loss and every weight's gradient of the head over all B*T
+    # positions with the labelled logits gathered after it
     cfg = EncoderConfig(vocab=VOCAB, num_layers=2, hidden=8, num_heads=2, ffn=12,
                         max_len=10, dropout=0.0, tie_mlm=tie_mlm)
     r = np.random.default_rng(4)
@@ -290,26 +313,44 @@ def test_labelled_rows_match_full_logits(tie_mlm):
     mask = np.ones_like(ids)
     mask[1, 4:] = mask[2, 2:] = 0
     ids[mask == 0] = 0
-    ids, labels, _ = apply_masking(ids, mask, MaskingPolicy(mask_fraction=0.3, vocab=VOCAB), r)
-    assert 0 < (labels != -1).sum() < ids.size
+    ids, mlm_labels, _ = apply_masking(ids, mask,
+                                       MaskingPolicy(mask_fraction=0.3, vocab=VOCAB), r)
+    tag_labels = np.where(mask == 1, r.integers(0, 4, size=ids.shape), -1)
+    tag_labels[:, 0] = -1  # [CLS]
+    heads = (("mlm", mlm_labels, mlm_loss), ("tag", tag_labels, tagging_loss))
+    for head, labels, loss_fn in heads:
+        assert 0 < (labels != -1).sum() < ids.size
+        results = []
+        for gather_first in (False, True):
+            enc = Encoder(cfg, seed=3)
+            enc.ensure_tag_head(4, seed=5)
+            logits_of = enc.mlm_logits if head == "mlm" else enc.tag_logits
+            states, _ = enc.encode(ids, mask)
+            if gather_first:
+                rows, targets = labelled_rows(states, labels)
+                assert rows.shape == (int((labels != -1).sum()), 8)
+                loss = loss_fn(logits_of(rows), targets)
+            else:
+                loss = loss_fn(*labelled_rows(logits_of(states), labels))
+            loss.backward()
+            results.append((loss.item(), {n: t.grad for n, t in enc.params.items()
+                                          if t.grad is not None}))
+        (full, full_grads), (rows_loss, rows_grads) = results
+        assert rows_loss == pytest.approx(full, rel=1e-12, abs=0.0), head
+        other = "head.tag." if head == "mlm" else "head.mlm."
+        reached = {n for n in enc.params.names() if not n.startswith(other)}
+        assert full_grads.keys() == rows_grads.keys() == reached, head
+        for name, g in full_grads.items():
+            assert np.abs(rows_grads[name] - g).max() <= 1e-12 * max(1.0, np.abs(g).max()), \
+                (head, name)
 
-    results = []
-    for labelled in (False, True):
-        enc = Encoder(cfg, seed=3)
-        states, _ = enc.encode(ids, mask)
-        if labelled:
-            rows, targets = labelled_rows(states, labels)
-            assert rows.shape == (int((labels != -1).sum()), 8)
-            loss = mlm_loss(enc.mlm_logits(rows), targets)
-        else:
-            loss = mlm_loss(enc.mlm_logits(states), labels)
-        loss.backward()
-        results.append((loss.item(), {n: t.grad for n, t in enc.params.items()}))
-    (full, full_grads), (rows_loss, rows_grads) = results
-    assert rows_loss == pytest.approx(full, rel=1e-12, abs=0.0)
-    assert full_grads.keys() == rows_grads.keys() and len(full_grads) == len(enc.params)
-    for name, g in full_grads.items():
-        assert np.abs(rows_grads[name] - g).max() <= 1e-12 * max(1.0, np.abs(g).max()), name
+
+def test_labelled_rows_ignored_positions_carry_no_gradient():
+    states = Tensor(np.random.default_rng(14).normal(size=(1, 3, 4)), requires_grad=True)
+    rows, targets = labelled_rows(states, np.array([[2, -1, 0]]))
+    tagging_loss(rows, targets).backward()
+    np.testing.assert_array_equal(states.grad[0, 1], 0.0)
+    assert np.any(states.grad[0, 0] != 0.0)
 
 
 def test_labelled_rows_refuses_bad_labels():
@@ -328,14 +369,29 @@ def test_seq_cls_loss_uniform_logits():
 
 
 def test_tagging_loss_ignores_padding():
+    # [CLS] and padding carry the ignore label: whatever their states hold,
+    # even NaN, the loss and the real rows' gradients stay the same, and the
+    # ignored rows get a zero gradient
     r = np.random.default_rng(1)
-    logits = r.normal(size=(1, 3, 4))
-    labels = np.array([[-1, 2, 1]])
-    base = tagging_loss(Tensor(logits), labels).item()
-    padded_logits = np.concatenate([logits, r.normal(size=(1, 2, 4))], axis=1)
-    padded_labels = np.array([[-1, 2, 1, -1, -1]])
-    assert tagging_loss(Tensor(padded_logits), padded_labels).item() == pytest.approx(
-        base, abs=1e-15)
+    w = Tensor(r.normal(size=(6, 4)))
+    states = r.normal(size=(1, 5, 6))
+    labels = np.array([[-1, 2, 1, -1, -1]])
+
+    def loss_and_grad(values):
+        x = Tensor(values, requires_grad=True)
+        rows, targets = labelled_rows(x, labels[:, :values.shape[1]])
+        loss = tagging_loss(matmul(rows, w), targets)
+        loss.backward()
+        return loss.item(), x.grad
+
+    base, base_grad = loss_and_grad(states[:, :3])
+    for fill in (r.normal(size=(1, 3, 6)), np.nan):
+        padded = states.copy()
+        padded[:, [0, 3, 4]] = fill
+        loss, grad = loss_and_grad(padded)
+        assert loss == base
+        assert grad[:, :3].tobytes() == base_grad.tobytes()
+        np.testing.assert_array_equal(grad[:, 3:], 0.0)
 
 
 def test_ortho_report_structure():
@@ -344,5 +400,5 @@ def test_ortho_report_structure():
     _, acts = enc.encode(ids, np.ones_like(ids), stack=stack)
     report = ortho_loss(acts, LANGUAGE)
     assert isinstance(report, OrthoLossReport)
-    assert len(report.per_layer) == 2 and report.token_counts == [3, 3]
+    assert len(report.per_layer) == 2
     assert report.total == pytest.approx(sum(report.per_layer), abs=1e-12)

@@ -17,7 +17,7 @@ from adapterlab.adapters import (
 from adapterlab.autodiff import IGNORE_LABEL, no_grad
 from adapterlab.encoder import Encoder, EncoderConfig
 from adapterlab.errors import ConfigError, EmptyLossError
-from adapterlab.objectives import MaskingPolicy, mlm_loss
+from adapterlab.objectives import MaskingPolicy, labelled_rows, mlm_loss
 from adapterlab.synthlang import (
     SyntheticLanguageSpec,
     TaskDataset,
@@ -313,7 +313,8 @@ def test_optimizer_independence_byte_level():
 
     for _ in range(3):
         states, acts = enc.encode(ids, mask, stack=stack)
-        mlm_loss(enc.mlm_logits(states), labels).backward()
+        rows, targets = labelled_rows(states, labels)
+        mlm_loss(enc.mlm_logits(rows), targets).backward()
         clip_grad_norm(enc.params, trainable, 1.0)
         ortho_before = opt_ortho.state_checksum()
         opt_main.step()
@@ -341,10 +342,10 @@ def _mean_masked_loss(enc, batches):
     for ids, mask, labels in batches:
         with no_grad():
             states, _ = enc.encode(ids, mask)
-            loss = mlm_loss(enc.mlm_logits(states), labels).item()
-        n = int((labels != IGNORE_LABEL).sum())
-        total += loss * n
-        count += n
+            rows, targets = labelled_rows(states, labels)
+            loss = mlm_loss(enc.mlm_logits(rows), targets).item()
+        total += loss * targets.size
+        count += targets.size
     return total / count
 
 
