@@ -11,6 +11,11 @@ text, and a fully synthetic generator that draws class-structured sentences
 each class). Token classes double as the tagging task's gold labels, so tags
 are lexically determined per language yet inferable from context structure
 shared across languages.
+
+Everything here is built array-wide, not token by token: the generator
+steps every sentence's class chain at once, and a corpus or dataset is
+re-lexified as one ``PAD``-separated id array, with its cipher built once.
+The bytes are those of the token-by-token definitions the docstrings give.
 """
 
 from __future__ import annotations
@@ -165,15 +170,40 @@ class SyntheticLanguageSpec:
         return cls(**values, word_order=fields.get("word_order", "identity"))
 
 
-def _relexify(spec: SyntheticLanguageSpec, cipher: np.ndarray, token_ids, labels=None):
-    """``apply_language`` with the language's cipher built by the caller."""
-    ids = np.asarray(token_ids, dtype=np.int64)
-    if ids.min(initial=0) < 0 or ids.max(initial=0) >= cipher.size:
+def _relexify(spec: SyntheticLanguageSpec, cipher: np.ndarray, sentences, labels=None):
+    """``apply_language`` over many sentences, with the cipher built by the caller.
+
+    The sentences are joined with a ``PAD`` after each one, so one range
+    check, one ``order_map`` and one cipher lookup serve them all: ``PAD`` is
+    reserved, so no run of regular ids crosses from one sentence into the
+    next. ``labels``, when given, holds one array per sentence and is
+    reordered the same way. Returns a list of id arrays, or that list and
+    the list of label arrays.
+    """
+    if not len(sentences):
+        return [] if labels is None else ([], [])
+    lengths = np.array([len(s) for s in sentences], dtype=np.int64)
+    stops = np.cumsum(lengths + 1)  # one past each sentence's separator
+    bounds = list(zip((stops - lengths - 1).tolist(), (stops - 1).tolist()))
+    body = np.ones(stops[-1], dtype=bool)
+    body[stops - 1] = False
+
+    def join(parts):
+        flat = np.concatenate(parts)
+        joined = np.full(body.size, PAD, dtype=flat.dtype)
+        joined[body] = flat
+        return joined
+
+    ids = join([np.asarray(s, dtype=np.int64) for s in sentences])
+    if ids.min() < 0 or ids.max() >= cipher.size:
         raise ContractError("token id outside the vocabulary")
     pos = spec.order_map(ids)
+    out = cipher[ids[pos]]
+    out = [out[a:b] for a, b in bounds]
     if labels is None:
-        return cipher[ids[pos]]
-    return cipher[ids[pos]], np.asarray(labels)[pos]
+        return out
+    moved = join([np.asarray(lab) for lab in labels])[pos]
+    return out, [moved[a:b] for a, b in bounds]
 
 
 def apply_language(
@@ -189,7 +219,10 @@ def apply_language(
     contiguous regular-id span is reordered. When ``labels`` is given it is
     indexed by the same ``pos`` and returned too.
     """
-    return _relexify(spec, spec.cipher(vocab_size), token_ids, labels)
+    if labels is None:
+        return _relexify(spec, spec.cipher(vocab_size), [token_ids])[0]
+    (ids,), (labels,) = _relexify(spec, spec.cipher(vocab_size), [token_ids], [labels])
+    return ids, labels
 
 
 def invert_language(spec: SyntheticLanguageSpec, token_ids, vocab_size: int):
@@ -254,28 +287,68 @@ def generate_corpus(
     sentence is a Markov walk over classes with a Zipf draw inside each
     class. The same bucket function later labels the tagging task, so gold
     tags reflect the latent class of each slot.
+
+    Draw order, which fixes the corpus of a seed: each sentence in turn
+    draws ``rng.integers(min_len, max_len + 1)`` for its length,
+    ``rng.integers(n_classes)`` for its first class, then
+    ``rng.random(2 * length)``: a word draw and a transition draw per
+    position, the last transition drawn but unused. A draw ``u`` picks
+    ``np.searchsorted(cdf, u, side="right")`` from ``cdf = cumsum(p) /
+    cumsum(p)[-1]``, as ``Generator.choice(len(p), p=p)`` does, so the
+    corpus is the one two ``choice`` calls per token would give.
     """
+    for name, value, least in (("n_sentences", n_sentences, 0), ("n_classes", n_classes, 2),
+                               ("min_len", min_len, 1), ("max_len", max_len, min_len)):
+        if value < least:
+            raise ConfigError(f"generate_corpus: {name} must be >= {least}, got {value}")
     words = make_word_list(n_words)
     by_class: list[list[str]] = [[] for _ in range(n_classes)]
     for w in words:
         by_class[stable_bucket(w, n_classes)].append(w)
     if any(not bucket for bucket in by_class):
         raise ConfigError(f"{n_words} words leave an empty class; increase n_words")
-    zipf = [1.0 / (r + 1.0) ** 1.5 for r in range(max(len(b) for b in by_class))]
-    class_probs = [np.array(zipf[: len(b)]) / sum(zipf[: len(b)]) for b in by_class]
-    trans = class_transition_matrix(n_classes, seed + 1)
+    widest = max(len(b) for b in by_class)
+    zipf = [1.0 / (r + 1.0) ** 1.5 for r in range(widest)]
+    lexicon = np.array([b + [""] * (widest - len(b)) for b in by_class])
+    word_cdf = np.full((n_classes, widest), 2.0)  # past every draw: padding is never picked
+    for k, bucket in enumerate(by_class):
+        word_cdf[k, : len(bucket)] = _cdf(np.array(zipf[: len(bucket)]) / sum(zipf[: len(bucket)]))
+    next_cdf = np.array([_cdf(row) for row in class_transition_matrix(n_classes, seed + 1)])
     rng = np.random.default_rng(seed)
-    lines = []
+    lengths, first, draws = [], [], []
     for _ in range(n_sentences):
-        length = int(rng.integers(min_len, max_len + 1))
-        k = int(rng.integers(n_classes))
-        tokens = []
-        for _ in range(length):
-            bucket = by_class[k]
-            tokens.append(bucket[int(rng.choice(len(bucket), p=class_probs[k]))])
-            k = int(rng.choice(trans.shape[1], p=trans[k]))
-        lines.append(" ".join(tokens))
-    return lines
+        lengths.append(int(rng.integers(min_len, max_len + 1)))
+        first.append(int(rng.integers(n_classes)))
+        draws.append(rng.random(2 * lengths[-1]))
+    if not lengths:
+        return []
+    live = np.arange(max(lengths)) < np.array(lengths)[:, None]  # sentence x position
+    u = np.zeros(live.shape + (2,))  # per position: the word draw, then the transition draw
+    u[live] = np.concatenate(draws).reshape(-1, 2)
+    classes = np.empty(live.shape, dtype=np.int64)
+    classes[:, 0] = first
+    for t in range(1, live.shape[1]):
+        classes[:, t] = _pick(next_cdf, classes[:, t - 1], u[:, t - 1, 1])
+    k = classes[live]
+    tokens = lexicon[k, _pick(word_cdf, k, u[live, 0])].tolist()
+    stops = np.cumsum(lengths).tolist()
+    return [" ".join(tokens[a:b]) for a, b in zip([0] + stops[:-1], stops)]
+
+
+def _cdf(p: np.ndarray) -> np.ndarray:
+    """The CDF ``Generator.choice`` draws from: ``cumsum``, then divided by its last entry."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _pick(cdfs: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cdfs[r], x, side="right")`` for each row ``r`` and draw ``x``.
+
+    A non-decreasing row has exactly that many entries ``<= x``, so one
+    comparison serves every row at once.
+    """
+    return (cdfs[rows] <= u[:, None]).sum(axis=1)
 
 
 def load_bundled_corpus() -> list[str]:
@@ -292,8 +365,7 @@ def language_corpus(
     spec: SyntheticLanguageSpec, base_ids: list[np.ndarray], vocab: Vocab
 ) -> list[np.ndarray]:
     """Base corpus re-lexified into one synthetic language."""
-    cipher = spec.cipher(vocab.size)
-    return [_relexify(spec, cipher, ids) for ids in base_ids]
+    return _relexify(spec, spec.cipher(vocab.size), base_ids)
 
 
 # --- task datasets ---------------------------------------------------------------
@@ -347,11 +419,10 @@ def gen_seq_task(
     corpus that cannot fill every class is rejected as degenerate.
     """
     rng = np.random.default_rng(seed)
-    cipher = spec.cipher(vocab.size)
     per_class = n_examples // 3
     quota = {FIRST_LONGER: per_class, SECOND_LONGER: per_class,
              EQUAL: n_examples - 2 * per_class}
-    examples = []
+    pairs, labels = [], []  # pairs holds a, b of each accepted pair in turn
     attempts = 0
     max_attempts = 200 * n_examples
     while sum(quota.values()) > 0:
@@ -370,9 +441,10 @@ def gen_seq_task(
         if quota[label] == 0:
             continue
         quota[label] -= 1
-        examples.append((_relexify(spec, cipher, a), _relexify(spec, cipher, b), label))
-    order = rng.permutation(len(examples))
-    examples = [examples[int(k)] for k in order]
+        pairs.extend((a, b))
+        labels.append(label)
+    ids = _relexify(spec, spec.cipher(vocab.size), pairs)
+    examples = [(ids[2 * k], ids[2 * k + 1], labels[k]) for k in rng.permutation(len(labels))]
     return TaskDataset(SEQ_CLS, spec.code, split, examples, 3)
 
 
@@ -400,13 +472,11 @@ def gen_tag_task(
     """
     rng = np.random.default_rng(seed)
     picks = rng.choice(len(base_ids), size=min(n_examples, len(base_ids)), replace=False)
-    cipher = spec.cipher(vocab.size)
-    examples = []
-    for i in picks:
-        base = base_ids[int(i)]
-        tags = tag_labels_for_base(base, vocab, n_tags)
-        ids, tags = _relexify(spec, cipher, base, tags)
-        examples.append((ids, tags))
+    chosen = [base_ids[int(i)] for i in picks]
+    tag_of = tag_labels_for_base(np.arange(vocab.size), vocab, n_tags)
+    # relabelling the base ids themselves gives each output token's base id
+    ids, base = _relexify(spec, spec.cipher(vocab.size), chosen, chosen)
+    examples = [(out, tag_of[src]) for out, src in zip(ids, base)]
     return TaskDataset(TAGGING, spec.code, split, examples, n_tags)
 
 

@@ -1,18 +1,20 @@
 import numpy as np
 import pytest
 
-from adapterlab.errors import ConfigError, MissingArtifactError
+from adapterlab.errors import ConfigError, ContractError, MissingArtifactError
 from adapterlab.synthlang import (
     CLS,
     EQUAL,
     FIRST_LONGER,
     FIRST_REGULAR,
+    MASK,
     PAD,
     RESERVED_TOKENS,
     SECOND_LONGER,
     SEP,
     SEQ_CLS,
     TAGGING,
+    UNK,
     SyntheticLanguageSpec,
     Vocab,
     apply_language,
@@ -177,6 +179,68 @@ def test_cipher_built_once_per_corpus_and_dataset(monkeypatch):
     assert len(calls) == 3
 
 
+def edge_case_corpus(ids):
+    """Toy sentences plus the shapes a joined batch could get wrong."""
+    a, b = ids[0], ids[1]
+    return [
+        np.array([], dtype=np.int64),
+        np.concatenate([a[:2], [UNK], a[2:]]),
+        np.concatenate([b[:3], [MASK], b[3:], [MASK]]),
+        a[:1],
+        np.array([UNK]),
+        np.array([], dtype=np.int64),
+        np.array([CLS, b[0], SEP]),
+    ] + list(ids[2:40])
+
+
+def one_at_a_time(spec, ids, vocab_size, labels=None):
+    """The documented map, one sentence on its own: ``cipher[ids[pos]]``."""
+    ids = np.asarray(ids, dtype=np.int64)
+    pos = spec.order_map(ids)
+    out = spec.cipher(vocab_size)[ids[pos]]
+    return out if labels is None else (out, np.asarray(labels)[pos])
+
+
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("order", WORD_ORDERS)
+def test_batched_relexify_matches_one_sentence_at_a_time(order):
+    _, vocab, ids = toy_setup()
+    corpus = edge_case_corpus(ids)
+    spec = SyntheticLanguageSpec("tgt", cipher_seed=5, divergence=0.7, word_order=order)
+    got = language_corpus(spec, corpus, vocab)
+    assert len(got) == len(corpus)
+    for sent, out in zip(corpus, got):
+        assert_same_bytes(out, one_at_a_time(spec, sent, vocab.size))
+        assert_same_bytes(apply_language(spec, sent, vocab.size), out)
+    data = gen_tag_task(corpus, spec, vocab, len(corpus), "train", seed=4, n_tags=5)
+    picks = np.random.default_rng(4).choice(len(corpus), size=len(corpus), replace=False)
+    for i, (out, tags) in zip(picks, data.examples):
+        base = corpus[int(i)]
+        want_ids, want_tags = one_at_a_time(spec, base, vocab.size,
+                                            tag_labels_for_base(base, vocab, 5))
+        assert_same_bytes(out, want_ids)
+        assert_same_bytes(tags, want_tags)
+
+
+def test_out_of_vocab_id_raises_contract_error():
+    _, vocab, ids = toy_setup()
+    spec = SyntheticLanguageSpec("tgt", cipher_seed=5, divergence=0.5, word_order="reverse")
+    for bad in (vocab.size, -1):
+        corpus = [np.append(sent, bad) for sent in ids[:60]]
+        with pytest.raises(ContractError, match="outside the vocabulary"):
+            language_corpus(spec, corpus, vocab)
+        with pytest.raises(ContractError, match="outside the vocabulary"):
+            gen_tag_task(corpus, spec, vocab, 20, "train", seed=1)
+        with pytest.raises(ContractError, match="outside the vocabulary"):
+            gen_seq_task(corpus, spec, vocab, 12, "train", seed=1)
+        with pytest.raises(ContractError, match="outside the vocabulary"):
+            apply_language(spec, corpus[0], vocab.size)
+
+
 def test_spec_file_roundtrip(tmp_path):
     spec = SyntheticLanguageSpec("xx", cipher_seed=77, divergence=0.25,
                                  word_order="rotate:3")
@@ -193,6 +257,23 @@ def test_spec_file_roundtrip(tmp_path):
 def test_generate_corpus_deterministic():
     assert generate_corpus(50, seed=4) == generate_corpus(50, seed=4)
     assert generate_corpus(50, seed=4) != generate_corpus(50, seed=5)
+
+
+@pytest.mark.parametrize("bad, field", [
+    (dict(min_len=5, max_len=3), "max_len"),
+    (dict(n_classes=0), "n_classes"),
+    (dict(n_classes=1), "n_classes"),
+    (dict(min_len=0), "min_len"),
+    (dict(min_len=-1), "min_len"),
+    (dict(n_sentences=-1), "n_sentences"),
+])
+def test_generate_corpus_rejects_bad_arguments(monkeypatch, bad, field):
+    def no_draws(seed):
+        raise AssertionError("drew before checking the arguments")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    with pytest.raises(ConfigError, match=field):
+        generate_corpus(**{"n_sentences": 10, **bad})
 
 
 def test_word_list_unique():
