@@ -22,6 +22,7 @@ import numpy as np
 from .errors import ContractError, EmptyLossError, ShapeError
 
 Array = np.ndarray
+COSINE_EPS = 1e-12  # added to each squared norm in ``cosine_sq_rows``
 
 
 class Tensor:
@@ -371,20 +372,18 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     return _node(values, (x,), backward)
 
 
-def cosine_sq_rows(u: Tensor, v: Tensor, eps: float = 1e-12) -> Tensor:
+def cosine_sq_rows(u: Tensor, v: Tensor) -> Tensor:
     """Row-wise squared cosine similarity of two [n, H] tensors -> [n].
 
-    Returns (u.v)^2 / ((|u|^2 + eps)(|v|^2 + eps)); eps on each squared norm
+    Returns (u.v)^2 / ((|u|^2 + eps)(|v|^2 + eps)), eps = ``COSINE_EPS``: it
     keeps zero vectors finite and pins the output strictly inside [0, 1).
     """
     u, v = _wrap(u), _wrap(v)
     if u.shape != v.shape:
         raise ShapeError(f"cosine_sq_rows operands differ in shape: {u.shape} vs {v.shape}")
-    if eps <= 0.0:
-        raise ContractError(f"cosine_sq_rows eps must be positive, got {eps}")
     s = (u.values * v.values).sum(axis=-1)
-    p = (u.values * u.values).sum(axis=-1) + eps
-    q = (v.values * v.values).sum(axis=-1) + eps
+    p = (u.values * u.values).sum(axis=-1) + COSINE_EPS
+    q = (v.values * v.values).sum(axis=-1) + COSINE_EPS
     # the exact ratio is strictly below 1; clamp away the last-ulp rounding
     values = np.minimum((s * s) / (p * q), 1.0)
 

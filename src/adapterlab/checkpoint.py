@@ -32,7 +32,7 @@ from .adapters import (
 )
 from .autodiff import Tensor
 from .encoder import Encoder, EncoderConfig
-from .errors import MissingArtifactError, SwapError
+from .errors import ContractError, MissingArtifactError, SwapError
 from .optim import ParamSet
 
 FORMAT_VERSION = 2
@@ -126,8 +126,7 @@ def _build(path, cls, header: dict, key: str):
                                    f"{cls.__name__}: {exc}") from exc
 
 
-def save_checkpoint(path, encoder: Encoder, stack: AdapterStack | None = None,
-                    extra: dict | None = None) -> None:
+def save_checkpoint(path, encoder: Encoder, stack: AdapterStack | None = None) -> None:
     """Serialize the encoder (heads included) plus any attached adapter stack."""
     manifest = {
         "kind": "checkpoint",
@@ -141,8 +140,6 @@ def save_checkpoint(path, encoder: Encoder, stack: AdapterStack | None = None,
             for kind in (LANGUAGE, TASK)
         },
     }
-    if extra:
-        manifest["extra"] = extra
     arrays = [(name, tensor.values) for name, tensor in encoder.params.items()]
     _write_container(path, manifest, arrays)
 
@@ -196,6 +193,8 @@ def load_checkpoint(path) -> tuple[Encoder, AdapterStack | None, dict]:
 def save_adapter(path, weights: list[AdapterWeights], seed: int = 0,
                  language: str | None = None) -> None:
     """Standalone adapter file: one (w_down, w_up) pair per layer."""
+    if not weights:
+        raise ContractError("an adapter file needs the weights of at least one layer")
     manifest = {
         "kind": "adapter",
         "seed": seed,

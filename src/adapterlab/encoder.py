@@ -74,9 +74,8 @@ class SlotRecord:
 
 @dataclass
 class LayerActivations:
-    """Per-layer adapter activations recorded during encode, and its 0/1 mask."""
+    """Per-layer adapter activations recorded during encode."""
 
-    mask: np.ndarray
     lang: list[SlotRecord | None] = field(default_factory=list)
     task: list[SlotRecord | None] = field(default_factory=list)
 
@@ -126,14 +125,10 @@ class Encoder:
 
     # --- heads, created on demand --------------------------------------------
 
-    def ensure_cls_head(self, num_classes: int, seed: int | None = None) -> None:
-        if "head.cls.out_w" in self.params:
-            if self.head_classes["cls"] != num_classes:
-                raise ConfigError(
-                    f"cls head already built for {self.head_classes['cls']} classes"
-                )
+    def ensure_cls_head(self, num_classes: int) -> None:
+        if self._head_built("cls", num_classes):
             return
-        rng = np.random.default_rng(self.seed + 101 if seed is None else seed)
+        rng = np.random.default_rng(self.seed + 101)
         h = self.config.hidden
         self.params.add("head.cls.pool_w", Tensor(_xavier(rng, h, h)))
         self.params.add("head.cls.pool_b", Tensor(np.zeros(h)))
@@ -141,18 +136,22 @@ class Encoder:
         self.params.add("head.cls.out_b", Tensor(np.zeros(num_classes)))
         self.head_classes["cls"] = num_classes
 
-    def ensure_tag_head(self, num_tags: int, seed: int | None = None) -> None:
-        if "head.tag.w" in self.params:
-            if self.head_classes["tag"] != num_tags:
-                raise ConfigError(
-                    f"tag head already built for {self.head_classes['tag']} classes"
-                )
+    def ensure_tag_head(self, num_tags: int) -> None:
+        if self._head_built("tag", num_tags):
             return
-        rng = np.random.default_rng(self.seed + 202 if seed is None else seed)
+        rng = np.random.default_rng(self.seed + 202)
         h = self.config.hidden
         self.params.add("head.tag.w", Tensor(_xavier(rng, h, num_tags)))
         self.params.add("head.tag.b", Tensor(np.zeros(num_tags)))
         self.head_classes["tag"] = num_tags
+
+    def _head_built(self, head: str, num_classes: int) -> bool:
+        """Whether the head is built; refuses no classes and a changed class count."""
+        if num_classes < 1:
+            raise ConfigError(f"a {head} head needs at least 1 class, got {num_classes}")
+        if self.head_classes.get(head, num_classes) != num_classes:
+            raise ConfigError(f"{head} head already built for {self.head_classes[head]} classes")
+        return head in self.head_classes
 
     # --- forward ---------------------------------------------------------------
 
@@ -186,6 +185,9 @@ class Encoder:
             raise SequenceLengthError(
                 f"sequence length {ids.shape[1]} exceeds max_len {c.max_len}"
             )
+        if stack is not None and stack.num_layers != c.num_layers:
+            raise ConfigError(f"adapter stack has {stack.num_layers} layers, "
+                              f"the encoder {c.num_layers}")
         drop = c.dropout if rng is not None else 0.0
 
         b, t = ids.shape
@@ -195,7 +197,7 @@ class Encoder:
             x = dropout(x, drop, rng)
         # additive key bias: -1e9 on padded keys, broadcast over [B, heads, Tq, Tk]
         key_bias = Tensor((1.0 - mask.astype(np.float64))[:, None, None, :] * MASK_BIAS)
-        acts = LayerActivations(mask=mask.copy())
+        acts = LayerActivations()
         dh = c.hidden // c.num_heads
         scale = 1.0 / np.sqrt(dh)
         for i in range(c.num_layers):

@@ -10,11 +10,12 @@ import numpy as np
 from .autodiff import Tensor, no_grad
 from .errors import NumericError, ShapeError
 
+STEP = 1e-5  # each input coordinate moves by this much each way
+
 
 def grad_check(
     f: Callable[[Sequence[Tensor]], Tensor],
     inputs: Sequence[Tensor],
-    h: float = 1e-5,
 ) -> float:
     """Compare the backward pass of ``f`` against central differences.
 
@@ -41,16 +42,16 @@ def grad_check(
         for k in range(flat.size):
             orig = flat[k]
             with no_grad():
-                flat[k] = orig + h
+                flat[k] = orig + STEP
                 up = f(inputs).item()
-                flat[k] = orig - h
+                flat[k] = orig - STEP
                 down = f(inputs).item()
             flat[k] = orig
             if not (math.isfinite(up) and math.isfinite(down)):
                 raise NumericError(
                     f"grad_check: non-finite value perturbing input {idx} coordinate {k}"
                 )
-            numeric = (up - down) / (2.0 * h)
+            numeric = (up - down) / (2.0 * STEP)
             a = analytic[idx].reshape(-1)[k]
             err = abs(a - numeric) / max(1.0, abs(numeric))
             worst = max(worst, err)

@@ -37,8 +37,6 @@ from .encoder import LayerActivations
 from .errors import ConfigError, ContractError, EmptyLossError, ShapeError
 from .synthlang import FIRST_REGULAR, MASK
 
-COSINE_EPS = 1e-12
-
 
 @dataclass
 class MaskingPolicy:
@@ -106,15 +104,11 @@ class OrthoLossReport:
     loss: Tensor
     per_layer: list[float] = field(default_factory=list)
 
-    @property
-    def total(self) -> float:
-        return self.loss.item()
-
 
 def ortho_loss(
     acts: LayerActivations,
     slot: str,
-    mask: np.ndarray | None = None,
+    mask: np.ndarray,
     exclude_residual: bool = False,
 ) -> OrthoLossReport:
     """Sum over layers of the per-token mean squared cosine for one slot.
@@ -122,8 +116,8 @@ def ortho_loss(
     ``slot`` is "language" or "task"; it must be occupied in every layer.
     The slot output is recomputed from the real tokens' rows of the recorded
     slot input, taken as a constant, so gradients reach the slot's own
-    weights and nothing upstream of it. Padded tokens (0 in ``mask``, which
-    defaults to the mask encode recorded) are never read. ``exclude_residual``
+    weights and nothing upstream of it. Padded tokens (0 in ``mask``, the
+    [B, T] mask of the batch encode ran on) are never read. ``exclude_residual``
     scores only the bottleneck's own contribution (with the residual term,
     full orthogonality is unreachable).
     """
@@ -135,7 +129,7 @@ def ortho_loss(
     records = acts.slot(slot)
     if not records or any(r is None for r in records):
         raise ContractError(f"ortho_loss: the {slot} slot is not occupied in every layer")
-    mask = np.asarray(acts.mask if mask is None else mask)
+    mask = np.asarray(mask)
     if mask.shape != records[0].x_in.shape[:-1]:
         raise ShapeError(f"mask {mask.shape} does not match the slot inputs "
                          f"{records[0].x_in.shape}")
@@ -148,7 +142,7 @@ def ortho_loss(
         x_in = Tensor(rec.x_in.values.reshape(-1, rec.x_in.shape[-1])[real])
         w = rec.weights
         out = adapter_forward(x_in, w.w_down, w.w_up, residual=not exclude_residual)
-        layer_mean = mul(tsum(cosine_sq_rows(x_in, out, COSINE_EPS)), 1.0 / real.size)
+        layer_mean = mul(tsum(cosine_sq_rows(x_in, out)), 1.0 / real.size)
         total = layer_mean if total is None else add(total, layer_mean)
         per_layer.append(layer_mean.item())
     return OrthoLossReport(loss=total, per_layer=per_layer)

@@ -51,9 +51,6 @@ class ParamSet:
         for name, t in self._params.items():
             t.requires_grad = name in wanted
 
-    def trainable_names(self) -> list[str]:
-        return [n for n, t in self._params.items() if t.requires_grad]
-
     def checksum(self, names=None) -> str:
         """sha256 over raw little-endian float64 bytes, in declaration order."""
         h = hashlib.sha256()

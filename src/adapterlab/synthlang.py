@@ -5,12 +5,11 @@ ids plus an optional word-order transform. Applying one to a base corpus
 yields a target-language corpus whose latent structure matches the source,
 which is exactly what makes zero-shot transfer measurable at desk scale.
 
-Two corpus sources sit behind the same interface: a bundled public-domain
-text, and a fully synthetic generator that draws class-structured sentences
-(a seeded Markov chain over token classes, Zipf-distributed tokens within
-each class). Token classes double as the tagging task's gold labels, so tags
-are lexically determined per language yet inferable from context structure
-shared across languages.
+The base corpus is fully synthetic: a generator draws class-structured
+sentences (a seeded Markov chain over token classes, Zipf-distributed tokens
+within each class). Token classes double as the tagging task's gold labels,
+so tags are lexically determined per language yet inferable from context
+structure shared across languages.
 
 Everything here is built array-wide, not token by token: the generator
 steps every sentence's class chain at once, and a corpus or dataset is
@@ -23,7 +22,6 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from dataclasses import dataclass, field
-from importlib import resources
 
 import numpy as np
 
@@ -73,18 +71,14 @@ class Vocab:
         return hashlib.sha256("\n".join(self.id_to_token).encode()).hexdigest()
 
 
-def build_vocab(lines: list[str], size: int = 0) -> Vocab:
-    """Vocabulary of the most frequent tokens; ties break lexicographically."""
+def build_vocab(lines: list[str]) -> Vocab:
+    """Every token of the corpus, most frequent first; ties break lexicographically."""
     counts = Counter()
     for line in lines:
         counts.update(line.split())
     if not counts:
         raise ConfigError("cannot build a vocabulary from an empty corpus")
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    if size:
-        if size <= FIRST_REGULAR:
-            raise ConfigError(f"vocab size {size} leaves no room for regular tokens")
-        ranked = ranked[: size - FIRST_REGULAR]
     return Vocab(list(RESERVED_TOKENS) + [t for t, _ in ranked])
 
 
@@ -170,64 +164,47 @@ class SyntheticLanguageSpec:
         return cls(**values, word_order=fields.get("word_order", "identity"))
 
 
-def _relexify(spec: SyntheticLanguageSpec, cipher: np.ndarray, sentences, labels=None):
+def _relexify(spec: SyntheticLanguageSpec, cipher: np.ndarray, sentences) -> list[np.ndarray]:
     """``apply_language`` over many sentences, with the cipher built by the caller.
 
     The sentences are joined with a ``PAD`` after each one, so one range
     check, one ``order_map`` and one cipher lookup serve them all: ``PAD`` is
     reserved, so no run of regular ids crosses from one sentence into the
-    next. ``labels``, when given, holds one array per sentence and is
-    reordered the same way. Returns a list of id arrays, or that list and
-    the list of label arrays.
+    next. Returns one id array per sentence.
     """
     if not len(sentences):
-        return [] if labels is None else ([], [])
+        return []
     lengths = np.array([len(s) for s in sentences], dtype=np.int64)
     stops = np.cumsum(lengths + 1)  # one past each sentence's separator
-    bounds = list(zip((stops - lengths - 1).tolist(), (stops - 1).tolist()))
+    ids = np.full(stops[-1], PAD, dtype=np.int64)
     body = np.ones(stops[-1], dtype=bool)
     body[stops - 1] = False
+    ids[body] = np.concatenate([np.asarray(s, dtype=np.int64) for s in sentences])
+    _check_ids(ids, cipher.size)
+    out = cipher[ids[spec.order_map(ids)]]
+    return [out[b - n - 1 : b - 1] for n, b in zip(lengths.tolist(), stops.tolist())]
 
-    def join(parts):
-        flat = np.concatenate(parts)
-        joined = np.full(body.size, PAD, dtype=flat.dtype)
-        joined[body] = flat
-        return joined
 
-    ids = join([np.asarray(s, dtype=np.int64) for s in sentences])
-    if ids.min() < 0 or ids.max() >= cipher.size:
+def _check_ids(ids: np.ndarray, vocab_size: int) -> None:
+    if ids.size and (ids.min() < 0 or ids.max() >= vocab_size):
         raise ContractError("token id outside the vocabulary")
-    pos = spec.order_map(ids)
-    out = cipher[ids[pos]]
-    out = [out[a:b] for a, b in bounds]
-    if labels is None:
-        return out
-    moved = join([np.asarray(lab) for lab in labels])[pos]
-    return out, [moved[a:b] for a, b in bounds]
 
 
-def apply_language(
-    spec: SyntheticLanguageSpec,
-    token_ids,
-    vocab_size: int,
-    labels=None,
-):
+def apply_language(spec: SyntheticLanguageSpec, token_ids, vocab_size: int) -> np.ndarray:
     """Map a base-language id sequence into the given synthetic language.
 
     The output is ``cipher[ids[pos]]`` with ``pos = spec.order_map(ids)``:
     reserved ids stay fixed, regular ids go through the cipher, and each
-    contiguous regular-id span is reordered. When ``labels`` is given it is
-    indexed by the same ``pos`` and returned too.
+    contiguous regular-id span is reordered. Per-token labels of the base
+    sequence move with their tokens as ``labels[pos]``.
     """
-    if labels is None:
-        return _relexify(spec, spec.cipher(vocab_size), [token_ids])[0]
-    (ids,), (labels,) = _relexify(spec, spec.cipher(vocab_size), [token_ids], [labels])
-    return ids, labels
+    return _relexify(spec, spec.cipher(vocab_size), [token_ids])[0]
 
 
 def invert_language(spec: SyntheticLanguageSpec, token_ids, vocab_size: int):
     """Inverse of apply_language: undo the word order, then the cipher."""
     ids = np.asarray(token_ids, dtype=np.int64)
+    _check_ids(ids, vocab_size)
     undone = np.empty_like(ids)
     undone[spec.order_map(ids)] = ids
     return np.argsort(spec.cipher(vocab_size))[undone]
@@ -351,12 +328,6 @@ def _pick(cdfs: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (cdfs[rows] <= u[:, None]).sum(axis=1)
 
 
-def load_bundled_corpus() -> list[str]:
-    """The bundled public-domain text, one sentence-ish line at a time."""
-    text = resources.files("adapterlab").joinpath("data/corpus.txt").read_text("utf-8")
-    return [line.strip() for line in text.splitlines() if line.strip()]
-
-
 def corpus_to_ids(lines: list[str], vocab: Vocab) -> list[np.ndarray]:
     return [np.asarray(vocab.encode(line.split()), dtype=np.int64) for line in lines]
 
@@ -450,6 +421,7 @@ def gen_seq_task(
 
 def tag_labels_for_base(base_sentence: np.ndarray, vocab: Vocab, n_tags: int) -> np.ndarray:
     """Gold tags of a base-language sentence: hash bucket of each token type."""
+    _check_ids(np.asarray(base_sentence), vocab.size)
     return np.array(
         [stable_bucket(vocab.id_to_token[int(t)], n_tags) for t in base_sentence],
         dtype=np.int64,
@@ -467,16 +439,16 @@ def gen_tag_task(
 ) -> TaskDataset:
     """Token-tagging dataset: tags follow each token's pre-cipher identity.
 
-    Labels are computed on the base sentence and permuted together with any
-    word-order transform, so the labeling commutes with apply_language.
+    Each output id is tagged with the base tag of the id the cipher sent to
+    it, so the labeling commutes with apply_language.
     """
     rng = np.random.default_rng(seed)
     picks = rng.choice(len(base_ids), size=min(n_examples, len(base_ids)), replace=False)
-    chosen = [base_ids[int(i)] for i in picks]
-    tag_of = tag_labels_for_base(np.arange(vocab.size), vocab, n_tags)
-    # relabelling the base ids themselves gives each output token's base id
-    ids, base = _relexify(spec, spec.cipher(vocab.size), chosen, chosen)
-    examples = [(out, tag_of[src]) for out, src in zip(ids, base)]
+    cipher = spec.cipher(vocab.size)
+    tag_of = np.empty(vocab.size, dtype=np.int64)  # by output id
+    tag_of[cipher] = tag_labels_for_base(np.arange(vocab.size), vocab, n_tags)
+    ids = _relexify(spec, cipher, [base_ids[int(i)] for i in picks])
+    examples = [(out, tag_of[out]) for out in ids]
     return TaskDataset(TAGGING, spec.code, split, examples, n_tags)
 
 

@@ -252,6 +252,8 @@ def run_phase(
         raise ConfigError("mlm training needs a non-empty corpus")
     if cfg.main_loss != "mlm" and (dataset is None or not dataset.examples):
         raise ConfigError(f"{cfg.main_loss} training needs a non-empty task dataset")
+    if cfg.main_loss != "mlm" and dataset.kind != cfg.main_loss:
+        raise ConfigError(f"the {cfg.main_loss} loss cannot train on a {dataset.kind} dataset")
 
     trainable = trainable_names(encoder.params, cfg)
     for kind, prefix in SLOT_PREFIX.items():
@@ -308,14 +310,6 @@ def train_task_adapter(encoder: Encoder, stack: AdapterStack,
     if cfg.phase != PHASE_TASK:
         raise ConfigError("task adapter training uses the task_adapter_training phase id")
     return run_phase(encoder, stack, cfg, dataset=dataset)
-
-
-def train_full_finetune(encoder: Encoder, dataset: TaskDataset,
-                        cfg: PhaseConfig) -> TrainStats:
-    """Single-optimizer fine-tuning of every parameter, no adapters."""
-    if cfg.phase != PHASE_FULL:
-        raise ConfigError("full fine-tuning uses the full_finetune phase id")
-    return run_phase(encoder, None, cfg, dataset=dataset)
 
 
 def pretrain_backbone(encoder: Encoder, corpus: list[np.ndarray],

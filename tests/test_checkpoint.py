@@ -18,7 +18,7 @@ from adapterlab.checkpoint import (
     save_checkpoint,
 )
 from adapterlab.encoder import Encoder, EncoderConfig
-from adapterlab.errors import MissingArtifactError
+from adapterlab.errors import ContractError, MissingArtifactError
 
 
 # orders in which a pipeline may build heads and register its adapter stack
@@ -220,3 +220,10 @@ def test_failed_write_leaves_earlier_file_whole(tmp_path, monkeypatch):
                 write(path)
         assert path.read_bytes() == before
         assert list(directory.iterdir()) == [path]  # no temporary file left behind
+
+
+def test_adapter_file_without_layers_is_refused(tmp_path):
+    path = tmp_path / "empty.adapter"
+    with pytest.raises(ContractError, match="at least one layer"):
+        save_adapter(path, [])
+    assert not path.exists()

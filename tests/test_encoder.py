@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from adapterlab import Tensor, grad_check
-from adapterlab.adapters import AdapterConfig, AdapterStack, init_adapter_stack_slot
+from adapterlab.adapters import LANGUAGE, AdapterConfig, AdapterStack, init_adapter_stack_slot
 from adapterlab.autodiff import tsum, mul
 from adapterlab.encoder import Encoder, EncoderConfig
 from adapterlab.errors import ConfigError, SequenceLengthError, VocabError
@@ -133,6 +133,26 @@ def test_head_class_count_is_pinned():
         enc.ensure_cls_head(4)
 
 
+def test_head_with_no_class_is_refused():
+    # load_checkpoint refuses such a head, so no model may build one and save it
+    enc = encoder()
+    for build in (enc.ensure_cls_head, enc.ensure_tag_head):
+        for n in (0, -1):
+            with pytest.raises(ConfigError, match="at least 1 class"):
+                build(n)
+    assert enc.head_classes == {}
+
+
+@pytest.mark.parametrize("stack_layers", [1, 3])
+def test_stack_with_wrong_layer_count_is_refused(stack_layers):
+    enc = encoder()  # 2 layers
+    stack = AdapterStack(stack_layers)
+    stack.fill(LANGUAGE, init_adapter_stack_slot(
+        AdapterConfig(dim=3, kind=LANGUAGE), 8, stack_layers, 1))
+    with pytest.raises(ConfigError, match=f"{stack_layers} layers, the encoder 2"):
+        enc.encode(BATCH, MASK, stack=stack)
+
+
 def test_heads_gradcheck():
     enc = encoder(vocab=7, num_layers=1, hidden=4, num_heads=2, ffn=6, max_len=4)
     enc.ensure_cls_head(3)
@@ -164,4 +184,4 @@ def test_end_to_end_mlm_gradcheck_one_layer():
         return mlm_loss(enc.mlm_logits(rows), targets)
 
     tensors = [enc.params[n] for n in enc.params.names()]
-    assert grad_check(f, tensors, h=1e-5) < 1e-4
+    assert grad_check(f, tensors) < 1e-4

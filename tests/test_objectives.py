@@ -109,7 +109,7 @@ def test_identity_init_gives_total_n():
     for slot in (LANGUAGE, TASK):
         report = ortho_loss(acts, slot, mask)
         assert report.per_layer == pytest.approx([1.0, 1.0], abs=1e-12)
-        assert report.total == pytest.approx(2.0, abs=1e-12)
+        assert report.loss.item() == pytest.approx(2.0, abs=1e-12)
 
 
 def test_orthogonal_construction_scores_zero():
@@ -118,10 +118,9 @@ def test_orthogonal_construction_scores_zero():
     weights = AdapterWeights(AdapterConfig(dim=1), Tensor(np.array([[1.0], [0.0]])),
                              Tensor(np.array([[-1.0, 1.0]])))
     x_in = Tensor(np.array([[[1.0, 0.0]]]))
-    acts = LayerActivations(task=[SlotRecord(x_in, weights)], lang=[None],
-                            mask=np.ones((1, 1)))
-    report = ortho_loss(acts, TASK)
-    assert report.total == pytest.approx(0.0, abs=1e-12)
+    acts = LayerActivations(task=[SlotRecord(x_in, weights)], lang=[None])
+    report = ortho_loss(acts, TASK, np.ones((1, 1)))
+    assert report.loss.item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_matches_brute_force_double_sum():
@@ -147,8 +146,8 @@ def test_matches_brute_force_double_sum():
             s = float(uu @ vv)
             per_token.append(s * s / ((uu @ uu + eps) * (vv @ vv + eps)))
         expected += sum(per_token) / len(per_token)
-    assert report.total == pytest.approx(expected, abs=1e-12)
-    assert 0.0 <= report.total <= 2.0
+    assert report.loss.item() == pytest.approx(expected, abs=1e-12)
+    assert 0.0 <= report.loss.item() <= 2.0
 
 
 def test_scale_invariance_per_token():
@@ -160,9 +159,8 @@ def test_scale_invariance_per_token():
                              Tensor(r.normal(size=(3, 8))))
 
     def total(x_in):
-        acts = LayerActivations(lang=[None], task=[SlotRecord(Tensor(x_in), weights)],
-                                mask=np.ones((1, 4)))
-        return ortho_loss(acts, TASK).total
+        acts = LayerActivations(lang=[None], task=[SlotRecord(Tensor(x_in), weights)])
+        return ortho_loss(acts, TASK, np.ones((1, 4))).loss.item()
 
     assert total(u * 3.7) == pytest.approx(total(u), abs=1e-12)
 
@@ -182,7 +180,7 @@ def test_padded_positions_do_not_affect_loss():
             w.requires_grad, w.grad = True, None
         report = ortho_loss(acts, TASK, mask)
         report.loss.backward()
-        return report.total, [w.grad.tobytes() for w in weights]
+        return report.loss.item(), [w.grad.tobytes() for w in weights]
 
     base = loss_and_grads()
     x_in = acts.task[0].x_in.values
@@ -201,7 +199,7 @@ def test_missing_slot_raises():
     ids = np.array([[2, 7]])
     _, acts = enc.encode(ids, np.ones_like(ids), stack=stack)
     with pytest.raises(ContractError):
-        ortho_loss(acts, LANGUAGE)
+        ortho_loss(acts, LANGUAGE, np.ones_like(ids))
 
 
 def test_mask_shape_mismatch_raises():
@@ -241,7 +239,7 @@ def test_ortho_loss_gradcheck():
         weights = [t for w in adapters for t in (w.w_down, w.w_up)]
         for exclude in (False, True):
             err = grad_check(
-                lambda ts: ortho_loss(acts, slot, exclude_residual=exclude).loss, weights)
+                lambda ts: ortho_loss(acts, slot, mask, exclude_residual=exclude).loss, weights)
             assert err < 1e-6
             assert max(np.abs(t.grad).max() for t in weights) > 1e-3
 
@@ -278,7 +276,7 @@ def test_minimizing_ortho_alone_trains():
         for _ in range(200):
             _, acts = enc.encode(ids, mask, stack=stack)
             report = ortho_loss(acts, TASK, mask, exclude_residual=exclude)
-            trace.append(report.total / 2.0)  # mean over the 2 layers
+            trace.append(report.loss.item() / 2.0)  # mean over the 2 layers
             report.loss.backward()
             opt.step()
         results[exclude] = trace
@@ -323,7 +321,7 @@ def test_labelled_rows_match_full_logits(tie_mlm):
         results = []
         for gather_first in (False, True):
             enc = Encoder(cfg, seed=3)
-            enc.ensure_tag_head(4, seed=5)
+            enc.ensure_tag_head(4)
             logits_of = enc.mlm_logits if head == "mlm" else enc.tag_logits
             states, _ = enc.encode(ids, mask)
             if gather_first:
@@ -398,7 +396,7 @@ def test_ortho_report_structure():
     enc, stack = encoder_with_stack(num_layers=2)
     ids = np.array([[2, 7, 8]])
     _, acts = enc.encode(ids, np.ones_like(ids), stack=stack)
-    report = ortho_loss(acts, LANGUAGE)
+    report = ortho_loss(acts, LANGUAGE, np.ones_like(ids))
     assert isinstance(report, OrthoLossReport)
     assert len(report.per_layer) == 2
-    assert report.total == pytest.approx(sum(report.per_layer), abs=1e-12)
+    assert report.loss.item() == pytest.approx(sum(report.per_layer), abs=1e-12)

@@ -3,15 +3,18 @@
 Each workload sets up at seed 3 and runs a two-step pipeline under the
 tracer, which rebinds the package functions the per-layer metrics time. A
 change that removes or renames something the benchmark imports, constructs
-or rebinds fails here, not only in ``python3 perfbench/selftest.py``.
+or rebinds fails here, not only in ``python3 perfbench/selftest.py``, which
+tier-1 runs too.
 """
 
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 @pytest.fixture
@@ -33,3 +36,9 @@ def test_every_workload_runs_traced(bench, tmp_path):
         with tracing.patched(tracer.bindings()):
             rep = workload.repeat(prep, 2, tmp_path, tracer.span)
         assert (name, rep.failed, rep.problems) == (name, 0, [])
+
+
+def test_selftest_passes():
+    done = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr

@@ -26,7 +26,6 @@ from adapterlab.synthlang import (
     invert_language,
     language_corpus,
     language_overlap,
-    load_bundled_corpus,
     load_task_dataset,
     make_word_list,
     save_task_dataset,
@@ -58,7 +57,7 @@ def test_vocab_tie_breaks_lexicographically():
 
 
 def test_vocab_reserved_layout_and_size_cap():
-    vocab = build_vocab(["a b c d e"], size=FIRST_REGULAR + 3)
+    vocab = build_vocab(["a b c", "a b"])  # one id per distinct token, after the reserved
     assert vocab.size == FIRST_REGULAR + 3
     assert vocab.id_to_token[:FIRST_REGULAR] == ["[PAD]", "[UNK]", "[CLS]", "[MASK]", "[SEP]"]
     assert vocab.encode(["a", "zzz"]) == [FIRST_REGULAR, 1]  # unknown -> UNK
@@ -239,6 +238,10 @@ def test_out_of_vocab_id_raises_contract_error():
             gen_seq_task(corpus, spec, vocab, 12, "train", seed=1)
         with pytest.raises(ContractError, match="outside the vocabulary"):
             apply_language(spec, corpus[0], vocab.size)
+        with pytest.raises(ContractError, match="outside the vocabulary"):
+            invert_language(spec, corpus[0], vocab.size)
+        with pytest.raises(ContractError, match="outside the vocabulary"):
+            tag_labels_for_base(corpus[0], vocab, 4)
 
 
 def test_spec_file_roundtrip(tmp_path):
@@ -279,12 +282,6 @@ def test_generate_corpus_rejects_bad_arguments(monkeypatch, bad, field):
 def test_word_list_unique():
     words = make_word_list(200)
     assert len(set(words)) == 200
-
-
-def test_bundled_corpus_loads():
-    lines = load_bundled_corpus()
-    assert len(lines) > 80
-    assert all(line == line.strip() and line for line in lines)
 
 
 # --- seq task -------------------------------------------------------------------------
@@ -363,7 +360,8 @@ def test_labels_commute_with_language_transforms():
         inverse_cipher = np.argsort(spec.cipher(vocab.size))
         for base in ids[:1000]:
             base_tags = tag_labels_for_base(base, vocab, n_tags)
-            out, moved_tags = apply_language(spec, base, vocab.size, labels=base_tags)
+            out = apply_language(spec, base, vocab.size)
+            moved_tags = base_tags[spec.order_map(base)]
             # undoing the transform must recover the base labeling exactly
             recovered = invert_language(spec, out, vocab.size)
             np.testing.assert_array_equal(recovered, base)

@@ -38,7 +38,6 @@ from adapterlab.training import (
     read_run_manifest,
     run_phase,
     trainable_names,
-    train_full_finetune,
     train_language_adapter,
     train_task_adapter,
     write_run_manifest,
@@ -179,11 +178,30 @@ def test_adapter_slot_the_forward_skips_is_refused_before_step_0(monkeypatch):
     full_tag = PhaseConfig(phase=PHASE_FULL, main_loss="tagging", steps=2, batch_size=4)
     lang = PhaseConfig(phase=PHASE_LANG, main_loss="mlm", steps=2, batch_size=4)
     for run, slot in ((lambda: pretrain_backbone(enc, corpus, full_mlm), LANGUAGE),
-                      (lambda: train_full_finetune(enc, dataset, full_tag), LANGUAGE),
+                      (lambda: run_phase(enc, None, full_tag, dataset=dataset), LANGUAGE),
                       (lambda: run_phase(enc, lang_only, full_mlm, corpus=corpus), TASK),
                       (lambda: run_phase(enc, None, lang, corpus=corpus), LANGUAGE)):
         with pytest.raises(ConfigError, match=f"{slot} slot"):
             run()
+
+
+@pytest.mark.parametrize("loss, other", [("tagging", "seq_cls"), ("seq_cls", "tagging")])
+def test_dataset_of_the_other_kind_is_refused_before_step_0(monkeypatch, loss, other):
+    vocab, corpus = setup_bed()
+    enc, stack = fresh_model(vocab, lang=False)
+    enc.ensure_cls_head(3)
+    enc.ensure_tag_head(N_CLASSES)
+    spec = SyntheticLanguageSpec("src")
+    datasets = {"seq_cls": gen_seq_task(corpus, spec, vocab, 30, "train", 1),
+                "tagging": gen_tag_task(corpus, spec, vocab, 30, "train", 1, N_CLASSES)}
+
+    def no_forward(*args, **kwargs):
+        raise AssertionError("a forward ran")
+
+    monkeypatch.setattr(Encoder, "encode", no_forward)
+    cfg = PhaseConfig(phase=PHASE_TASK, main_loss=loss, steps=2, batch_size=4)
+    with pytest.raises(ConfigError, match=f"{loss} loss.*{other} dataset"):
+        run_phase(enc, stack, cfg, dataset=datasets[other])
 
 
 @pytest.mark.parametrize("tie_mlm", [True, False], ids=["tied", "untied"])
@@ -414,7 +432,7 @@ def test_full_finetune_trains_everything_deterministically():
         enc.ensure_cls_head(3)
         cfg = PhaseConfig(phase=PHASE_FULL, main_loss="seq_cls", steps=15,
                           batch_size=8, seed=6)
-        stats = train_full_finetune(enc, dataset, cfg)
+        stats = run_phase(enc, None, cfg, dataset=dataset)
         return enc.params.checksum(), stats.log_lines
 
     (sum_a, log_a), (sum_b, log_b) = run(), run()
