@@ -171,38 +171,20 @@ def mul(a, b) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes; leading axes broadcast.
+    """``a @ b`` for a weight-shaped 2-D ``b``, as one GEMM.
 
-    With a 2-D right operand (a weight), ``a`` is viewed as [n, K] over its
-    flattened leading axes and the product is one GEMM; so is the weight's
-    gradient, A^T @ dC over all n rows. Otherwise (attention's 4-D @ 4-D)
-    the product is batched: dA = dC @ B^T, dB = A^T @ dC on the last two
-    axes, summed over any broadcast leading axes. A gradient is computed
-    only for an operand that requires one.
+    ``a`` is viewed as [n, K] over its flattened leading axes, and the
+    product is a single [n, K] @ [K, N] GEMM; so is the weight's gradient,
+    A^T @ dC over all n rows. A gradient is computed only for an operand
+    that requires one.
     """
     a, b = _wrap(a), _wrap(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
-    if b.ndim == 2:
-        return _matmul_flat(a, b)
-    values = a.values @ b.values
-
-    def backward(g):
-        grads = []
-        if a.requires_grad:
-            grads.append((a, _unbroadcast(g @ np.swapaxes(b.values, -1, -2), a.shape)))
-        if b.requires_grad:
-            grads.append((b, _unbroadcast(np.swapaxes(a.values, -1, -2) @ g, b.shape)))
-        return grads
-
-    return _node(values, (a, b), backward)
-
-
-def _matmul_flat(a: Tensor, b: Tensor) -> Tensor:
-    """``a @ b`` for a 2-D ``b`` as a single [n, K] @ [K, N] GEMM."""
+    if a.ndim < 2 or b.ndim != 2:
+        raise ShapeError(f"matmul needs a >=2-d left and a 2-d right operand, "
+                         f"got {a.shape} @ {b.shape}")
     k, n = b.shape
+    if a.shape[-1] != k:
+        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
     a2 = a.values.reshape(-1, k)  # a view when ``a`` is contiguous
     values = (a2 @ b.values).reshape(a.shape[:-1] + (n,))
 
@@ -309,18 +291,73 @@ def embedding_lookup(table: Tensor, ids: Array) -> Tensor:
     return _node(values, (table,), backward)
 
 
+def _softmax(x: Array) -> Array:
+    """Softmax over the last axis, computed with max-subtraction for stability."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_backward(probs: Array, g: Array) -> Array:
+    """The gradient of a softmax's input, from its output ``probs`` and ``g``."""
+    return probs * (g - (g * probs).sum(axis=-1, keepdims=True))
+
+
 def softmax_rows(x: Tensor) -> Tensor:
     """Softmax over the last axis, computed with max-subtraction for stability."""
     x = _wrap(x)
-    shifted = x.values - x.values.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    values = e / e.sum(axis=-1, keepdims=True)
+    values = _softmax(x.values)
 
     def backward(g):
-        dot = (g * values).sum(axis=-1, keepdims=True)
-        return ((x, values * (g - dot)),)
+        return ((x, _softmax_backward(values, g)),)
 
     return _node(values, (x,), backward)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, key_bias: Array, num_heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention as one node.
+
+    ``q``, ``k`` and ``v`` are [B, T, H] and split into ``num_heads`` heads
+    of width dh = H / num_heads. ``key_bias`` is a constant array that
+    broadcasts over [B, heads, T, T] scores (the encoder's is [B, 1, 1, T]).
+    Each head computes softmax(q k^T / sqrt(dh) + key_bias) v, and the heads
+    merge back into [B, T, H]. Forward and backward do the arithmetic of the
+    composition of reshape, transpose, matmul, mul, add and softmax_rows, in
+    its order, so values and gradients are bit for bit the same. The backward
+    computes only the gradients of inputs that require one; q and k share
+    one softmax backward.
+    """
+    q, k, v = _wrap(q), _wrap(k), _wrap(v)
+    if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape or q.shape[-1] % num_heads:
+        raise ShapeError(f"attention needs equal [B, T, H] q, k, v with H divisible by "
+                         f"{num_heads} heads, got {q.shape}, {k.shape}, {v.shape}")
+    b, t, h = q.shape
+    dh = h // num_heads
+    scale = 1.0 / np.sqrt(dh)
+
+    def split(z: Array) -> Array:  # [B, T, H] -> [B, heads, T, dh]
+        return z.reshape(b, t, num_heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(z: Array) -> Array:  # [B, heads, T, dh] -> [B, T, H]
+        return z.transpose(0, 2, 1, 3).reshape(b, t, h)
+
+    q4, k4, v4 = split(q.values), split(k.values), split(v.values)
+    probs = _softmax(q4 @ np.swapaxes(k4, -1, -2) * scale + key_bias)
+    values = merge(probs @ v4)
+
+    def backward(g):
+        g4 = split(g)
+        grads = []
+        if q.requires_grad or k.requires_grad:
+            gs = _softmax_backward(probs, g4 @ np.swapaxes(v4, -1, -2)) * scale
+            if q.requires_grad:
+                grads.append((q, merge(gs @ k4)))
+            if k.requires_grad:  # (q^T gs)^T: gs^T q is the same sum, rounded apart
+                grads.append((k, merge(np.swapaxes(np.swapaxes(q4, -1, -2) @ gs, -1, -2))))
+        if v.requires_grad:
+            grads.append((v, merge(np.swapaxes(probs, -1, -2) @ g4)))
+        return grads
+
+    return _node(values, (q, k, v), backward)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tensor:

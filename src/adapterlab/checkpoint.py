@@ -6,9 +6,10 @@ named array in declaration order. Raw bytes make the round-trip bit-exact.
 A write goes to a temporary file beside the target and is renamed over it,
 so a write that fails partway leaves any earlier file at the path whole.
 A read refuses a header that is not UTF-8 JSON, lacks a key it needs, holds
-a container of the wrong type, a config entry its class does not take, a
-non-integer count, seed or array dimension, or an unknown head, and a body
-that does not hold exactly the bytes its array directory lists.
+a container of the wrong type, a config entry its class does not take or
+refuses (``num_heads: 0``), a non-integer count, seed or array dimension, or
+an unknown head, and a body that does not hold exactly the bytes its array
+directory lists.
 A checkpoint loads by array name, so any construction order of the saved
 model (heads and adapter stack in either order) reloads.
 """
@@ -32,7 +33,7 @@ from .adapters import (
 )
 from .autodiff import Tensor
 from .encoder import Encoder, EncoderConfig
-from .errors import ContractError, MissingArtifactError, SwapError
+from .errors import ConfigError, ContractError, MissingArtifactError, SwapError
 from .optim import ParamSet
 
 FORMAT_VERSION = 2
@@ -121,7 +122,7 @@ def _build(path, cls, header: dict, key: str):
     """``cls`` built from the header entry ``key``, which must fit its fields."""
     try:
         return cls(**header[key])
-    except TypeError as exc:  # an unknown or missing field, or not a mapping
+    except (TypeError, ConfigError) as exc:  # a field unknown, missing or out of range
         raise MissingArtifactError(f"{path}: header entry {key} does not fit "
                                    f"{cls.__name__}: {exc}") from exc
 

@@ -1,11 +1,15 @@
 """Minimal transformer encoder with an adapter injection point per layer.
 
 Each layer runs post-norm self-attention and feed-forward sublayers. The
-adapter injection point sits after the feed-forward sublayer's residual
-addition and layer norm. Occupied adapter slots apply in fixed order:
-language first, then task. Each occupied slot's input and weights are
-recorded per layer, so the orthogonality loss can recompute the slot output
-from a detached copy of that input.
+attention sublayer projects Q, K and V with three weight GEMMs, then one
+``autodiff.attention`` node splits the heads, scores, masks padded keys,
+takes the softmax, weighs V and merges the heads; the output projection,
+dropout, residual addition and layer norm follow. The adapter injection
+point sits after the feed-forward sublayer's residual addition and layer
+norm. Occupied adapter slots apply in fixed order: language first, then
+task. Each occupied slot's input and weights are recorded per layer, so the
+orthogonality loss can recompute the slot output from a detached copy of
+that input.
 """
 
 from __future__ import annotations
@@ -18,18 +22,15 @@ from .adapters import LANGUAGE, AdapterStack, AdapterWeights, adapter_forward
 from .autodiff import (
     Tensor,
     add,
+    attention,
     dropout,
     embedding_lookup,
     layer_norm,
     matmul,
-    mul,
     relu,
-    reshape,
     select_token,
-    softmax_rows,
     swap_last,
     tanh,
-    transpose,
 )
 from .errors import ConfigError, SequenceLengthError, VocabError
 from .optim import ParamSet
@@ -50,6 +51,11 @@ class EncoderConfig:
     tie_mlm: bool = True
 
     def __post_init__(self):
+        for name in ("num_layers", "hidden", "num_heads", "ffn"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
         if self.hidden % self.num_heads != 0:
             raise ConfigError(
                 f"hidden size {self.hidden} not divisible by {self.num_heads} heads"
@@ -190,31 +196,24 @@ class Encoder:
                               f"the encoder {c.num_layers}")
         drop = c.dropout if rng is not None else 0.0
 
-        b, t = ids.shape
         x = add(embedding_lookup(p["embed.tok"], ids),
-                embedding_lookup(p["embed.pos"], np.arange(t)))
+                embedding_lookup(p["embed.pos"], np.arange(ids.shape[1])))
         if drop > 0.0:
             x = dropout(x, drop, rng)
         # additive key bias: -1e9 on padded keys, broadcast over [B, heads, Tq, Tk]
-        key_bias = Tensor((1.0 - mask.astype(np.float64))[:, None, None, :] * MASK_BIAS)
+        key_bias = (1.0 - mask.astype(np.float64))[:, None, None, :] * MASK_BIAS
         acts = LayerActivations()
-        dh = c.hidden // c.num_heads
-        scale = 1.0 / np.sqrt(dh)
         for i in range(c.num_layers):
-            x = self._attention_sublayer(i, x, key_bias, b, t, dh, scale, drop, rng)
+            x = self._attention_sublayer(i, x, key_bias, drop, rng)
             x = self._ffn_adapter_sublayer(i, x, stack, acts, drop, rng)
         return x, acts
 
-    def _attention_sublayer(self, i, x, key_bias, b, t, dh, scale, drop, rng):
-        c, p = self.config, self.params
+    def _attention_sublayer(self, i, x, key_bias, drop, rng):
+        p = self.params
         q = add(matmul(x, p[f"layer.{i}.attn.wq"]), p[f"layer.{i}.attn.bq"])
         k = add(matmul(x, p[f"layer.{i}.attn.wk"]), p[f"layer.{i}.attn.bk"])
         v = add(matmul(x, p[f"layer.{i}.attn.wv"]), p[f"layer.{i}.attn.bv"])
-        split = lambda z: transpose(reshape(z, (b, t, c.num_heads, dh)), (0, 2, 1, 3))
-        q, k, v = split(q), split(k), split(v)
-        scores = add(mul(matmul(q, swap_last(k)), scale), key_bias)
-        ctx = matmul(softmax_rows(scores), v)
-        ctx = reshape(transpose(ctx, (0, 2, 1, 3)), (b, t, c.hidden))
+        ctx = attention(q, k, v, key_bias, self.config.num_heads)
         out = add(matmul(ctx, p[f"layer.{i}.attn.wo"]), p[f"layer.{i}.attn.bo"])
         if drop > 0.0:
             out = dropout(out, drop, rng)

@@ -65,7 +65,9 @@ class Vocab:
         return [self.token_to_id.get(t, UNK) for t in tokens]
 
     def decode(self, ids) -> list[str]:
-        return [self.id_to_token[int(i)] for i in ids]
+        ids = np.asarray(ids, dtype=np.int64)
+        _check_ids(ids, self.size)
+        return [self.id_to_token[i] for i in ids.tolist()]
 
     def content_hash(self) -> str:
         return hashlib.sha256("\n".join(self.id_to_token).encode()).hexdigest()
@@ -456,19 +458,27 @@ def gen_tag_task(
 
 
 def save_task_dataset(dataset: TaskDataset, vocab: Vocab, path) -> None:
+    """Write a dataset as text; every id is checked before the file is opened."""
+    lines = []
+    if dataset.kind == SEQ_CLS:
+        for a, b, label in dataset.examples:
+            lines.append(f"{label}\t{' '.join(vocab.decode(a))}\t{' '.join(vocab.decode(b))}\n")
+    else:
+        for ids, tags in dataset.examples:
+            lines.extend(f"{token}\t{int(tag)}\n" for token, tag in zip(vocab.decode(ids), tags))
+            lines.append("\n")
     with open(path, "w", encoding="utf-8") as fh:
-        if dataset.kind == SEQ_CLS:
-            for a, b, label in dataset.examples:
-                fh.write(f"{label}\t{' '.join(vocab.decode(a))}\t{' '.join(vocab.decode(b))}\n")
-        else:
-            for ids, tags in dataset.examples:
-                for t, tag in zip(ids, tags):
-                    fh.write(f"{vocab.id_to_token[int(t)]}\t{int(tag)}\n")
-                fh.write("\n")
+        fh.writelines(lines)
 
 
 def load_task_dataset(path, vocab: Vocab, kind: str, language: str, split: str,
                       num_classes: int) -> TaskDataset:
+    """Read a dataset written by ``save_task_dataset``.
+
+    A line that does not parse, or whose label or tag lies outside
+    [0, num_classes), raises ``MissingArtifactError`` naming the line.
+    """
+    classes = f"in [0, {num_classes})"
     examples = []
     with open(path, encoding="utf-8") as fh:
         if kind == SEQ_CLS:
@@ -478,9 +488,10 @@ def load_task_dataset(path, vocab: Vocab, kind: str, language: str, split: str,
                     continue
                 try:
                     label, a, b = line.split("\t")
-                    label = int(label)
+                    label = _class_id(label, num_classes)
                 except ValueError:
-                    raise _bad_line(path, lineno, "label<TAB>sentence<TAB>sentence") from None
+                    raise _bad_line(path, lineno, f"label<TAB>sentence<TAB>sentence, "
+                                                  f"the label {classes}") from None
                 examples.append((
                     np.asarray(vocab.encode(a.split()), dtype=np.int64),
                     np.asarray(vocab.encode(b.split()), dtype=np.int64),
@@ -498,14 +509,22 @@ def load_task_dataset(path, vocab: Vocab, kind: str, language: str, split: str,
                     continue
                 try:
                     token, tag = line.split("\t")
-                    tags.append(int(tag))
+                    tags.append(_class_id(tag, num_classes))
                 except ValueError:
-                    raise _bad_line(path, lineno, "token<TAB>tag") from None
+                    raise _bad_line(path, lineno, f"token<TAB>tag, the tag {classes}") from None
                 ids.append(vocab.token_to_id.get(token, UNK))
             if ids:
                 examples.append((np.asarray(ids, dtype=np.int64),
                                  np.asarray(tags, dtype=np.int64)))
     return TaskDataset(kind, language, split, examples, num_classes)
+
+
+def _class_id(text: str, num_classes: int) -> int:
+    """``text`` as an integer in [0, num_classes); ``ValueError`` otherwise."""
+    label = int(text)
+    if not 0 <= label < num_classes:
+        raise ValueError(label)
+    return label
 
 
 def _bad_line(path, lineno: int, expected: str) -> MissingArtifactError:

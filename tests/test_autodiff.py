@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from adapterlab import Tensor, grad_check
 from adapterlab.autodiff import (
     add,
+    attention,
     cosine_sq_rows,
     cross_entropy,
     embedding_lookup,
@@ -51,6 +52,12 @@ def test_matmul_shape_mismatch_names_shapes():
         matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))))
 
 
+def test_matmul_refuses_a_right_operand_not_2d():
+    # batched products live inside ``attention``; matmul multiplies by weights
+    with pytest.raises(ShapeError, match=r"\(2, 2, 3, 4\).*\(2, 2, 4, 3\)"):
+        matmul(Tensor(np.zeros((2, 2, 3, 4))), Tensor(np.zeros((2, 2, 4, 3))))
+
+
 def test_matmul_gradients_vs_finite_differences():
     r = rng(1)
     a = Tensor(r.normal(size=(3, 4)))
@@ -75,7 +82,7 @@ def test_matmul_batched_gradcheck():
     assert grad_check(f, [a, b]) < 1e-6
 
 
-# a 2-D right operand takes the flattened single-GEMM path; operands as the
+# matmul is one flattened GEMM over the left operand's rows; operands as the
 # encoder makes them, including non-contiguous views: a transposed activation
 # on the left, the tied MLM head's swap_last of the [V, H] embedding table on
 # the right
@@ -110,8 +117,8 @@ def test_matmul_flat_gradcheck(case):
 
 
 @pytest.mark.parametrize("shapes", [((3, 4), (4, 5)), ((2, 3, 4), (4, 5)),
-                                    ((2, 2, 3, 4), (4, 5)), ((2, 2, 3, 4), (2, 2, 4, 3))],
-                         ids=["2d", "3d_2d", "4d_2d", "4d_4d"])
+                                    ((2, 2, 3, 4), (4, 5))],
+                         ids=["2d", "3d_2d", "4d_2d"])
 def test_matmul_values_match_numpy(shapes):
     r = rng(7)
     a, b = (r.normal(size=s) for s in shapes)
@@ -123,6 +130,99 @@ def test_matmul_values_match_numpy(shapes):
         out, ref = matmul(Tensor(x), Tensor(y)).values, np.matmul(x, y)
         assert out.shape == ref.shape
         assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+# --- attention ------------------------------------------------------------------
+
+
+def key_bias(b, t, padded):
+    """A [B, 1, 1, T] bias of -1e9 on the last ``padded[i]`` keys of sequence i."""
+    bias = np.zeros((b, 1, 1, t))
+    for i, n in enumerate(padded):
+        bias[i, ..., t - n:] = -1e9
+    return bias
+
+
+KEY_BIAS = key_bias(2, 3, (1, 2))
+
+
+def reference_attention(q, k, v, bias, heads, g):
+    """Values, and the q, k and v gradients for an output gradient ``g``, of
+    the composition attention replaced: split heads with reshape + transpose,
+    matmul with swap_last(k), mul by 1/sqrt(dh), add the bias, softmax_rows,
+    matmul with v, merge; each op's numpy arithmetic in plain numpy."""
+    b, t, h = q.shape
+    dh = h // heads
+    split = lambda z: np.transpose(z.reshape(b, t, heads, dh), (0, 2, 1, 3))
+    merge = lambda z: np.transpose(z, (0, 2, 1, 3)).reshape(b, t, h)
+    q4, k4, v4 = split(q), split(k), split(v)
+    kt = np.transpose(k4, (0, 1, 3, 2))
+    scale = np.asarray(1.0 / np.sqrt(dh))
+    scores = q4 @ kt * scale + bias
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+    g4 = split(g)
+    gprobs = g4 @ np.swapaxes(v4, -1, -2)
+    gscores = probs * (gprobs - (gprobs * probs).sum(axis=-1, keepdims=True)) * scale
+    gkt = np.swapaxes(q4, -1, -2) @ gscores
+    return (merge(probs @ v4), merge(gscores @ np.swapaxes(kt, -1, -2)),
+            merge(np.transpose(gkt, (0, 1, 3, 2))), merge(np.swapaxes(probs, -1, -2) @ g4))
+
+
+@pytest.mark.parametrize("heads", [1, 2])
+@pytest.mark.parametrize("t", [1, 3])
+def test_attention_gradcheck_every_input_subset(heads, t):
+    r = rng(40 + heads + t)
+    qkv = [r.normal(size=(2, t, 4)) for _ in range(3)]
+    bias = key_bias(2, t, (1, 1) if t == 1 else (1, 2))
+    w = rng(41).normal(size=(2, t, 4))
+    for mask in range(1, 8):  # each non-empty subset of {q, k, v}
+        ts = [Tensor(x.copy()) for x in qkv]
+        picked = [ts[i] for i in range(3) if mask >> i & 1]
+        f = lambda _: tsum(mul(attention(*ts, bias, heads), Tensor(w)))
+        assert grad_check(f, picked) < 1e-6, mask
+        assert all(x.grad is None for x in ts if x not in picked)
+
+
+@pytest.mark.parametrize("storage", ["contiguous", "transposed"])
+@pytest.mark.parametrize("heads", [1, 2])
+def test_attention_matches_numpy_composition_bytes(heads, storage):
+    r = rng(42)
+    qkv = [r.normal(size=(2, 3, 4)) for _ in range(3)]
+    if storage == "transposed":  # equal values, stored transposed in the last two axes
+        qkv = [np.swapaxes(np.swapaxes(x, -1, -2).copy(), -1, -2) for x in qkv]
+    g = r.normal(size=(2, 3, 4))
+    ts = [Tensor(x, requires_grad=True) for x in qkv]
+    out = attention(*ts, KEY_BIAS, heads)
+    grads = dict((id(t), pg) for t, pg in out._backward(g))
+    got = [out.values] + [grads[id(t)] for t in ts]
+    want = reference_attention(*qkv, KEY_BIAS, heads, g)
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
+
+def test_attention_padded_key_gets_zero_probability_and_gradient():
+    # one head with v = I: each output row is that query's key probabilities
+    r = rng(43)
+    q, k = (Tensor(r.normal(scale=3.0, size=(2, 3, 3)), requires_grad=True)
+            for _ in range(2))
+    v = Tensor(np.broadcast_to(np.eye(3), (2, 3, 3)).copy(), requires_grad=True)
+    out = attention(q, k, v, KEY_BIAS, 1)
+    padded = KEY_BIAS[:, 0, 0, :] < 0  # [B, T]
+    assert np.all(out.values.transpose(0, 2, 1)[padded] == 0.0)
+    assert np.all(out.values.transpose(0, 2, 1)[~padded] > 0.0)
+    np.testing.assert_allclose(out.values.sum(axis=-1), 1.0, rtol=0, atol=1e-15)
+    tsum(mul(out, Tensor(r.normal(size=(2, 3, 3))))).backward()
+    assert np.all(k.grad[padded] == 0.0) and np.all(v.grad[padded] == 0.0)
+    # real keys do get a gradient (sequence 1 has one real key: its k is inert)
+    assert np.all(k.grad[0, :2] != 0.0) and np.all(v.grad[~padded] != 0.0)
+
+
+def test_attention_refuses_mismatched_inputs():
+    x = Tensor(np.zeros((2, 3, 4)))
+    with pytest.raises(ShapeError):
+        attention(x, Tensor(np.zeros((2, 3, 6))), x, KEY_BIAS, 2)
+    with pytest.raises(ShapeError):
+        attention(x, x, x, KEY_BIAS, 3)  # 4 is not divisible into 3 heads
 
 
 # --- cosine_sq_rows ----------------------------------------------------------
@@ -397,11 +497,12 @@ def test_no_grad_nests_and_restores_on_error():
 
 # each multi-operand op, with operands shaped as the encoder uses them: an
 # activation times a weight, a bias or a scalar broadcast over an activation,
-# a norm's gain and bias, a detached slot input against the slot output
+# a norm's gain and bias, a detached slot input against the slot output, and
+# attention's q, k and v
 FROZEN_CASES = {
     "matmul": (matmul, [(2, 3, 4), (4, 5)]),
     "matmul_4d": (matmul, [(2, 2, 3, 4), (4, 5)]),
-    "matmul_batched": (matmul, [(2, 2, 3, 4), (2, 2, 4, 3)]),
+    "attention": (lambda q, k, v: attention(q, k, v, KEY_BIAS, 2), [(2, 3, 4)] * 3),
     "add": (add, [(2, 3, 4), (4,)]),
     "mul": (mul, [(2, 3, 4), ()]),
     "layer_norm": (layer_norm, [(3, 4), (4,), (4,)]),

@@ -131,6 +131,23 @@ def test_checkpoint_directory_mismatch_raises_typed_error(tmp_path):
             load_checkpoint(path)
 
 
+def test_checkpoint_config_out_of_range_raises_typed_error(tmp_path):
+    # a header value its config class refuses, refused like one of the wrong type
+    enc, stack = build_model()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, enc, stack)
+    head, _, body = path.read_bytes().partition(b"\x00")
+    for key, field, bad in (("encoder_config", "num_heads", 0),
+                            ("encoder_config", "dropout", 1.0),
+                            (LANGUAGE, "dim", 0)):
+        manifest = json.loads(head)
+        entry = manifest.get(key) or manifest["adapters"][key]
+        entry[field] = bad
+        path.write_bytes(json.dumps(manifest).encode() + b"\x00" + body)
+        with pytest.raises(MissingArtifactError, match=f"{key}.*{field}"):
+            load_checkpoint(path)
+
+
 def test_checkpoint_without_stack(tmp_path):
     enc = Encoder(EncoderConfig(vocab=30, num_layers=1, hidden=8, num_heads=2,
                                 ffn=12, max_len=10, dropout=0.0), seed=4)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from adapterlab import Tensor, grad_check
+from adapterlab import Tensor, autodiff, grad_check
 from adapterlab.adapters import LANGUAGE, AdapterConfig, AdapterStack, init_adapter_stack_slot
 from adapterlab.autodiff import tsum, mul
 from adapterlab.encoder import Encoder, EncoderConfig
@@ -27,6 +27,14 @@ def test_config_validation():
         EncoderConfig(vocab=10, max_len=0)
 
 
+@pytest.mark.parametrize("field, bad", [("num_layers", 0), ("hidden", 0), ("num_heads", 0),
+                                        ("num_heads", -4), ("ffn", 0), ("dropout", 1.0),
+                                        ("dropout", -0.1)])
+def test_config_refuses_bad_sizes_naming_the_field(field, bad):
+    with pytest.raises(ConfigError, match=field):
+        EncoderConfig(vocab=10, **{field: bad})
+
+
 def test_defaults_match_toy_scale():
     cfg = EncoderConfig(vocab=100)
     assert (cfg.num_layers, cfg.hidden, cfg.num_heads, cfg.ffn) == (2, 32, 4, 64)
@@ -43,6 +51,25 @@ def test_vocab_and_length_errors():
         enc.encode(np.full((1, 9), 2), np.ones((1, 9)))
     with pytest.raises(ConfigError):  # an empty batch, before any reduction over it
         enc.encode(np.zeros((0, 4), dtype=np.int64), np.zeros((0, 4)))
+
+
+def test_encode_node_count_is_pinned(monkeypatch):
+    # attention is one node per layer; the benchmark's tracer does not wrap
+    # ``attention``, so this count is what keeps the sublayer from splitting
+    created = []
+    real = autodiff._node
+
+    def counting(values, parents, backward):
+        created.append(1)
+        return real(values, parents, backward)
+
+    monkeypatch.setattr(autodiff, "_node", counting)
+    enc = Encoder(EncoderConfig(vocab=13), seed=0)
+    ids = np.array([[2, 5, 6, 7]])
+    for rng, nodes in ((np.random.default_rng(0), 44), (None, 39)):
+        created.clear()
+        enc.encode(ids, np.ones_like(ids), rng=rng)
+        assert len(created) == nodes
 
 
 def test_empty_stack_equals_plain_forward():

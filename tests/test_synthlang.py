@@ -16,6 +16,7 @@ from adapterlab.synthlang import (
     TAGGING,
     UNK,
     SyntheticLanguageSpec,
+    TaskDataset,
     Vocab,
     apply_language,
     build_vocab,
@@ -422,3 +423,29 @@ def test_tag_dataset_file_roundtrip(tmp_path):
     path.write_text(path.read_text().replace("\t", " ", 1))  # line 1 has no tab
     with pytest.raises(MissingArtifactError, match="line 1"):
         load_task_dataset(path, vocab, TAGGING, "src", "dev", 6)
+
+
+def test_ids_outside_the_vocabulary_are_refused_before_writing(tmp_path):
+    _, vocab, _ = toy_setup(50)
+    assert vocab.decode([5, 6]) == [vocab.id_to_token[5], vocab.id_to_token[6]]
+    for bad in ([5, -1], [vocab.size]):
+        with pytest.raises(ContractError, match="outside the vocabulary"):
+            vocab.decode(bad)
+    for ds in (TaskDataset(TAGGING, "src", "dev", [([5, 6], [0, 1]), ([5, -1], [0, 1])], 6),
+               TaskDataset(SEQ_CLS, "src", "dev", [([5, 6], [vocab.size], 0)], 3)):
+        path = tmp_path / f"{ds.kind}.txt"
+        with pytest.raises(ContractError, match="outside the vocabulary"):
+            save_task_dataset(ds, vocab, path)
+        assert not path.exists()
+
+
+def test_labels_outside_the_classes_are_refused_on_load(tmp_path):
+    _, vocab, _ = toy_setup(50)
+    for ds, line in ((TaskDataset(TAGGING, "src", "dev", [([5, 6], [0, 9])], 6), 2),
+                     (TaskDataset(TAGGING, "src", "dev", [([5], [0]), ([6], [-1])], 6), 3),
+                     (TaskDataset(SEQ_CLS, "src", "dev", [([5], [6], 0), ([5, 6], [7], 3)], 3), 2)):
+        path = tmp_path / f"{ds.kind}.txt"
+        save_task_dataset(ds, vocab, path)
+        with pytest.raises(MissingArtifactError, match=f"{path.name}: line {line} .*in \\[0, "
+                                                       f"{ds.num_classes}\\)"):
+            load_task_dataset(path, vocab, ds.kind, "src", "dev", ds.num_classes)
