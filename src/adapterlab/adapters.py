@@ -24,7 +24,7 @@ from .optim import ParamSet
 
 LANGUAGE = "language"
 TASK = "task"
-# the ParamSet name prefix of each slot's weights
+# the ParamSet name prefix of each slot's weights; the order is the stacking order
 SLOT_PREFIX = {LANGUAGE: "adapter.lang.", TASK: "adapter.task."}
 
 PHASE_LANG = "lang_adapter_training"
@@ -45,7 +45,7 @@ class AdapterConfig:
     orthogonal: bool = False
 
     def __post_init__(self):
-        if self.kind not in (LANGUAGE, TASK):
+        if self.kind not in SLOT_PREFIX:
             raise ConfigError(f"unknown adapter kind {self.kind!r}")
         if self.dim < 1:
             raise ConfigError(f"adapter dim must be >= 1, got {self.dim}")
@@ -88,10 +88,11 @@ def init_adapter_stack_slot(config: AdapterConfig, hidden: int, num_layers: int,
 
 
 class AdapterStack:
-    """Per-layer (language, task) adapter slots with a fixed stacking order.
+    """Per-layer language and task adapter slots.
 
-    The language slot, when present, always applies before the task slot.
-    Every layer carries the same occupancy pattern.
+    The occupied slots apply in ``SLOT_PREFIX`` order (language before task),
+    whatever order they were filled in. Every layer carries the same
+    occupancy pattern.
     """
 
     def __init__(self, num_layers: int):
@@ -116,10 +117,10 @@ class AdapterStack:
 
     def register(self, params: ParamSet) -> None:
         """Declare all adapter tensors in the ParamSet under dotted names."""
-        for kind in (LANGUAGE, TASK):
+        for kind, prefix in SLOT_PREFIX.items():
             for i, w in enumerate(self.slot(kind) or ()):
-                params.add(f"{SLOT_PREFIX[kind]}{i}.w_down", w.w_down)
-                params.add(f"{SLOT_PREFIX[kind]}{i}.w_up", w.w_up)
+                params.add(f"{prefix}{i}.w_down", w.w_down)
+                params.add(f"{prefix}{i}.w_up", w.w_up)
 
 
 def slot_names(params: ParamSet, kind: str) -> list[str]:

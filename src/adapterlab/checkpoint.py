@@ -7,9 +7,11 @@ A write goes to a temporary file beside the target and is renamed over it,
 so a write that fails partway leaves any earlier file at the path whole.
 A read refuses a header that is not UTF-8 JSON, lacks a key it needs, holds
 a container of the wrong type, a config entry its class does not take or
-refuses (``num_heads: 0``), a non-integer count, seed or array dimension, or
-an unknown head, and a body that does not hold exactly the bytes its array
-directory lists.
+refuses (``num_heads: 0``), a non-integer count, seed or array dimension, an
+unknown head, or an array directory that names one array twice, and a body
+that does not hold exactly the bytes its array directory lists. An adapter
+file's arrays must have the shapes its header's ``dim`` and one hidden size
+give them.
 A checkpoint loads by array name, so any construction order of the saved
 model (heads and adapter stack in either order) reloads.
 """
@@ -24,13 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .adapters import (
-    LANGUAGE,
-    TASK,
-    AdapterConfig,
-    AdapterStack,
-    AdapterWeights,
-)
+from .adapters import SLOT_PREFIX, AdapterConfig, AdapterStack, AdapterWeights
 from .autodiff import Tensor
 from .encoder import Encoder, EncoderConfig
 from .errors import ConfigError, ContractError, MissingArtifactError, SwapError
@@ -76,22 +72,23 @@ def _read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
     _require(path, "header", manifest, "arrays")
     if type(manifest["arrays"]) is not list:
         raise MissingArtifactError(f"{path}: header entry arrays must be a list")
-    directory = []
+    directory: dict[str, tuple[int, ...]] = {}
     for i, entry in enumerate(manifest["arrays"]):
         _require(path, f"arrays[{i}]", entry, "name", "shape")
         name, shape = entry["name"], entry["shape"]
         if type(name) is not str or type(shape) is not list:
             raise MissingArtifactError(f"{path}: array directory entry {name!r} needs a "
                                        f"string name and a shape list")
-        directory.append((name, tuple(_integer(path, f"shape of {name}", d, 0)
-                                      for d in shape)))
-    listed = sum(8 * math.prod(shape) for _, shape in directory)
+        if name in directory:
+            raise MissingArtifactError(f"{path}: array directory lists {name} twice")
+        directory[name] = tuple(_integer(path, f"shape of {name}", d, 0) for d in shape)
+    listed = sum(8 * math.prod(shape) for shape in directory.values())
     if len(body) != listed:
         raise MissingArtifactError(f"{path}: body holds {len(body)} bytes, "
                                    f"its array directory lists {listed}")
     arrays: dict[str, np.ndarray] = {}
     offset = 0
-    for name, shape in directory:
+    for name, shape in directory.items():
         count = math.prod(shape)
         arr = np.frombuffer(body, dtype="<f8", count=count, offset=offset)
         arrays[name] = arr.reshape(shape).astype(np.float64)
@@ -138,7 +135,7 @@ def save_checkpoint(path, encoder: Encoder, stack: AdapterStack | None = None) -
         "adapters": {
             kind: dataclasses.asdict(stack.slot(kind)[0].config)
             if stack and stack.slot(kind) else None
-            for kind in (LANGUAGE, TASK)
+            for kind in SLOT_PREFIX
         },
     }
     arrays = [(name, tensor.values) for name, tensor in encoder.params.items()]
@@ -151,7 +148,7 @@ def load_checkpoint(path) -> tuple[Encoder, AdapterStack | None, dict]:
     if manifest.get("kind") != "checkpoint":
         raise MissingArtifactError(f"{path} is not a checkpoint container")
     _require(path, "header", manifest, "encoder_config", "seed", "heads", "adapters")
-    adapters = _require(path, "adapters", manifest["adapters"], LANGUAGE, TASK)
+    adapters = _require(path, "adapters", manifest["adapters"], *SLOT_PREFIX)
     config = _build(path, EncoderConfig, manifest, "encoder_config")
     encoder = Encoder(config, seed=_integer(path, "seed", manifest["seed"], 0))
     builders = {"cls": encoder.ensure_cls_head, "tag": encoder.ensure_tag_head}
@@ -160,29 +157,26 @@ def load_checkpoint(path) -> tuple[Encoder, AdapterStack | None, dict]:
             raise MissingArtifactError(f"{path}: header entry heads names an unknown "
                                        f"head {head!r}")
         builders[head](_integer(path, f"heads.{head}", n, 1))
-    stack = None
-    if adapters[LANGUAGE] or adapters[TASK]:
-        stack = AdapterStack(config.num_layers)
-        for kind in (LANGUAGE, TASK):
-            if not adapters[kind]:
-                continue
-            acfg = _build(path, AdapterConfig, adapters, kind)
-            stack.fill(kind, [
-                AdapterWeights(acfg, Tensor(np.zeros((config.hidden, acfg.dim))),
-                               Tensor(np.zeros((acfg.dim, config.hidden))))
-                for _ in range(config.num_layers)
-            ])
+    kinds = [kind for kind in SLOT_PREFIX if adapters[kind]]
+    stack = AdapterStack(config.num_layers) if kinds else None
+    for kind in kinds:
+        acfg = _build(path, AdapterConfig, adapters, kind)
+        stack.fill(kind, [
+            AdapterWeights(acfg, Tensor(np.zeros((config.hidden, acfg.dim))),
+                           Tensor(np.zeros((acfg.dim, config.hidden))))
+            for _ in range(config.num_layers)
+        ])
+    if stack is not None:
         stack.register(encoder.params)
     built = dict(encoder.params.items())
-    stored = [entry["name"] for entry in manifest["arrays"]]
     missing = [name for name in built if name not in arrays]
-    extra = [name for name in stored if name not in built]
+    extra = [name for name in arrays if name not in built]
     if missing or extra:
         raise MissingArtifactError(f"{path}: array directory does not match the model: "
                                    f"missing {missing}, unexpected {extra}")
     # declared in the file's order, so saving the loaded model writes the same bytes
     encoder.params = ParamSet()
-    for name in stored:
+    for name in arrays:
         tensor = encoder.params.add(name, built[name])
         if tensor.shape != arrays[name].shape:
             raise MissingArtifactError(f"{path}: array {name} has shape "
@@ -220,7 +214,16 @@ def load_adapter(path) -> tuple[AdapterConfig, list[tuple[np.ndarray, np.ndarray
     pairs = []
     for i in range(num_layers):
         try:
-            pairs.append((arrays[f"{i}.w_down"], arrays[f"{i}.w_up"]))
+            w_down, w_up = arrays[f"{i}.w_down"], arrays[f"{i}.w_up"]
         except KeyError as exc:
             raise SwapError(f"{path}: adapter file missing layer {i} arrays") from exc
+        if i == 0:  # the hidden size every layer must share
+            hidden = w_down.shape[0] if w_down.ndim else 0
+        for name, arr, want in ((f"{i}.w_down", w_down, (hidden, config.dim)),
+                                (f"{i}.w_up", w_up, (config.dim, hidden))):
+            if arr.shape != want:
+                raise MissingArtifactError(f"{path}: array {name} has shape {arr.shape}, "
+                                           f"adapter dim {config.dim} and hidden size "
+                                           f"{hidden} need {want}")
+        pairs.append((w_down, w_up))
     return config, pairs, manifest

@@ -6,19 +6,20 @@ attention sublayer projects Q, K and V with three weight GEMMs, then one
 takes the softmax, weighs V and merges the heads; the output projection,
 dropout, residual addition and layer norm follow. The adapter injection
 point sits after the feed-forward sublayer's residual addition and layer
-norm. Occupied adapter slots apply in fixed order: language first, then
-task. Each occupied slot's input and weights are recorded per layer, so the
-orthogonality loss can recompute the slot output from a detached copy of
-that input.
+norm. The occupied adapter slots apply there in the order of
+``adapters.SLOT_PREFIX``: language first, then task. For each occupied slot
+``encode`` records, per layer, the values of the slot's input and the
+weights it applied, so the orthogonality loss can recompute the slot output
+from that input taken as a constant.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .adapters import LANGUAGE, AdapterStack, AdapterWeights, adapter_forward
+from .adapters import SLOT_PREFIX, AdapterStack, AdapterWeights, adapter_forward
 from .autodiff import (
     Tensor,
     add,
@@ -64,29 +65,6 @@ class EncoderConfig:
             raise ConfigError("max_len must be at least 1")
         if self.vocab < 2:
             raise ConfigError("vocab must hold at least two ids")
-
-
-@dataclass
-class SlotRecord:
-    """Input of one occupied adapter slot in one layer, and the slot's weights.
-
-    The weights ride along so a loss can recompute the output from a
-    detached input (gradient stop on everything upstream of the slot).
-    """
-
-    x_in: Tensor
-    weights: AdapterWeights
-
-
-@dataclass
-class LayerActivations:
-    """Per-layer adapter activations recorded during encode."""
-
-    lang: list[SlotRecord | None] = field(default_factory=list)
-    task: list[SlotRecord | None] = field(default_factory=list)
-
-    def slot(self, kind: str) -> list[SlotRecord | None]:
-        return self.lang if kind == LANGUAGE else self.task
 
 
 def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -167,13 +145,14 @@ class Encoder:
         mask: np.ndarray,
         stack: AdapterStack | None = None,
         rng: np.random.Generator | None = None,
-    ) -> tuple[Tensor, LayerActivations]:
+    ) -> tuple[Tensor, dict[str, list[tuple[np.ndarray, AdapterWeights]]]]:
         """Run the backbone over a [B, T] id batch.
 
         ``mask`` is 1 on real tokens and 0 on padding; padded positions are
         never attended to. Dropout at the configured rate applies when an
         ``rng`` is given and never otherwise. Returns final states [B, T, H]
-        and the recorded adapter activations.
+        and, per occupied slot kind, one (input values, weights) pair per
+        layer; empty kinds are absent.
         """
         c = self.config
         p = self.params
@@ -182,6 +161,8 @@ class Encoder:
         if ids.ndim != 2 or mask.shape != ids.shape or ids.size == 0:
             raise ConfigError(f"ids {ids.shape} and mask {mask.shape} must both be "
                               f"[B, T] with B, T >= 1")
+        if not ((mask == 0) | (mask == 1)).all():
+            raise ConfigError(f"mask entries must be 0 or 1, got {np.unique(mask)}")
         lo, hi = int(ids.min()), int(ids.max())
         if lo < 0 or hi >= c.vocab:
             raise VocabError(
@@ -195,17 +176,19 @@ class Encoder:
             raise ConfigError(f"adapter stack has {stack.num_layers} layers, "
                               f"the encoder {c.num_layers}")
         drop = c.dropout if rng is not None else 0.0
+        slots = {kind: stack.slot(kind) for kind in SLOT_PREFIX if stack and stack.slot(kind)}
 
-        x = add(embedding_lookup(p["embed.tok"], ids),
-                embedding_lookup(p["embed.pos"], np.arange(ids.shape[1])))
-        if drop > 0.0:
-            x = dropout(x, drop, rng)
+        x = dropout(add(embedding_lookup(p["embed.tok"], ids),
+                        embedding_lookup(p["embed.pos"], np.arange(ids.shape[1]))), drop, rng)
         # additive key bias: -1e9 on padded keys, broadcast over [B, heads, Tq, Tk]
         key_bias = (1.0 - mask.astype(np.float64))[:, None, None, :] * MASK_BIAS
-        acts = LayerActivations()
+        acts = {kind: [] for kind in slots}
         for i in range(c.num_layers):
             x = self._attention_sublayer(i, x, key_bias, drop, rng)
-            x = self._ffn_adapter_sublayer(i, x, stack, acts, drop, rng)
+            x = self._ffn_sublayer(i, x, drop, rng)
+            for kind, weights in slots.items():
+                acts[kind].append((x.values, weights[i]))
+                x = adapter_forward(x, weights[i].w_down, weights[i].w_up)
         return x, acts
 
     def _attention_sublayer(self, i, x, key_bias, drop, rng):
@@ -214,29 +197,17 @@ class Encoder:
         k = add(matmul(x, p[f"layer.{i}.attn.wk"]), p[f"layer.{i}.attn.bk"])
         v = add(matmul(x, p[f"layer.{i}.attn.wv"]), p[f"layer.{i}.attn.bv"])
         ctx = attention(q, k, v, key_bias, self.config.num_heads)
-        out = add(matmul(ctx, p[f"layer.{i}.attn.wo"]), p[f"layer.{i}.attn.bo"])
-        if drop > 0.0:
-            out = dropout(out, drop, rng)
+        out = dropout(add(matmul(ctx, p[f"layer.{i}.attn.wo"]), p[f"layer.{i}.attn.bo"]),
+                      drop, rng)
         return layer_norm(add(x, out), p[f"layer.{i}.ln1.gain"],
                           p[f"layer.{i}.ln1.bias"], LN_EPS)
 
-    def _ffn_adapter_sublayer(self, i, x, stack, acts, drop, rng):
+    def _ffn_sublayer(self, i, x, drop, rng):
         p = self.params
         inner = relu(add(matmul(x, p[f"layer.{i}.ffn.w1"]), p[f"layer.{i}.ffn.b1"]))
-        out = add(matmul(inner, p[f"layer.{i}.ffn.w2"]), p[f"layer.{i}.ffn.b2"])
-        if drop > 0.0:
-            out = dropout(out, drop, rng)
-        h = layer_norm(add(x, out), p[f"layer.{i}.ln2.gain"], p[f"layer.{i}.ln2.bias"], LN_EPS)
-        h = self._apply_slot(stack.lang[i] if stack and stack.lang else None, h, acts.lang)
-        return self._apply_slot(stack.task[i] if stack and stack.task else None, h, acts.task)
-
-    @staticmethod
-    def _apply_slot(weights: AdapterWeights | None, h: Tensor, record: list) -> Tensor:
-        if weights is None:
-            record.append(None)
-            return h
-        record.append(SlotRecord(x_in=h, weights=weights))
-        return adapter_forward(h, weights.w_down, weights.w_up)
+        out = dropout(add(matmul(inner, p[f"layer.{i}.ffn.w2"]), p[f"layer.{i}.ffn.b2"]),
+                      drop, rng)
+        return layer_norm(add(x, out), p[f"layer.{i}.ln2.gain"], p[f"layer.{i}.ln2.bias"], LN_EPS)
 
     # --- output heads ------------------------------------------------------------
 

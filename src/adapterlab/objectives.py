@@ -7,8 +7,9 @@ label is not ``IGNORE_LABEL``), sequence classification reads the [CLS]
 pool, and ``ortho_loss`` reads the real tokens (1 in the mask). A position
 a loss does not read cannot move its value or its gradient.
 
-The orthogonality loss is computed one way. Per layer it takes the real
-tokens' rows of the slot input that encode recorded, as a constant,
+The orthogonality loss is computed one way. It reads the (input values,
+weights) pairs that ``Encoder.encode`` returns for one slot kind. Per layer
+it takes the real tokens' rows of the recorded slot input, as a constant,
 recomputes the slot output from them with the slot's own weights, and
 averages the squared cosine between each token's input and output; then it
 sums the per-layer means. Gradients therefore reach the slot's weights and
@@ -33,7 +34,6 @@ from .autodiff import (
     reshape,
     tsum,
 )
-from .encoder import LayerActivations
 from .errors import ConfigError, ContractError, EmptyLossError, ShapeError
 from .synthlang import FIRST_REGULAR, MASK
 
@@ -106,41 +106,42 @@ class OrthoLossReport:
 
 
 def ortho_loss(
-    acts: LayerActivations,
+    acts: dict[str, list],
     slot: str,
     mask: np.ndarray,
     exclude_residual: bool = False,
 ) -> OrthoLossReport:
     """Sum over layers of the per-token mean squared cosine for one slot.
 
-    ``slot`` is "language" or "task"; it must be occupied in every layer.
-    The slot output is recomputed from the real tokens' rows of the recorded
-    slot input, taken as a constant, so gradients reach the slot's own
-    weights and nothing upstream of it. Padded tokens (0 in ``mask``, the
-    [B, T] mask of the batch encode ran on) are never read. ``exclude_residual``
-    scores only the bottleneck's own contribution (with the residual term,
-    full orthogonality is unreachable).
+    ``acts`` is the second return value of ``Encoder.encode``: per occupied
+    slot kind, one (slot input values, weights) pair per layer. ``slot``
+    ("language" or "task") must be one of its kinds. The slot output is
+    recomputed from the real tokens' rows of the recorded slot input, taken
+    as a constant, so gradients reach the slot's own weights and nothing
+    upstream of it. Padded tokens (0 in ``mask``, the [B, T] mask of the
+    batch encode ran on) are never read. ``exclude_residual`` scores only the
+    bottleneck's own contribution (with the residual term, full
+    orthogonality is unreachable).
     """
     # Looked up in ``adapters`` at call time, not bound at module level (there
     # is no import cycle): perfbench's tracer rebinds ``adapters.adapter_forward``,
     # and a module-level binding would hide this recompute from traced runs.
     from .adapters import adapter_forward
 
-    records = acts.slot(slot)
-    if not records or any(r is None for r in records):
-        raise ContractError(f"ortho_loss: the {slot} slot is not occupied in every layer")
+    records = acts.get(slot)
+    if not records:
+        raise ContractError(f"ortho_loss: the {slot} slot is not occupied")
     mask = np.asarray(mask)
-    if mask.shape != records[0].x_in.shape[:-1]:
+    if mask.shape != records[0][0].shape[:-1]:
         raise ShapeError(f"mask {mask.shape} does not match the slot inputs "
-                         f"{records[0].x_in.shape}")
+                         f"{records[0][0].shape}")
     real = np.flatnonzero(mask.reshape(-1) == 1)
     if real.size == 0:
         raise ContractError("ortho_loss: no tokens left after padding exclusion")
     total: Tensor | None = None
     per_layer: list[float] = []
-    for rec in records:
-        x_in = Tensor(rec.x_in.values.reshape(-1, rec.x_in.shape[-1])[real])
-        w = rec.weights
+    for values, w in records:
+        x_in = Tensor(values.reshape(-1, values.shape[-1])[real])
         out = adapter_forward(x_in, w.w_down, w.w_up, residual=not exclude_residual)
         layer_mean = mul(tsum(cosine_sq_rows(x_in, out)), 1.0 / real.size)
         total = layer_mean if total is None else add(total, layer_mean)

@@ -423,6 +423,8 @@ def gen_seq_task(
 
 def tag_labels_for_base(base_sentence: np.ndarray, vocab: Vocab, n_tags: int) -> np.ndarray:
     """Gold tags of a base-language sentence: hash bucket of each token type."""
+    if n_tags < 1:
+        raise ConfigError(f"tagging needs at least 1 tag, got n_tags={n_tags}")
     _check_ids(np.asarray(base_sentence), vocab.size)
     return np.array(
         [stable_bucket(vocab.id_to_token[int(t)], n_tags) for t in base_sentence],
@@ -478,6 +480,8 @@ def load_task_dataset(path, vocab: Vocab, kind: str, language: str, split: str,
     A line that does not parse, or whose label or tag lies outside
     [0, num_classes), raises ``MissingArtifactError`` naming the line.
     """
+    if kind not in (SEQ_CLS, TAGGING):
+        raise ConfigError(f"unknown dataset kind {kind!r}, expected {SEQ_CLS!r} or {TAGGING!r}")
     classes = f"in [0, {num_classes})"
     examples = []
     with open(path, encoding="utf-8") as fh:

@@ -97,8 +97,7 @@ def test_identity_at_init_leaves_encoder_output_unchanged():
             AdapterConfig(dim=2, kind=TASK), 8, 2, seed + 1))
         out, acts = enc.encode(ids, mask, stack=stack)
         np.testing.assert_allclose(out.values, base.values, atol=1e-12, rtol=0)
-        assert all(r is not None for r in acts.lang)
-        assert all(r is not None for r in acts.task)
+        assert [[w for _, w in acts[kind]] for kind in acts] == [stack.lang, stack.task]
 
 
 def trained_like_stack(seed=9):
@@ -125,6 +124,39 @@ def test_stacking_order_is_observable():
     swapped.fill(TASK, stack.lang)
     out2, _ = enc.encode(ids, mask, stack=swapped)
     assert np.max(np.abs(out1.values - out2.values)) > 1e-8
+
+
+def test_fill_order_does_not_change_the_stacking_order():
+    enc = small_encoder()
+    ids = np.array([[2, 5, 6, 7], [2, 8, 9, 0]])
+    mask = np.array([[1, 1, 1, 1], [1, 1, 1, 0]])
+    trained = trained_like_stack()
+    states = []
+    for order in ((LANGUAGE, TASK), (TASK, LANGUAGE)):
+        stack = AdapterStack(2)
+        for kind in order:
+            stack.fill(kind, trained.slot(kind))
+        out, acts = enc.encode(ids, mask, stack=stack)
+        assert list(acts) == [LANGUAGE, TASK]
+        states.append(out.values.tobytes())
+    assert states[0] == states[1]
+
+
+def test_encode_records_only_the_occupied_slots():
+    enc = small_encoder()
+    ids = np.array([[2, 5, 6, 7]])
+    trained = trained_like_stack()
+    for kinds in ((LANGUAGE,), (TASK,), (LANGUAGE, TASK)):
+        stack = AdapterStack(2)
+        for kind in kinds:
+            stack.fill(kind, trained.slot(kind))
+        _, acts = enc.encode(ids, np.ones_like(ids), stack=stack)
+        assert list(acts) == list(kinds)
+        for kind in kinds:
+            assert len(acts[kind]) == enc.config.num_layers
+            for (x_in, weights), applied in zip(acts[kind], trained.slot(kind)):
+                assert type(x_in) is np.ndarray and x_in.shape == (1, 4, 8)
+                assert weights is applied
 
 
 def test_swap_noop_and_roundtrip_bit_identical():

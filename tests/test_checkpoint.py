@@ -18,7 +18,7 @@ from adapterlab.checkpoint import (
     save_checkpoint,
 )
 from adapterlab.encoder import Encoder, EncoderConfig
-from adapterlab.errors import ContractError, MissingArtifactError
+from adapterlab.errors import ContractError, MissingArtifactError, SwapError
 
 
 # orders in which a pipeline may build heads and register its adapter stack
@@ -208,6 +208,49 @@ def test_adapter_header_without_layer_count_raises_typed_error(tmp_path):
         path.write_bytes(json.dumps(manifest).encode() + b"\x00" + body)
         with pytest.raises(MissingArtifactError, match=key):
             load_adapter(path)
+
+
+def test_array_listed_twice_raises_typed_error(tmp_path):
+    enc, stack = build_model()
+    files = {"model.ckpt": (lambda path: save_checkpoint(path, enc, stack), load_checkpoint),
+             "lang.adapter": (lambda path: save_adapter(path, stack.lang), load_adapter)}
+    for name, (save, load) in files.items():
+        path = tmp_path / name
+        save(path)
+        head, _, body = path.read_bytes().partition(b"\x00")
+        manifest = json.loads(head)
+        first = manifest["arrays"][0]
+        manifest["arrays"].insert(0, dict(first))  # the first entry and its bytes, twice
+        size = 8 * int(np.prod(first["shape"]))
+        path.write_bytes(json.dumps(manifest).encode() + b"\x00" + body[:size] + body)
+        with pytest.raises(MissingArtifactError, match=f"{first['name']} twice"):
+            load(path)
+
+
+def test_adapter_array_shapes_must_fit_the_header(tmp_path):
+    enc, stack = build_model()
+    path = tmp_path / "lang.adapter"
+    save_adapter(path, stack.task)  # dim 2, hidden 8, two layers
+    head, _, body = path.read_bytes().partition(b"\x00")
+
+    def rewrite(edit):
+        manifest = json.loads(head)
+        edit(manifest)
+        path.write_bytes(json.dumps(manifest).encode() + b"\x00" + body)
+
+    rewrite(lambda m: m["adapter_config"].update(dim=3))
+    with pytest.raises(MissingArtifactError, match="0.w_down"):
+        load_adapter(path)
+    # the same sizes, read as another hidden size: 1.w_down [8, 2] as [4, 4]
+    rewrite(lambda m: m["arrays"][2].update(shape=[4, 4]))
+    with pytest.raises(MissingArtifactError, match="1.w_down"):
+        load_adapter(path)
+    rewrite(lambda m: m["arrays"][3].update(shape=[8, 2]))  # 1.w_up [2, 8] transposed
+    with pytest.raises(MissingArtifactError, match="1.w_up"):
+        load_adapter(path)
+    rewrite(lambda m: m["arrays"][2].update(name="1.w_dn"))  # a missing layer
+    with pytest.raises(SwapError, match="layer 1"):
+        load_adapter(path)
 
 
 def test_failed_write_leaves_earlier_file_whole(tmp_path, monkeypatch):

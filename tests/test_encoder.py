@@ -53,6 +53,17 @@ def test_vocab_and_length_errors():
         enc.encode(np.zeros((0, 4), dtype=np.int64), np.zeros((0, 4)))
 
 
+def test_mask_entries_other_than_zero_or_one_are_refused():
+    # a 2 would make every query attend to that key, while ortho_loss drops
+    # the same position as padding
+    enc = encoder()
+    ids = np.array([[2, 5, 6, 7]])
+    for bad in ([[1, 2, 1, 1]], [[1, 0.5, 1, 1]]):
+        with pytest.raises(ConfigError, match="0 or 1"):
+            enc.encode(ids, np.array(bad))
+    enc.encode(ids, np.array([[True, True, True, False]]))  # a boolean mask is 0/1
+
+
 def test_encode_node_count_is_pinned(monkeypatch):
     # attention is one node per layer; the benchmark's tracer does not wrap
     # ``attention``, so this count is what keeps the sublayer from splitting
@@ -77,7 +88,7 @@ def test_empty_stack_equals_plain_forward():
     base, acts = enc.encode(BATCH, MASK, stack=None)
     out, _ = enc.encode(BATCH, MASK, stack=AdapterStack(2))
     np.testing.assert_array_equal(base.values, out.values)
-    assert acts.lang == [None, None] and acts.task == [None, None]
+    assert acts == {}
 
 
 def test_determinism_bit_identical():

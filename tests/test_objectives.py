@@ -13,7 +13,7 @@ from adapterlab.adapters import (
     init_adapter_stack_slot,
 )
 from adapterlab.autodiff import cross_entropy, matmul
-from adapterlab.encoder import Encoder, EncoderConfig, LayerActivations, SlotRecord
+from adapterlab.encoder import Encoder, EncoderConfig
 from adapterlab.errors import ConfigError, ContractError, EmptyLossError, ShapeError
 from adapterlab.objectives import (
     MaskingPolicy,
@@ -117,8 +117,7 @@ def test_orthogonal_construction_scores_zero():
     # so the slot maps x = (1, 0) to (0, 1)
     weights = AdapterWeights(AdapterConfig(dim=1), Tensor(np.array([[1.0], [0.0]])),
                              Tensor(np.array([[-1.0, 1.0]])))
-    x_in = Tensor(np.array([[[1.0, 0.0]]]))
-    acts = LayerActivations(task=[SlotRecord(x_in, weights)], lang=[None])
+    acts = {TASK: [(np.array([[[1.0, 0.0]]]), weights)]}
     report = ortho_loss(acts, TASK, np.ones((1, 1)))
     assert report.loss.item() == pytest.approx(0.0, abs=1e-12)
 
@@ -137,9 +136,8 @@ def test_matches_brute_force_double_sum():
     # oracle: plain numpy cos^2 summed over every (layer, token) pair
     eps = 1e-12
     expected = 0.0
-    for rec in acts.task:
-        u = rec.x_in.values.reshape(-1, 8)
-        w = rec.weights
+    for x_in, w in acts[TASK]:
+        u = x_in.reshape(-1, 8)
         v = np.maximum(u @ w.w_down.values, 0.0) @ w.w_up.values + u
         per_token = []
         for uu, vv in zip(u, v):
@@ -159,7 +157,7 @@ def test_scale_invariance_per_token():
                              Tensor(r.normal(size=(3, 8))))
 
     def total(x_in):
-        acts = LayerActivations(lang=[None], task=[SlotRecord(Tensor(x_in), weights)])
+        acts = {TASK: [(x_in, weights)]}
         return ortho_loss(acts, TASK, np.ones((1, 4))).loss.item()
 
     assert total(u * 3.7) == pytest.approx(total(u), abs=1e-12)
@@ -183,7 +181,7 @@ def test_padded_positions_do_not_affect_loss():
         return report.loss.item(), [w.grad.tobytes() for w in weights]
 
     base = loss_and_grads()
-    x_in = acts.task[0].x_in.values
+    x_in = acts[TASK][0][0]
     # a padded position is never read: neither an offset nor a NaN there moves
     # the loss or the slot's gradient
     for fill in (x_in[0, 3:, :] - 3.0, np.nan):
@@ -261,10 +259,9 @@ def test_minimizing_ortho_alone_trains():
         mask = np.array([[1, 1, 1, 1, 1], [1, 1, 1, 1, 0]])
         # warm start: fit w_up so relu(x_h w_d) w_up ~= x_h on this batch
         _, acts = enc.encode(ids, mask, stack=stack)
-        for i, rec in enumerate(acts.task):
-            feats = np.maximum(
-                rec.x_in.values.reshape(-1, 8) @ stack.task[i].w_down.values, 0.0)
-            target = rec.x_in.values.reshape(-1, 8)
+        for i, (x_in, _) in enumerate(acts[TASK]):
+            feats = np.maximum(x_in.reshape(-1, 8) @ stack.task[i].w_down.values, 0.0)
+            target = x_in.reshape(-1, 8)
             w_up, *_ = np.linalg.lstsq(feats, target, rcond=None)
             # cos^2 is scale invariant, so a small multiple keeps the start
             # near-parallel while letting Adam reorient it within the budget

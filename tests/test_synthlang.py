@@ -352,6 +352,16 @@ def test_tag_task_every_bucket_populated():
     assert all(counts[k] > 0 for k in range(6))
 
 
+def test_tag_count_below_one_is_refused():
+    _, vocab, ids = toy_setup(50)
+    for n_tags in (0, -2):
+        with pytest.raises(ConfigError, match="n_tags"):
+            tag_labels_for_base(ids[0], vocab, n_tags)
+        with pytest.raises(ConfigError, match="n_tags"):
+            gen_tag_task(ids, SyntheticLanguageSpec("src"), vocab, 10, "dev", seed=1,
+                         n_tags=n_tags)
+
+
 def test_labels_commute_with_language_transforms():
     _, vocab, ids = toy_setup(n_sentences=1000)
     n_tags = 5
@@ -449,3 +459,9 @@ def test_labels_outside_the_classes_are_refused_on_load(tmp_path):
         with pytest.raises(MissingArtifactError, match=f"{path.name}: line {line} .*in \\[0, "
                                                        f"{ds.num_classes}\\)"):
             load_task_dataset(path, vocab, ds.kind, "src", "dev", ds.num_classes)
+
+
+def test_unknown_dataset_kind_is_refused_before_opening(tmp_path):
+    _, vocab, _ = toy_setup(50)
+    with pytest.raises(ConfigError, match="nli"):
+        load_task_dataset(tmp_path / "absent.txt", vocab, "nli", "src", "dev", 3)
