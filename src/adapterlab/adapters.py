@@ -8,8 +8,10 @@ up-projection, then adds its input back:
 The up-projection starts at zero, so a fresh adapter is the identity map and
 inserting one changes nothing until training moves it.
 
-The training phase ids are named here too; which weights each phase trains
-is decided by ``training.trainable_names``.
+A slot's layout lives here: ``slot_arrays`` names its arrays, in a ParamSet
+and in files, and ``slot_config`` refuses a slot whose layers differ. The
+training phase ids are named here too; which weights each phase trains is
+decided by ``training.trainable_names``.
 """
 
 from __future__ import annotations
@@ -81,6 +83,21 @@ def init_adapter(config: AdapterConfig, hidden: int, seed: int) -> AdapterWeight
     return AdapterWeights(config, w_down, w_up)
 
 
+def slot_arrays(weights: list[AdapterWeights], prefix: str = "") -> list[tuple[str, Tensor]]:
+    """A slot's named tensors in file order: ``{prefix}{layer}.w_down``, then ``.w_up``."""
+    return [(f"{prefix}{i}.{part}", tensor) for i, w in enumerate(weights)
+            for part, tensor in (("w_down", w.w_down), ("w_up", w.w_up))]
+
+
+def slot_config(weights: list[AdapterWeights]) -> AdapterConfig:
+    """The config every layer of a slot shares; ContractError if they differ."""
+    configs = [w.config for w in weights]
+    if not configs or any(c != configs[0] for c in configs):
+        raise ContractError(f"a slot needs at least one layer, and its layers must "
+                            f"share one config; got {configs}")
+    return configs[0]
+
+
 def init_adapter_stack_slot(config: AdapterConfig, hidden: int, num_layers: int,
                             seed: int) -> list[AdapterWeights]:
     """One adapter per transformer layer, each with its own derived seed."""
@@ -101,16 +118,13 @@ class AdapterStack:
         self.task: list[AdapterWeights] | None = None
 
     def fill(self, kind: str, weights: list[AdapterWeights]) -> None:
-        if len(weights) != self.num_layers:
-            raise ContractError(
-                f"need {self.num_layers} adapters for the {kind} slot, got {len(weights)}"
-            )
+        if len(weights) != self.num_layers or slot_config(weights).kind != kind:
+            raise ContractError(f"the {kind} slot needs {self.num_layers} {kind} adapters, "
+                                f"got {[w.config for w in weights]}")
         if kind == LANGUAGE:
             self.lang = weights
-        elif kind == TASK:
-            self.task = weights
         else:
-            raise ConfigError(f"unknown adapter kind {kind!r}")
+            self.task = weights
 
     def slot(self, kind: str) -> list[AdapterWeights] | None:
         return self.lang if kind == LANGUAGE else self.task
@@ -118,9 +132,8 @@ class AdapterStack:
     def register(self, params: ParamSet) -> None:
         """Declare all adapter tensors in the ParamSet under dotted names."""
         for kind, prefix in SLOT_PREFIX.items():
-            for i, w in enumerate(self.slot(kind) or ()):
-                params.add(f"{prefix}{i}.w_down", w.w_down)
-                params.add(f"{prefix}{i}.w_up", w.w_up)
+            for name, tensor in slot_arrays(self.slot(kind) or [], prefix):
+                params.add(name, tensor)
 
 
 def slot_names(params: ParamSet, kind: str) -> list[str]:

@@ -5,13 +5,15 @@ directory) + NUL separator + the raw little-endian float64 bytes of every
 named array in declaration order. Raw bytes make the round-trip bit-exact.
 A write goes to a temporary file beside the target and is renamed over it,
 so a write that fails partway leaves any earlier file at the path whole.
-A read refuses a header that is not UTF-8 JSON, lacks a key it needs, holds
-a container of the wrong type, a config entry its class does not take or
-refuses (``num_heads: 0``), a non-integer count, seed or array dimension, an
+Both kinds of file lay a slot out by ``adapters.slot_arrays`` and
+``adapters.slot_config``. A read refuses a header that is not UTF-8 JSON,
+lacks a key it needs, holds a container of the wrong type, a config entry
+its class does not take or refuses (``num_heads: 0``) or, in a checkpoint,
+of another slot kind, a non-integer count, seed or array dimension, an
 unknown head, or an array directory that names one array twice, and a body
-that does not hold exactly the bytes its array directory lists. An adapter
-file's arrays must have the shapes its header's ``dim`` and one hidden size
-give them.
+that does not hold exactly the bytes its array directory lists. Then
+``_copy_arrays`` refuses a missing, unexpected or misshapen array (an
+adapter file's hidden size is that of ``0.w_down``) before copying any.
 A checkpoint loads by array name, so any construction order of the saved
 model (heads and adapter stack in either order) reloads.
 """
@@ -26,37 +28,37 @@ from pathlib import Path
 
 import numpy as np
 
-from .adapters import SLOT_PREFIX, AdapterConfig, AdapterStack, AdapterWeights
+from .adapters import (SLOT_PREFIX, AdapterConfig, AdapterStack, AdapterWeights,
+                       slot_arrays, slot_config)
 from .autodiff import Tensor
 from .encoder import Encoder, EncoderConfig
-from .errors import ConfigError, ContractError, MissingArtifactError, SwapError
+from .errors import ConfigError, MissingArtifactError
 from .optim import ParamSet
 
 FORMAT_VERSION = 2
 _SEP = b"\x00"
 
 
-def _write_container(path, manifest: dict, arrays: list[tuple[str, np.ndarray]]) -> None:
+def _write_container(path, manifest: dict, arrays: list[tuple[str, Tensor]]) -> None:
     manifest = dict(manifest)
     manifest["format_version"] = FORMAT_VERSION
-    manifest["arrays"] = [
-        {"name": name, "shape": list(arr.shape)} for name, arr in arrays
-    ]
+    manifest["arrays"] = [{"name": name, "shape": list(t.shape)} for name, t in arrays]
     blob = json.dumps(manifest, sort_keys=True).encode("utf-8") + _SEP
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
             fh.write(blob)
-            for _, arr in arrays:
-                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            for _, t in arrays:
+                fh.write(np.ascontiguousarray(t.values, dtype="<f8").tobytes())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
-def _read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
+def _read_container(path) -> tuple[dict, dict[str, tuple[int, ...]], bytes]:
+    """The header, its array directory (name -> shape) and the array bytes."""
     path = Path(path)
     if not path.exists():
         raise MissingArtifactError(f"no such checkpoint or adapter file: {path}")
@@ -86,14 +88,7 @@ def _read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
     if len(body) != listed:
         raise MissingArtifactError(f"{path}: body holds {len(body)} bytes, "
                                    f"its array directory lists {listed}")
-    arrays: dict[str, np.ndarray] = {}
-    offset = 0
-    for name, shape in directory.items():
-        count = math.prod(shape)
-        arr = np.frombuffer(body, dtype="<f8", count=count, offset=offset)
-        arrays[name] = arr.reshape(shape).astype(np.float64)
-        offset += count * 8
-    return manifest, arrays
+    return manifest, directory, body
 
 
 def _require(path, where: str, header, *keys: str) -> dict:
@@ -124,6 +119,31 @@ def _build(path, cls, header: dict, key: str):
                                    f"{cls.__name__}: {exc}") from exc
 
 
+def _zero_slot(config: AdapterConfig, hidden: int, num_layers: int) -> list[AdapterWeights]:
+    """A slot of ``num_layers`` zero adapters, for a loader to copy file arrays into."""
+    return [AdapterWeights(config, Tensor(np.zeros((hidden, config.dim))),
+                           Tensor(np.zeros((config.dim, hidden))))
+            for _ in range(num_layers)]
+
+
+def _copy_arrays(path, directory: dict, body: bytes, expected: dict[str, Tensor]) -> None:
+    """Copy each array of ``body`` into its tensor, once all names and shapes match."""
+    missing = [name for name in expected if name not in directory]
+    extra = [name for name in directory if name not in expected]
+    if missing or extra:
+        raise MissingArtifactError(f"{path}: array directory does not match the model: "
+                                   f"missing {missing}, unexpected {extra}")
+    for name, shape in directory.items():
+        if shape != expected[name].shape:
+            raise MissingArtifactError(f"{path}: array {name} has shape {shape}, "
+                                       f"the model expects {expected[name].shape}")
+    offset = 0
+    for name, shape in directory.items():
+        count = math.prod(shape)
+        expected[name].values[...] = np.frombuffer(body, "<f8", count, offset).reshape(shape)
+        offset += 8 * count
+
+
 def save_checkpoint(path, encoder: Encoder, stack: AdapterStack | None = None) -> None:
     """Serialize the encoder (heads included) plus any attached adapter stack."""
     manifest = {
@@ -133,18 +153,17 @@ def save_checkpoint(path, encoder: Encoder, stack: AdapterStack | None = None) -
         "heads": dict(encoder.head_classes),
         # the slot kinds are the keys, so renaming a kind changes the file format
         "adapters": {
-            kind: dataclasses.asdict(stack.slot(kind)[0].config)
+            kind: dataclasses.asdict(slot_config(stack.slot(kind)))
             if stack and stack.slot(kind) else None
             for kind in SLOT_PREFIX
         },
     }
-    arrays = [(name, tensor.values) for name, tensor in encoder.params.items()]
-    _write_container(path, manifest, arrays)
+    _write_container(path, manifest, list(encoder.params.items()))
 
 
 def load_checkpoint(path) -> tuple[Encoder, AdapterStack | None, dict]:
     """Rebuild an encoder (+stack) from a container file, values bit-exact."""
-    manifest, arrays = _read_container(path)
+    manifest, directory, body = _read_container(path)
     if manifest.get("kind") != "checkpoint":
         raise MissingArtifactError(f"{path} is not a checkpoint container")
     _require(path, "header", manifest, "encoder_config", "seed", "heads", "adapters")
@@ -161,69 +180,41 @@ def load_checkpoint(path) -> tuple[Encoder, AdapterStack | None, dict]:
     stack = AdapterStack(config.num_layers) if kinds else None
     for kind in kinds:
         acfg = _build(path, AdapterConfig, adapters, kind)
-        stack.fill(kind, [
-            AdapterWeights(acfg, Tensor(np.zeros((config.hidden, acfg.dim))),
-                           Tensor(np.zeros((acfg.dim, config.hidden))))
-            for _ in range(config.num_layers)
-        ])
+        if acfg.kind != kind:
+            raise MissingArtifactError(f"{path}: header entry adapters.{kind} has kind {acfg.kind}")
+        stack.fill(kind, _zero_slot(acfg, config.hidden, config.num_layers))
     if stack is not None:
         stack.register(encoder.params)
     built = dict(encoder.params.items())
-    missing = [name for name in built if name not in arrays]
-    extra = [name for name in arrays if name not in built]
-    if missing or extra:
-        raise MissingArtifactError(f"{path}: array directory does not match the model: "
-                                   f"missing {missing}, unexpected {extra}")
+    _copy_arrays(path, directory, body, built)
     # declared in the file's order, so saving the loaded model writes the same bytes
     encoder.params = ParamSet()
-    for name in arrays:
-        tensor = encoder.params.add(name, built[name])
-        if tensor.shape != arrays[name].shape:
-            raise MissingArtifactError(f"{path}: array {name} has shape "
-                                       f"{arrays[name].shape}, the model expects {tensor.shape}")
-        tensor.values[...] = arrays[name]
+    for name in directory:
+        encoder.params.add(name, built[name])
     return encoder, stack, manifest
 
 
 def save_adapter(path, weights: list[AdapterWeights], seed: int = 0,
                  language: str | None = None) -> None:
     """Standalone adapter file: one (w_down, w_up) pair per layer."""
-    if not weights:
-        raise ContractError("an adapter file needs the weights of at least one layer")
     manifest = {
         "kind": "adapter",
         "seed": seed,
         "language": language,
-        "adapter_config": dataclasses.asdict(weights[0].config),
+        "adapter_config": dataclasses.asdict(slot_config(weights)),
         "num_layers": len(weights),
     }
-    arrays = []
-    for i, w in enumerate(weights):
-        arrays.append((f"{i}.w_down", w.w_down.values))
-        arrays.append((f"{i}.w_up", w.w_up.values))
-    _write_container(path, manifest, arrays)
+    _write_container(path, manifest, slot_arrays(weights))
 
 
 def load_adapter(path) -> tuple[AdapterConfig, list[tuple[np.ndarray, np.ndarray]], dict]:
-    manifest, arrays = _read_container(path)
+    manifest, directory, body = _read_container(path)
     if manifest.get("kind") != "adapter":
         raise MissingArtifactError(f"{path} is not an adapter container")
     _require(path, "header", manifest, "adapter_config", "num_layers")
     config = _build(path, AdapterConfig, manifest, "adapter_config")
     num_layers = _integer(path, "num_layers", manifest["num_layers"], 1)
-    pairs = []
-    for i in range(num_layers):
-        try:
-            w_down, w_up = arrays[f"{i}.w_down"], arrays[f"{i}.w_up"]
-        except KeyError as exc:
-            raise SwapError(f"{path}: adapter file missing layer {i} arrays") from exc
-        if i == 0:  # the hidden size every layer must share
-            hidden = w_down.shape[0] if w_down.ndim else 0
-        for name, arr, want in ((f"{i}.w_down", w_down, (hidden, config.dim)),
-                                (f"{i}.w_up", w_up, (config.dim, hidden))):
-            if arr.shape != want:
-                raise MissingArtifactError(f"{path}: array {name} has shape {arr.shape}, "
-                                           f"adapter dim {config.dim} and hidden size "
-                                           f"{hidden} need {want}")
-        pairs.append((w_down, w_up))
-    return config, pairs, manifest
+    hidden = (directory.get("0.w_down") or (0,))[0]  # the one every layer must share
+    slot = _zero_slot(config, hidden, num_layers)
+    _copy_arrays(path, directory, body, dict(slot_arrays(slot)))
+    return config, [(w.w_down.values, w.w_up.values) for w in slot], manifest

@@ -9,6 +9,11 @@ import numpy as np
 from .autodiff import Tensor
 from .errors import ContractError
 
+# Adam's moment decay rates and denominator guard; no caller varies them
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 class ParamSet:
     """Ordered name -> Tensor map; the freeze flag is the tensor's requires_grad.
@@ -90,21 +95,10 @@ class Adam:
     Gradients of the scoped parameters are cleared after each step.
     """
 
-    def __init__(
-        self,
-        params: ParamSet,
-        names=None,
-        lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, params: ParamSet, names=None, lr: float = 1e-3):
         self.params = params
         self.names = list(names) if names is not None else params.names()
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {n: np.zeros_like(params[n].values) for n in self.names}
         self.v = {n: np.zeros_like(params[n].values) for n in self.names}
@@ -120,13 +114,13 @@ class Adam:
             g = p.grad
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            m_hat = m / (1.0 - self.beta1 ** self.t)
-            v_hat = v / (1.0 - self.beta2 ** self.t)
-            p.values -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
+            m_hat = m / (1.0 - BETA1 ** self.t)
+            v_hat = v / (1.0 - BETA2 ** self.t)
+            p.values -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)
         for name in self.names:
             self.params[name].grad = None
 

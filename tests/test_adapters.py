@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from adapterlab.adapters import (
     TASK,
     AdapterConfig,
     AdapterStack,
+    AdapterWeights,
     adapter_forward,
     init_adapter,
     init_adapter_stack_slot,
@@ -15,7 +18,7 @@ from adapterlab.adapters import (
 )
 from adapterlab.autodiff import tsum, mul
 from adapterlab.encoder import Encoder, EncoderConfig
-from adapterlab.errors import ConfigError, SwapError
+from adapterlab.errors import ConfigError, ContractError, SwapError
 from adapterlab.training import (
     PHASE_FULL,
     PHASE_LANG,
@@ -118,12 +121,30 @@ def test_stacking_order_is_observable():
     mask = np.ones_like(ids)
     stack = trained_like_stack()
     out1, _ = enc.encode(ids, mask, stack=stack)
-    # swap which weights sit in which slot: task-then-language ordering
+    # swap which weights sit in which slot: task-then-language ordering; each
+    # slot holds adapters of its own kind, so the tensors are re-wrapped
     swapped = AdapterStack(2)
-    swapped.fill(LANGUAGE, stack.task)
-    swapped.fill(TASK, stack.lang)
+    for kind, weights in ((LANGUAGE, stack.task), (TASK, stack.lang)):
+        swapped.fill(kind, [AdapterWeights(replace(w.config, kind=kind), w.w_down, w.w_up)
+                            for w in weights])
     out2, _ = enc.encode(ids, mask, stack=swapped)
     assert np.max(np.abs(out1.values - out2.values)) > 1e-8
+
+
+def test_fill_refuses_weights_that_do_not_fit_the_slot():
+    lang3 = init_adapter_stack_slot(AdapterConfig(dim=3, kind=LANGUAGE), 8, 2, 0)
+    lang4 = init_adapter_stack_slot(AdapterConfig(dim=4, kind=LANGUAGE), 8, 2, 0)
+    task = init_adapter_stack_slot(AdapterConfig(dim=3, kind=TASK), 8, 2, 0)
+    stack = AdapterStack(2)
+    for kind, weights, match in ((LANGUAGE, [lang3[0], lang4[1]], "share one config"),
+                                 (LANGUAGE, task, "language slot needs 2 language"),
+                                 (TASK, lang3, "task slot needs 2 task"),
+                                 ("bogus", lang3, "bogus slot needs 2 bogus"),
+                                 (LANGUAGE, lang3[:1], "needs 2 language adapters"),
+                                 (LANGUAGE, lang3 + lang4[:1], "needs 2 language adapters")):
+        with pytest.raises(ContractError, match=match):
+            stack.fill(kind, weights)
+    assert stack.lang is None and stack.task is None
 
 
 def test_fill_order_does_not_change_the_stacking_order():
@@ -187,6 +208,16 @@ def test_swap_dimension_mismatch_names_layer():
     bad[1] = (np.zeros((8, 7)), np.zeros((7, 8)))
     with pytest.raises(SwapError, match="layer 1"):
         swap_language_adapter(stack, bad)
+
+
+def test_swap_needs_one_pair_per_layer():
+    stack = trained_like_stack()
+    pairs = [(w.w_down.values.copy(), w.w_up.values.copy()) for w in stack.lang]
+    before = [w.w_up.values.tobytes() for w in stack.lang]
+    for bad in (pairs[:1], pairs + pairs[:1]):
+        with pytest.raises(SwapError, match="needs 2 layer weight pairs"):
+            swap_language_adapter(stack, [(a, b + 1.0) for a, b in bad])
+    assert [w.w_up.values.tobytes() for w in stack.lang] == before
 
 
 def test_swap_without_language_slot():

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from adapterlab.checkpoint import (
     save_checkpoint,
 )
 from adapterlab.encoder import Encoder, EncoderConfig
-from adapterlab.errors import ContractError, MissingArtifactError, SwapError
+from adapterlab.errors import ContractError, MissingArtifactError
 
 
 # orders in which a pipeline may build heads and register its adapter stack
@@ -119,7 +120,12 @@ def test_checkpoint_directory_mismatch_raises_typed_error(tmp_path):
                       ("heads", lambda m: m.update(heads=[["cls", 3]])),
                       ("arrays", lambda m: m["arrays"].__setitem__(0, 5)),
                       ("arrays", lambda m: m.update(arrays={})),
-                      ("adapters", lambda m: m.update(adapters=[LANGUAGE, TASK]))):
+                      ("adapters", lambda m: m.update(adapters=[LANGUAGE, TASK])),
+                      # a slot entry whose config is of the other kind
+                      (f"adapters.{LANGUAGE} has kind {TASK}",
+                       lambda m: m["adapters"][LANGUAGE].update(kind=TASK)),
+                      (f"adapters.{TASK} has kind {LANGUAGE}",
+                       lambda m: m["adapters"][TASK].update(kind=LANGUAGE))):
         rewrite(edit)
         with pytest.raises(MissingArtifactError, match=key):
             load_checkpoint(path)
@@ -191,6 +197,42 @@ def test_adapter_file_rejects_checkpoint(tmp_path):
         load_adapter(path)
 
 
+def test_checkpoint_loader_rejects_adapter_file(tmp_path):
+    enc, stack = build_model()
+    path = tmp_path / "lang.adapter"
+    save_adapter(path, stack.lang)
+    with pytest.raises(MissingArtifactError, match="not a checkpoint"):
+        load_checkpoint(path)
+
+
+def test_slot_of_mixed_layers_is_never_written(tmp_path):
+    enc, stack = build_model()
+    mixed = [stack.lang[0],
+             init_adapter_stack_slot(AdapterConfig(dim=4, kind=LANGUAGE), 8, 2, 0)[1]]
+    stack.lang = mixed  # set directly, since fill refuses it
+    for name, write in (("lang.adapter", lambda path: save_adapter(path, mixed)),
+                        ("model.ckpt", lambda path: save_checkpoint(path, enc, stack))):
+        with pytest.raises(ContractError, match="share one config"):
+            write(tmp_path / name)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_adapter_file_arrays_its_header_does_not_cover_are_refused(tmp_path):
+    enc, stack = build_model()
+    path = tmp_path / "lang.adapter"
+    save_adapter(path, stack.lang)  # two layers
+    head, _, body = path.read_bytes().partition(b"\x00")
+    junk = json.loads(head)
+    junk["arrays"].append({"name": "junk", "shape": [2]})
+    one_layer = json.loads(head)
+    one_layer["num_layers"] = 1
+    for manifest, tail, unexpected in ((junk, bytes(16), "['junk']"),
+                                       (one_layer, b"", "['1.w_down', '1.w_up']")):
+        path.write_bytes(json.dumps(manifest).encode() + b"\x00" + body + tail)
+        with pytest.raises(MissingArtifactError, match=re.escape(f"unexpected {unexpected}")):
+            load_adapter(path)
+
+
 def test_adapter_header_without_layer_count_raises_typed_error(tmp_path):
     enc, stack = build_model()
     path = tmp_path / "lang.adapter"
@@ -249,7 +291,7 @@ def test_adapter_array_shapes_must_fit_the_header(tmp_path):
     with pytest.raises(MissingArtifactError, match="1.w_up"):
         load_adapter(path)
     rewrite(lambda m: m["arrays"][2].update(name="1.w_dn"))  # a missing layer
-    with pytest.raises(SwapError, match="layer 1"):
+    with pytest.raises(MissingArtifactError, match="1.w_down"):
         load_adapter(path)
 
 

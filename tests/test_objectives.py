@@ -209,6 +209,14 @@ def test_mask_shape_mismatch_raises():
             ortho_loss(acts, TASK, mask)
 
 
+def test_all_padding_mask_raises():
+    enc, stack = encoder_with_stack()
+    ids = np.array([[2, 7, 8]])
+    _, acts = enc.encode(ids, np.ones_like(ids), stack=stack)
+    with pytest.raises(ContractError, match="no tokens"):
+        ortho_loss(acts, TASK, np.zeros_like(ids))
+
+
 def test_stop_grad_keeps_backbone_out_of_ortho_gradient():
     enc, stack = encoder_with_stack(num_layers=1, lang=False, task=True)
     stack.register(enc.params)

@@ -18,7 +18,7 @@ def test_first_step_with_unit_gradient_is_minus_lr():
     ps = make_params()
     for _, t in ps.items():
         t.grad = np.ones_like(t.values)
-    opt = Adam(ps, lr=0.1, eps=1e-8)
+    opt = Adam(ps, lr=0.1)
     opt.step()
     np.testing.assert_allclose(ps["a"].values, 1.0 - 0.1, atol=1e-8)
     np.testing.assert_allclose(ps["b"].values, 5.0 - 0.1, atol=1e-8)
@@ -67,7 +67,7 @@ def test_three_step_trajectory_matches_scalar_oracle():
 
     ps = ParamSet()
     ps.add("x", Tensor(np.array(1.7)))
-    opt = Adam(ps, lr=lr, beta1=b1, beta2=b2, eps=eps)
+    opt = Adam(ps, lr=lr)
     got = []
     for _ in range(3):
         ps["x"].grad = ps["x"].values.copy()
@@ -111,6 +111,15 @@ def test_clip_noop_when_under_threshold():
     before = ps["a"].grad.copy()
     clip_grad_norm(ps, ps.names(), max_norm=1.0)
     np.testing.assert_array_equal(ps["a"].grad, before)
+
+
+def test_duplicate_or_unknown_parameter_names_are_contract_errors():
+    ps = make_params()
+    with pytest.raises(ContractError, match="'a' already declared"):
+        ps.add("a", Tensor(np.zeros(2)))
+    with pytest.raises(ContractError, match="unknown parameters: \\['c'\\]"):
+        ps.set_trainable(["b", "c"])
+    assert ps["a"].values.shape == (2, 2)
 
 
 def test_set_trainable_and_checksum():

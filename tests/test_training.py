@@ -16,7 +16,7 @@ from adapterlab.adapters import (
 )
 from adapterlab.autodiff import IGNORE_LABEL, no_grad
 from adapterlab.encoder import Encoder, EncoderConfig
-from adapterlab.errors import ConfigError, EmptyLossError
+from adapterlab.errors import ConfigError, EmptyLossError, NumericError
 from adapterlab.objectives import MaskingPolicy, labelled_rows, mlm_loss
 from adapterlab.synthlang import (
     SyntheticLanguageSpec,
@@ -183,6 +183,40 @@ def test_adapter_slot_the_forward_skips_is_refused_before_step_0(monkeypatch):
                       (lambda: run_phase(enc, None, lang, corpus=corpus), LANGUAGE)):
         with pytest.raises(ConfigError, match=f"{slot} slot"):
             run()
+
+
+def test_phase_wrappers_refuse_another_phase_before_any_forward(monkeypatch):
+    vocab, corpus = setup_bed()
+    enc, stack = fresh_model(vocab)
+    enc.ensure_tag_head(N_CLASSES)
+    dataset = gen_tag_task(corpus, SyntheticLanguageSpec("src"), vocab, 40, "train", 1,
+                           N_CLASSES)
+
+    def no_forward(*args, **kwargs):
+        raise AssertionError("a forward ran")
+
+    monkeypatch.setattr(Encoder, "encode", no_forward)
+    lang = PhaseConfig(phase=PHASE_LANG, main_loss="mlm", steps=2, batch_size=4)
+    task = PhaseConfig(phase=PHASE_TASK, main_loss="tagging", steps=2, batch_size=4)
+    full = PhaseConfig(phase=PHASE_FULL, main_loss="mlm", steps=2, batch_size=4)
+    full_tag = PhaseConfig(phase=PHASE_FULL, main_loss="tagging", steps=2, batch_size=4)
+    for run, match in ((lambda: train_language_adapter(enc, stack, corpus, full), PHASE_LANG),
+                       (lambda: train_task_adapter(enc, stack, dataset, full_tag), PHASE_TASK),
+                       (lambda: pretrain_backbone(enc, corpus, lang), "full-phase mlm"),
+                       (lambda: pretrain_backbone(enc, corpus, task), "full-phase mlm"),
+                       (lambda: pretrain_backbone(enc, corpus, full_tag), "full-phase mlm")):
+        with pytest.raises(ConfigError, match=match):
+            run()
+
+
+def test_non_finite_loss_raises_numeric_error():
+    vocab, corpus = setup_bed()
+    enc = Encoder(EncoderConfig(vocab=vocab.size, num_layers=1, hidden=16, num_heads=2,
+                                ffn=24, max_len=32, dropout=0.0), seed=0)
+    enc.params["embed.tok"].values[...] = np.nan
+    cfg = PhaseConfig(phase=PHASE_FULL, main_loss="mlm", steps=2, batch_size=4)
+    with pytest.raises(NumericError, match="non-finite mlm loss nan at step 0"):
+        pretrain_backbone(enc, corpus, cfg)
 
 
 @pytest.mark.parametrize("loss, other", [("tagging", "seq_cls"), ("seq_cls", "tagging")])
