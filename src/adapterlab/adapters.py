@@ -8,10 +8,11 @@ up-projection, then adds its input back:
 The up-projection starts at zero, so a fresh adapter is the identity map and
 inserting one changes nothing until training moves it.
 
-A slot's layout lives here: ``slot_arrays`` names its arrays, in a ParamSet
-and in files, and ``slot_config`` refuses a slot whose layers differ. The
-training phase ids are named here too; which weights each phase trains is
-decided by ``training.trainable_names``.
+A slot's shape and layout live here alone: ``zero_slot`` builds a slot's
+``[H, dim]`` / ``[dim, H]`` tensors, ``slot_config`` checks that they fit one
+config and one H, and ``slot_arrays`` names them, in a ParamSet and in
+files. The training phase ids are named here too; which weights each phase
+trains is decided by ``training.trainable_names``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ PHASE_TASK = "task_adapter_training"
 PHASE_FULL = "full_finetune"
 
 
-@dataclass
+@dataclass(frozen=True)  # so the fields stay as __post_init__ checked them
 class AdapterConfig:
     """Shape and behavior of one adapter slot.
 
@@ -67,20 +68,11 @@ def adapter_forward(x: Tensor, w_down: Tensor, w_up: Tensor,
     return add(core, x) if residual else core
 
 
-def init_adapter(config: AdapterConfig, hidden: int, seed: int) -> AdapterWeights:
-    """Fresh adapter weights: small uniform down-projection, zero up-projection.
-
-    Zero w_up makes the adapter an exact identity map at initialization.
-    """
-    if config.dim >= hidden:
-        raise ConfigError(
-            f"adapter dim {config.dim} must be smaller than hidden size {hidden}"
-        )
-    rng = np.random.default_rng(seed)
-    bound = 1.0 / np.sqrt(hidden)
-    w_down = Tensor(rng.uniform(-bound, bound, size=(hidden, config.dim)))
-    w_up = Tensor(np.zeros((config.dim, hidden)))
-    return AdapterWeights(config, w_down, w_up)
+def zero_slot(config: AdapterConfig, hidden: int, num_layers: int) -> list[AdapterWeights]:
+    """A slot of ``num_layers`` adapters, every projection zero."""
+    return [AdapterWeights(config, Tensor(np.zeros((hidden, config.dim))),
+                           Tensor(np.zeros((config.dim, hidden))))
+            for _ in range(num_layers)]
 
 
 def slot_arrays(weights: list[AdapterWeights], prefix: str = "") -> list[tuple[str, Tensor]]:
@@ -90,18 +82,30 @@ def slot_arrays(weights: list[AdapterWeights], prefix: str = "") -> list[tuple[s
 
 
 def slot_config(weights: list[AdapterWeights]) -> AdapterConfig:
-    """The config every layer of a slot shares; ContractError if they differ."""
+    """The config a slot's layers share, with [H, dim] / [dim, H] tensors; else ContractError."""
     configs = [w.config for w in weights]
     if not configs or any(c != configs[0] for c in configs):
         raise ContractError(f"a slot needs at least one layer, and its layers must "
                             f"share one config; got {configs}")
+    dim, hidden = configs[0].dim, weights[0].w_down.shape[:1]  # H of layer 0, if any
+    for i, w in enumerate(weights):
+        if w.w_down.shape != (*hidden, dim) or w.w_up.shape != (dim, *hidden):
+            raise ContractError(f"layer {i} of the slot holds {w.w_down.shape}/"
+                                f"{w.w_up.shape}, not [H, {dim}]/[{dim}, H] for one H")
     return configs[0]
 
 
 def init_adapter_stack_slot(config: AdapterConfig, hidden: int, num_layers: int,
                             seed: int) -> list[AdapterWeights]:
-    """One adapter per transformer layer, each with its own derived seed."""
-    return [init_adapter(config, hidden, seed + 7919 * i) for i in range(num_layers)]
+    """A fresh slot: layer i's w_down uniform from seed ``seed + 7919 * i``, each w_up zero."""
+    if config.dim >= hidden:
+        raise ConfigError(f"adapter dim {config.dim} must be smaller than hidden size {hidden}")
+    slot = zero_slot(config, hidden, num_layers)
+    bound = 1.0 / np.sqrt(hidden)
+    for i, w in enumerate(slot):
+        w.w_down.values[...] = np.random.default_rng(seed + 7919 * i).uniform(
+            -bound, bound, size=w.w_down.shape)
+    return slot
 
 
 class AdapterStack:
@@ -134,11 +138,6 @@ class AdapterStack:
         for kind, prefix in SLOT_PREFIX.items():
             for name, tensor in slot_arrays(self.slot(kind) or [], prefix):
                 params.add(name, tensor)
-
-
-def slot_names(params: ParamSet, kind: str) -> list[str]:
-    """Names of one slot's weights in ``params``, in declaration order."""
-    return [n for n in params.names() if n.startswith(SLOT_PREFIX[kind])]
 
 
 def swap_language_adapter(stack: AdapterStack, new_weights: list[tuple[np.ndarray, np.ndarray]]) -> AdapterStack:

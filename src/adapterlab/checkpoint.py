@@ -6,15 +6,16 @@ named array in declaration order. Raw bytes make the round-trip bit-exact.
 A write goes to a temporary file beside the target and is renamed over it,
 so a write that fails partway leaves any earlier file at the path whole.
 Both kinds of file lay a slot out by ``adapters.slot_arrays`` and
-``adapters.slot_config``. A read refuses a header that is not UTF-8 JSON,
+``adapters.slot_config``; a loader copies one into an
+``adapters.zero_slot``. A read refuses a header that is not UTF-8 JSON,
 lacks a key it needs, holds a container of the wrong type, a config entry
 its class does not take or refuses (``num_heads: 0``) or, in a checkpoint,
 of another slot kind, a non-integer count, seed or array dimension, an
 unknown head, or an array directory that names one array twice, and a body
 that does not hold exactly the bytes its array directory lists. Then
 ``_copy_arrays`` refuses a missing, unexpected or misshapen array (an
-adapter file's hidden size is that of ``0.w_down``) before copying any.
-A checkpoint loads by array name, so any construction order of the saved
+adapter file's hidden size is that of ``0.w_down``) before copying any. A
+checkpoint loads by array name, so any construction order of the saved
 model (heads and adapter stack in either order) reloads.
 """
 
@@ -28,8 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .adapters import (SLOT_PREFIX, AdapterConfig, AdapterStack, AdapterWeights,
-                       slot_arrays, slot_config)
+from .adapters import (SLOT_PREFIX, AdapterConfig, AdapterStack, slot_arrays,
+                       slot_config, zero_slot)
 from .autodiff import Tensor
 from .encoder import Encoder, EncoderConfig
 from .errors import ConfigError, MissingArtifactError
@@ -119,13 +120,6 @@ def _build(path, cls, header: dict, key: str):
                                    f"{cls.__name__}: {exc}") from exc
 
 
-def _zero_slot(config: AdapterConfig, hidden: int, num_layers: int) -> list[AdapterWeights]:
-    """A slot of ``num_layers`` zero adapters, for a loader to copy file arrays into."""
-    return [AdapterWeights(config, Tensor(np.zeros((hidden, config.dim))),
-                           Tensor(np.zeros((config.dim, hidden))))
-            for _ in range(num_layers)]
-
-
 def _copy_arrays(path, directory: dict, body: bytes, expected: dict[str, Tensor]) -> None:
     """Copy each array of ``body`` into its tensor, once all names and shapes match."""
     missing = [name for name in expected if name not in directory]
@@ -182,7 +176,7 @@ def load_checkpoint(path) -> tuple[Encoder, AdapterStack | None, dict]:
         acfg = _build(path, AdapterConfig, adapters, kind)
         if acfg.kind != kind:
             raise MissingArtifactError(f"{path}: header entry adapters.{kind} has kind {acfg.kind}")
-        stack.fill(kind, _zero_slot(acfg, config.hidden, config.num_layers))
+        stack.fill(kind, zero_slot(acfg, config.hidden, config.num_layers))
     if stack is not None:
         stack.register(encoder.params)
     built = dict(encoder.params.items())
@@ -194,9 +188,8 @@ def load_checkpoint(path) -> tuple[Encoder, AdapterStack | None, dict]:
     return encoder, stack, manifest
 
 
-def save_adapter(path, weights: list[AdapterWeights], seed: int = 0,
-                 language: str | None = None) -> None:
-    """Standalone adapter file: one (w_down, w_up) pair per layer."""
+def save_adapter(path, weights: list, seed: int = 0, language: str | None = None) -> None:
+    """Standalone adapter file of a slot: one (w_down, w_up) pair per layer."""
     manifest = {
         "kind": "adapter",
         "seed": seed,
@@ -215,6 +208,6 @@ def load_adapter(path) -> tuple[AdapterConfig, list[tuple[np.ndarray, np.ndarray
     config = _build(path, AdapterConfig, manifest, "adapter_config")
     num_layers = _integer(path, "num_layers", manifest["num_layers"], 1)
     hidden = (directory.get("0.w_down") or (0,))[0]  # the one every layer must share
-    slot = _zero_slot(config, hidden, num_layers)
+    slot = zero_slot(config, hidden, num_layers)
     _copy_arrays(path, directory, body, dict(slot_arrays(slot)))
     return config, [(w.w_down.values, w.w_up.values) for w in slot], manifest

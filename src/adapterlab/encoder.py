@@ -40,7 +40,7 @@ LN_EPS = 1e-12
 MASK_BIAS = -1e9
 
 
-@dataclass
+@dataclass(frozen=True)  # so the fields stay as __post_init__ checked them
 class EncoderConfig:
     vocab: int
     num_layers: int = 2

@@ -11,7 +11,8 @@ The ortho loss is never added to the main loss, and the two optimizers
 never share moment buffers.
 
 What a phase trains is decided in one place, ``trainable_names``; every
-other weight is frozen for the phase. A task phase runs on a stack with or
+other weight is frozen, and each slot weight it trains must be the very
+tensor the stack it runs holds. A task phase runs on a stack with or
 without a language slot: the stacked (MAD-X) and the task-adapter-only
 configurations differ only in the stack the caller builds.
 """
@@ -32,7 +33,7 @@ from .adapters import (
     SLOT_PREFIX,
     TASK,
     AdapterStack,
-    slot_names,
+    slot_arrays,
 )
 from .autodiff import IGNORE_LABEL, Tensor, no_grad
 from .encoder import Encoder
@@ -243,7 +244,7 @@ def run_phase(
     """Run one training phase over its step budget and return the stats.
 
     The caller provides either a corpus (mlm) or a task dataset. Only the
-    weights ``trainable_names`` picks move, and each adapter slot among them
+    weights ``trainable_names`` picks move, and each slot tensor among them
     must be in ``stack``, which the forward runs; the ortho optimizer is
     scoped to the phase's slot and owns separate Adam state. Dropout applies
     at the encoder's configured rate.
@@ -256,18 +257,22 @@ def run_phase(
         raise ConfigError(f"the {cfg.main_loss} loss cannot train on a {dataset.kind} dataset")
 
     trainable = trainable_names(encoder.params, cfg)
+    head = {"seq_cls": "cls", "tagging": "tag"}.get(cfg.main_loss)
+    if head and dataset.num_classes > encoder.head_classes[head]:
+        raise ConfigError(f"the {cfg.main_loss} dataset has {dataset.num_classes} classes, "
+                          f"more than the {encoder.head_classes[head]} of its {head} head")
     for kind, prefix in SLOT_PREFIX.items():
-        # a registered slot the forward never runs would get no gradient
-        if (stack is None or stack.slot(kind) is None) and any(
-                n.startswith(prefix) for n in trainable):
+        # a trained slot tensor the forward does not run would get no gradient
+        runs = dict(slot_arrays(stack and stack.slot(kind) or [], prefix))
+        if any(encoder.params[n] is not runs.get(n) for n in trainable if n.startswith(prefix)):
             raise ConfigError(f"phase {cfg.phase} trains the {kind} slot ({prefix}*), "
-                              f"but the stack it runs has no {kind} slot")
+                              f"but the stack it runs does not hold those tensors")
     encoder.params.set_trainable(trainable)
     opt_main = Adam(encoder.params, names=trainable, lr=cfg.main_lr)
     opt_ortho = None
     if cfg.ortho:
-        opt_ortho = Adam(encoder.params, names=slot_names(encoder.params, cfg.slot()),
-                         lr=cfg.ortho_lr)
+        slot = [n for n in trainable if n.startswith(SLOT_PREFIX[cfg.slot()])]
+        opt_ortho = Adam(encoder.params, names=slot, lr=cfg.ortho_lr)
 
     batches = _batches(cfg, encoder.config.vocab, corpus, dataset)
     drop_rng = np.random.default_rng([cfg.seed, 3])

@@ -11,9 +11,7 @@ from adapterlab.adapters import (
     AdapterStack,
     AdapterWeights,
     adapter_forward,
-    init_adapter,
     init_adapter_stack_slot,
-    slot_names,
     swap_language_adapter,
 )
 from adapterlab.autodiff import tsum, mul
@@ -74,17 +72,23 @@ def test_adapter_forward_gradcheck():
 
 def test_init_adapter_identity_and_determinism():
     cfg = AdapterConfig(dim=3, kind=LANGUAGE)
-    a = init_adapter(cfg, hidden=8, seed=42)
-    b = init_adapter(cfg, hidden=8, seed=42)
-    c = init_adapter(cfg, hidden=8, seed=43)
+    [a], [b], [c] = (init_adapter_stack_slot(cfg, 8, 1, seed) for seed in (42, 42, 43))
     np.testing.assert_array_equal(a.w_up.values, 0.0)
     np.testing.assert_array_equal(a.w_down.values, b.w_down.values)
     assert np.any(a.w_down.values != c.w_down.values)
 
 
+def test_adapter_config_validation():
+    for bad, match in (({"kind": "bogus"}, "unknown adapter kind"), ({"dim": 0}, "dim")):
+        with pytest.raises(ConfigError, match=match):
+            AdapterConfig(**{"dim": 2, **bad})
+    with pytest.raises(AttributeError):  # checked once, so no field may change later
+        AdapterConfig(dim=2).dim = 0
+
+
 def test_init_adapter_dim_too_large():
     with pytest.raises(ConfigError):
-        init_adapter(AdapterConfig(dim=8), hidden=8, seed=0)
+        init_adapter_stack_slot(AdapterConfig(dim=8), 8, 1, 0)
 
 
 def test_identity_at_init_leaves_encoder_output_unchanged():
@@ -276,7 +280,7 @@ def test_full_finetune_unfreezes_everything():
 
 def test_frozen_parameters_survive_adam_steps_bit_identical():
     enc, stack = build_full_model()
-    lang = slot_names(enc.params, LANGUAGE)
+    lang = [n for n in enc.params.names() if n.startswith("adapter.lang.")]
     enc.params.set_trainable(lang)
     backbone = [n for n in enc.params.names() if not n.startswith("adapter.lang.")]
     before = enc.params.checksum(names=backbone)

@@ -338,6 +338,11 @@ def test_layer_norm_standardizes_within_1e10():
     np.testing.assert_allclose(out.var(axis=-1), 1.0, atol=1e-10)
 
 
+def test_layer_norm_refuses_affine_params_of_another_width():
+    with pytest.raises(ShapeError, match="affine params must be"):
+        layer_norm(Tensor(np.zeros((2, 4))), Tensor(np.ones(4)), Tensor(np.zeros(3)))
+
+
 def test_layer_norm_gradcheck():
     r = rng(11)
     x = Tensor(r.normal(size=(4, 6)))
@@ -381,6 +386,8 @@ def test_cross_entropy_vs_extended_precision_oracle():
 def test_cross_entropy_zero_rows_raises():
     with pytest.raises(EmptyLossError):
         cross_entropy(Tensor(np.zeros((0, 3))), [])
+    with pytest.raises(ShapeError, match="for 3 labels"):  # one label per row
+        cross_entropy(Tensor(np.zeros((2, 3))), [0, 1, 2])
 
 
 def test_cross_entropy_label_out_of_range_raises():
@@ -442,6 +449,15 @@ def test_tanh_select_token_mean_gradcheck():
 def test_swap_last_matches_numpy():
     x = rng(19).normal(size=(2, 3, 4))
     np.testing.assert_array_equal(swap_last(Tensor(x)).values, np.swapaxes(x, -1, -2))
+
+
+def test_broadcast_operand_gradcheck():
+    # a [1, 3, 1] operand's gradient sums over the axes it was broadcast along
+    r = rng(20)
+    a, b = Tensor(r.normal(size=(2, 3, 4))), Tensor(r.normal(size=(1, 3, 1)))
+    w = Tensor(r.normal(size=(2, 3, 4)))
+    for op in (add, mul):
+        assert grad_check(lambda ts: tsum(mul(op(ts[0], ts[1]), w)), [a, b]) < 1e-7
 
 
 def test_gradients_accumulate_across_uses():

@@ -1,8 +1,13 @@
 import json
 import re
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adapterlab.adapters import (
     LANGUAGE,
@@ -11,7 +16,9 @@ from adapterlab.adapters import (
     AdapterStack,
     init_adapter_stack_slot,
     swap_language_adapter,
+    zero_slot,
 )
+from adapterlab.autodiff import Tensor
 from adapterlab.checkpoint import (
     load_adapter,
     load_checkpoint,
@@ -119,6 +126,8 @@ def test_checkpoint_directory_mismatch_raises_typed_error(tmp_path):
                       # containers of the wrong type
                       ("heads", lambda m: m.update(heads=[["cls", 3]])),
                       ("arrays", lambda m: m["arrays"].__setitem__(0, 5)),
+                      ("string name", lambda m: m["arrays"][0].update(name=5)),
+                      ("shape list", lambda m: m["arrays"][0].update(shape="8")),
                       ("arrays", lambda m: m.update(arrays={})),
                       ("adapters", lambda m: m.update(adapters=[LANGUAGE, TASK])),
                       # a slot entry whose config is of the other kind
@@ -215,6 +224,74 @@ def test_slot_of_mixed_layers_is_never_written(tmp_path):
         with pytest.raises(ContractError, match="share one config"):
             write(tmp_path / name)
     assert list(tmp_path.iterdir()) == []
+
+
+@st.composite
+def slots(draw):
+    """(kind, hidden size, slot): 1-3 layers, 4 <= H <= 12, 1 <= dim < H, non-zero w_up."""
+    num_layers, hidden = draw(st.integers(1, 3)), draw(st.integers(4, 12))
+    config = AdapterConfig(dim=draw(st.integers(1, hidden - 1)),
+                           kind=draw(st.sampled_from([LANGUAGE, TASK])),
+                           orthogonal=draw(st.booleans()))
+    seed = draw(st.integers(0, 2**16))
+    slot = init_adapter_stack_slot(config, hidden, num_layers, seed)
+    r = np.random.default_rng(seed)
+    for w in slot:
+        w.w_up.values[...] = r.normal(size=w.w_up.shape)
+    return config.kind, hidden, slot
+
+
+def model_with(kind, hidden, slot):
+    enc = Encoder(EncoderConfig(vocab=12, num_layers=len(slot), hidden=hidden, num_heads=1,
+                                ffn=6, max_len=6, dropout=0.0), seed=1)
+    stack = AdapterStack(len(slot))
+    stack.fill(kind, slot)
+    stack.register(enc.params)
+    return enc, stack
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(slots())
+def test_any_legal_slot_round_trips_bit_exact(drawn):
+    kind, hidden, slot = drawn
+    enc, stack = model_with(kind, hidden, slot)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second, adapter = (Path(tmp) / name for name in ("a.ckpt", "b.ckpt", "s.adapter"))
+        save_checkpoint(first, enc, stack)
+        save_checkpoint(second, *load_checkpoint(first)[:2])
+        assert first.read_bytes() == second.read_bytes()
+
+        save_adapter(adapter, slot, language="tgt")
+        config, pairs, _ = load_adapter(adapter)
+    target = AdapterStack(len(slot))
+    target.fill(LANGUAGE, zero_slot(replace(config, kind=LANGUAGE), hidden, len(slot)))
+    swap_language_adapter(target, pairs)
+    assert config == slot[0].config
+    for got, want in zip(target.lang, slot):
+        assert got.w_down.values.tobytes() == want.w_down.values.tobytes()
+        assert got.w_up.values.tobytes() == want.w_up.values.tobytes()
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(slots(), st.data())
+def test_misshapen_slot_is_refused_and_never_written(drawn, data):
+    kind, hidden, slot = drawn
+    enc, stack = model_with(kind, hidden, slot)
+    layer = data.draw(st.integers(0, len(slot) - 1))
+    part = data.draw(st.sampled_from(["w_down", "w_up"]))
+    rows, cols = getattr(slot[layer], part).shape
+    off = Tensor(np.ones((rows, cols + data.draw(st.sampled_from([-1, 1])))))
+    bad = list(slot)
+    bad[layer] = replace(slot[layer], **{part: off})
+    setattr(stack, "lang" if kind == LANGUAGE else "task", bad)  # fill refuses it
+    with pytest.raises(ContractError, match=f"layer {layer} of the slot"):
+        AdapterStack(len(slot)).fill(kind, bad)
+    with tempfile.TemporaryDirectory() as tmp:
+        for write in (lambda path: save_adapter(path, bad),
+                      lambda path: save_checkpoint(path, enc, stack)):
+            with pytest.raises(ContractError, match=f"layer {layer} of the slot"):
+                write(Path(tmp) / "out")
+        assert list(Path(tmp).iterdir()) == []
 
 
 def test_adapter_file_arrays_its_header_does_not_cover_are_refused(tmp_path):

@@ -25,6 +25,10 @@ def test_config_validation():
         EncoderConfig(vocab=10, hidden=30, num_heads=4)
     with pytest.raises(ConfigError):
         EncoderConfig(vocab=10, max_len=0)
+    with pytest.raises(ConfigError, match="vocab"):
+        EncoderConfig(vocab=1)
+    with pytest.raises(AttributeError):  # checked once, so no field may change later
+        EncoderConfig(vocab=10).num_heads = 0
 
 
 @pytest.mark.parametrize("field, bad", [("num_layers", 0), ("hidden", 0), ("num_heads", 0),
@@ -166,9 +170,14 @@ def test_tag_head_hand_case():
 def test_head_class_count_is_pinned():
     enc = encoder()
     enc.ensure_cls_head(3)
+    enc.ensure_tag_head(5)
+    names = enc.params.names()
     enc.ensure_cls_head(3)  # idempotent
-    with pytest.raises(ConfigError):
-        enc.ensure_cls_head(4)
+    enc.ensure_tag_head(5)
+    assert enc.params.names() == names
+    for build in (enc.ensure_cls_head, enc.ensure_tag_head):
+        with pytest.raises(ConfigError):
+            build(4)
 
 
 def test_head_with_no_class_is_refused():

@@ -29,6 +29,9 @@ def test_non_finite_function_raises_with_coordinate():
 
     with pytest.raises(NumericError, match="coordinate 0"):
         grad_check(f, [x])
+    x.values[0] = -1.0  # non-finite at the base point itself
+    with pytest.raises(NumericError, match="base point"):
+        grad_check(f, [x])
 
 
 def test_perturbed_evaluations_record_no_graph():

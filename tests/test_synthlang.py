@@ -69,6 +69,10 @@ def test_vocab_map_is_derived_from_the_token_list():
     assert vocab.encode(["a"]) == [FIRST_REGULAR]
     with pytest.raises(TypeError):  # a map passed in could disagree with the list
         Vocab(list(RESERVED_TOKENS) + ["a"], token_to_id={"a": 0})
+    for tokens, match in ((["a"] + list(RESERVED_TOKENS), "reserved"),
+                          (list(RESERVED_TOKENS) + ["a", "b", "a"], "unique")):
+        with pytest.raises(ConfigError, match=match):
+            Vocab(tokens)
 
 
 def test_vocab_empty_corpus_rejected():
@@ -270,6 +274,7 @@ def test_generate_corpus_deterministic():
     (dict(min_len=0), "min_len"),
     (dict(min_len=-1), "min_len"),
     (dict(n_sentences=-1), "n_sentences"),
+    (dict(n_words=3), "n_words"),  # too few words to fill every class
 ])
 def test_generate_corpus_rejects_bad_arguments(monkeypatch, bad, field):
     def no_draws(seed):
@@ -415,6 +420,9 @@ def test_seq_dataset_file_roundtrip(tmp_path):
     save_task_dataset(ds, vocab, path)
     loaded = load_task_dataset(path, vocab, SEQ_CLS, "src", "dev", 3)
     assert loaded.content_hash() == ds.content_hash()
+    path.write_text(path.read_text().replace("\n", "\n\n", 1))  # a blank line is skipped
+    assert load_task_dataset(path, vocab, SEQ_CLS, "src", "dev", 3).content_hash() == \
+        ds.content_hash()
 
     first = path.read_text().splitlines()[0]
     path.write_text(f"{first}\n{first.rsplit(chr(9), 1)[0]}\n")  # line 2 lacks a sentence
@@ -429,6 +437,9 @@ def test_tag_dataset_file_roundtrip(tmp_path):
     save_task_dataset(ds, vocab, path)
     loaded = load_task_dataset(path, vocab, TAGGING, "src", "dev", 6)
     assert loaded.content_hash() == ds.content_hash()
+    path.write_text(path.read_text().rstrip("\n"))  # the last sentence ends the file
+    assert load_task_dataset(path, vocab, TAGGING, "src", "dev", 6).content_hash() == \
+        ds.content_hash()
 
     path.write_text(path.read_text().replace("\t", " ", 1))  # line 1 has no tab
     with pytest.raises(MissingArtifactError, match="line 1"):

@@ -160,8 +160,9 @@ def test_trainable_names_table():
 
 
 def test_adapter_slot_the_forward_skips_is_refused_before_step_0(monkeypatch):
-    # a registered slot missing from the stack the phase runs would train
-    # weights no forward reaches; they get no gradient, so refuse up front
+    # a registered slot missing from the stack the phase runs, or held there by
+    # other tensors (a second stack of the same kinds, never registered), would
+    # train weights no forward reaches; they get no gradient, so refuse up front
     vocab, corpus = setup_bed()
     enc, stack = fresh_model(vocab)
     enc.ensure_tag_head(N_CLASSES)
@@ -169,6 +170,7 @@ def test_adapter_slot_the_forward_skips_is_refused_before_step_0(monkeypatch):
                            N_CLASSES)
     lang_only = AdapterStack(2)
     lang_only.fill(LANGUAGE, stack.lang)
+    _, other = fresh_model(vocab, seed=5)
 
     def no_forward(*args, **kwargs):
         raise AssertionError("a forward ran")
@@ -177,12 +179,40 @@ def test_adapter_slot_the_forward_skips_is_refused_before_step_0(monkeypatch):
     full_mlm = PhaseConfig(phase=PHASE_FULL, main_loss="mlm", steps=2, batch_size=4)
     full_tag = PhaseConfig(phase=PHASE_FULL, main_loss="tagging", steps=2, batch_size=4)
     lang = PhaseConfig(phase=PHASE_LANG, main_loss="mlm", steps=2, batch_size=4)
+    task = PhaseConfig(phase=PHASE_TASK, main_loss="tagging", steps=2, batch_size=4)
     for run, slot in ((lambda: pretrain_backbone(enc, corpus, full_mlm), LANGUAGE),
                       (lambda: run_phase(enc, None, full_tag, dataset=dataset), LANGUAGE),
                       (lambda: run_phase(enc, lang_only, full_mlm, corpus=corpus), TASK),
-                      (lambda: run_phase(enc, None, lang, corpus=corpus), LANGUAGE)):
-        with pytest.raises(ConfigError, match=f"{slot} slot"):
+                      (lambda: run_phase(enc, None, lang, corpus=corpus), LANGUAGE),
+                      (lambda: run_phase(enc, other, lang, corpus=corpus), LANGUAGE),
+                      (lambda: run_phase(enc, other, task, dataset=dataset), TASK),
+                      (lambda: run_phase(enc, other, full_mlm, corpus=corpus), LANGUAGE)):
+        with pytest.raises(ConfigError, match=f"the {slot} slot"):
             run()
+
+
+def test_dataset_with_more_classes_than_its_head_is_refused_before_step_0(monkeypatch):
+    vocab, corpus = setup_bed()
+    enc, stack = fresh_model(vocab, lang=False)
+    enc.ensure_cls_head(2)
+    enc.ensure_tag_head(3)
+    spec = SyntheticLanguageSpec("src")
+    fewer = gen_tag_task(corpus, spec, vocab, 30, "train", 1, n_tags=2)
+    tagging = PhaseConfig(phase=PHASE_TASK, main_loss="tagging", steps=1, batch_size=4)
+    run_phase(enc, stack, tagging, dataset=fewer)  # fewer classes than the head is legal
+
+    def no_forward(*args, **kwargs):
+        raise AssertionError("a forward ran")
+
+    monkeypatch.setattr(Encoder, "encode", no_forward)
+    for loss, dataset, match in (
+            ("seq_cls", gen_seq_task(corpus, spec, vocab, 30, "train", 1), "3 classes.*the 2"),
+            ("tagging", gen_tag_task(corpus, spec, vocab, 30, "train", 1, n_tags=6),
+             "6 classes.*the 3")):
+        for phase in (PHASE_TASK, PHASE_FULL):
+            cfg = PhaseConfig(phase=phase, main_loss=loss, steps=2, batch_size=4)
+            with pytest.raises(ConfigError, match=match):
+                run_phase(enc, stack, cfg, dataset=dataset)
 
 
 def test_phase_wrappers_refuse_another_phase_before_any_forward(monkeypatch):
