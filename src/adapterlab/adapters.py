@@ -87,7 +87,7 @@ def slot_config(weights: list[AdapterWeights]) -> AdapterConfig:
     if not configs or any(c != configs[0] for c in configs):
         raise ContractError(f"a slot needs at least one layer, and its layers must "
                             f"share one config; got {configs}")
-    dim, hidden = configs[0].dim, weights[0].w_down.shape[:1]  # H of layer 0, if any
+    dim, hidden = configs[0].dim, weights[0].w_down.shape[:1]  # layer 0's H; () if 0-d
     for i, w in enumerate(weights):
         if w.w_down.shape != (*hidden, dim) or w.w_up.shape != (dim, *hidden):
             raise ContractError(f"layer {i} of the slot holds {w.w_down.shape}/"
