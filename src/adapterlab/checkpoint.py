@@ -6,7 +6,7 @@ named array in declaration order. Raw bytes make the round-trip bit-exact.
 A write goes to a temporary file beside the target and is renamed over it,
 so a write that fails partway leaves any earlier file at the path whole.
 Both kinds of file lay a slot out by ``adapters.slot_arrays`` and
-``adapters.slot_config``; a loader copies one into an
+``adapters.slot_config``, and a loader copies a file's slot into an
 ``adapters.zero_slot``. A read refuses a header that is not UTF-8 JSON,
 lacks a key it needs, holds a container of the wrong type, a config entry
 its class does not take or refuses (``num_heads: 0``) or, in a checkpoint,
@@ -14,8 +14,8 @@ of another slot kind, a non-integer count, seed or array dimension, an
 unknown head, or an array directory that names one array twice, and a body
 that does not hold exactly the bytes its array directory lists. Then
 ``_copy_arrays`` refuses a missing, unexpected or misshapen array (an
-adapter file's hidden size is that of ``0.w_down``) before copying any. A
-checkpoint loads by array name, so any construction order of the saved
+adapter file's hidden size is that of ``0.w_down``) before copying any.
+A checkpoint loads by array name, so any construction order of the saved
 model (heads and adapter stack in either order) reloads.
 """
 
