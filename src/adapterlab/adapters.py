@@ -50,8 +50,8 @@ class AdapterConfig:
     def __post_init__(self):
         if self.kind not in SLOT_PREFIX:
             raise ConfigError(f"unknown adapter kind {self.kind!r}")
-        if self.dim < 1:
-            raise ConfigError(f"adapter dim must be >= 1, got {self.dim}")
+        if type(self.dim) is not int or self.dim < 1:  # bools and floats too
+            raise ConfigError(f"adapter dim must be an integer >= 1, got {self.dim!r}")
 
 
 @dataclass

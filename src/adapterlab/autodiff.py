@@ -10,6 +10,8 @@ Only work some later step reads is done. An op records a node only when a
 parent requires a gradient, and inside a ``no_grad`` block it records none:
 it returns a constant. A backward rule computes the gradient of each parent
 that requires one and skips the rest (frozen weights, constant operands).
+``layer_norm`` adds ``LN_EPS`` to each row's variance, and one ``_softmax``
+serves ``softmax_rows``, ``attention`` and ``cross_entropy``'s gradient.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .errors import ContractError, EmptyLossError, ShapeError
 
 Array = np.ndarray
 COSINE_EPS = 1e-12  # added to each squared norm in ``cosine_sq_rows``
+LN_EPS = 1e-12  # added to each row's variance in ``layer_norm``
 
 
 class Tensor:
@@ -360,7 +363,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, key_bias: Array, num_heads: int) 
     return _node(values, (q, k, v), backward)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale + shift."""
     x, gain, bias = _wrap(x), _wrap(gain), _wrap(bias)
     h = x.shape[-1]
@@ -371,7 +374,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tens
     mu = x.values.mean(axis=-1, keepdims=True)
     xc = x.values - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
     values = xhat * gain.values + bias.values
 
@@ -466,8 +469,7 @@ def cross_entropy(logits: Tensor, labels: Array) -> Tensor:
     values = np.asarray((logsumexp - logits.values[rows, labels]).sum() / n)
 
     def backward(g):
-        probs = np.exp(shifted)
-        probs /= probs.sum(axis=-1, keepdims=True)
+        probs = _softmax(logits.values)
         probs[rows, labels] -= 1.0
         probs *= g / n
         return ((logits, probs),)

@@ -12,10 +12,12 @@ lacks a key it needs, holds a container of the wrong type, a config entry
 its class does not take or refuses (``num_heads: 0``) or, in a checkpoint,
 of another slot kind, a non-integer count, seed or array dimension, an
 unknown head, or an array directory that names one array twice, and a body
-that does not hold exactly the bytes its array directory lists. Then
+that does not hold exactly the bytes its array directory lists. Next,
+before building anything, ``_check_claims`` refuses a header count no array
+bears out, so a load allocates no more than the file holds. Then
 ``_copy_arrays`` refuses a missing, unexpected or misshapen array (an
-adapter file's hidden size is that of ``0.w_down``) before copying any.
-A checkpoint loads by array name, so any construction order of the saved
+adapter file's hidden size is that of ``0.w_down``) before copying any. A
+checkpoint loads by array name, so any construction order of the saved
 model (heads and adapter stack in either order) reloads.
 """
 
@@ -38,6 +40,7 @@ from .optim import ParamSet
 
 FORMAT_VERSION = 2
 _SEP = b"\x00"
+_HEAD_CLASSES = {"cls": "head.cls.out_b", "tag": "head.tag.b"}  # [classes] bias of each head
 
 
 def _write_container(path, manifest: dict, arrays: list[tuple[str, Tensor]]) -> None:
@@ -120,6 +123,14 @@ def _build(path, cls, header: dict, key: str):
                                    f"{cls.__name__}: {exc}") from exc
 
 
+def _check_claims(path, directory: dict, claims) -> None:
+    """Refuse the first (name, shape) claim the array directory does not hold."""
+    for name, shape in claims:
+        if directory.get(name) != shape:
+            raise MissingArtifactError(f"{path}: the header implies array {name} of shape "
+                                       f"{shape}, the array directory holds {directory.get(name)}")
+
+
 def _copy_arrays(path, directory: dict, body: bytes, expected: dict[str, Tensor]) -> None:
     """Copy each array of ``body`` into its tensor, once all names and shapes match."""
     missing = [name for name in expected if name not in directory]
@@ -163,20 +174,32 @@ def load_checkpoint(path) -> tuple[Encoder, AdapterStack | None, dict]:
     _require(path, "header", manifest, "encoder_config", "seed", "heads", "adapters")
     adapters = _require(path, "adapters", manifest["adapters"], *SLOT_PREFIX)
     config = _build(path, EncoderConfig, manifest, "encoder_config")
-    encoder = Encoder(config, seed=_integer(path, "seed", manifest["seed"], 0))
-    builders = {"cls": encoder.ensure_cls_head, "tag": encoder.ensure_tag_head}
-    for head, n in _require(path, "heads", manifest["heads"]).items():
-        if head not in builders:
+    seed = _integer(path, "seed", manifest["seed"], 0)
+    hidden, num_layers = config.hidden, config.num_layers
+    claims = [("embed.tok", (config.vocab, hidden)), ("embed.pos", (config.max_len, hidden))]
+    heads = _require(path, "heads", manifest["heads"])
+    for head, n in heads.items():
+        if head not in _HEAD_CLASSES:
             raise MissingArtifactError(f"{path}: header entry heads names an unknown "
                                        f"head {head!r}")
-        builders[head](_integer(path, f"heads.{head}", n, 1))
-    kinds = [kind for kind in SLOT_PREFIX if adapters[kind]]
-    stack = AdapterStack(config.num_layers) if kinds else None
-    for kind in kinds:
-        acfg = _build(path, AdapterConfig, adapters, kind)
+        claims.append((_HEAD_CLASSES[head], (_integer(path, f"heads.{head}", n, 1),)))
+    slots = {kind: _build(path, AdapterConfig, adapters, kind)
+             for kind in SLOT_PREFIX if adapters[kind]}
+    for kind, acfg in slots.items():
         if acfg.kind != kind:
             raise MissingArtifactError(f"{path}: header entry adapters.{kind} has kind {acfg.kind}")
-        stack.fill(kind, zero_slot(acfg, config.hidden, config.num_layers))
+        claims.append((f"{SLOT_PREFIX[kind]}0.w_down", (hidden, acfg.dim)))
+    _check_claims(path, directory, claims)
+    # a generator, so a claimed layer count stops at the first layer the file lacks
+    _check_claims(path, directory, ((f"layer.{i}.ffn.w1", (hidden, config.ffn))
+                                    for i in range(num_layers)))
+    encoder = Encoder(config, seed=seed)
+    builders = {"cls": encoder.ensure_cls_head, "tag": encoder.ensure_tag_head}
+    for head, n in heads.items():
+        builders[head](n)
+    stack = AdapterStack(num_layers) if slots else None
+    for kind, acfg in slots.items():
+        stack.fill(kind, zero_slot(acfg, hidden, num_layers))
     if stack is not None:
         stack.register(encoder.params)
     built = dict(encoder.params.items())
@@ -208,6 +231,8 @@ def load_adapter(path) -> tuple[AdapterConfig, list[tuple[np.ndarray, np.ndarray
     config = _build(path, AdapterConfig, manifest, "adapter_config")
     num_layers = _integer(path, "num_layers", manifest["num_layers"], 1)
     hidden = (directory.get("0.w_down") or (0,))[0]  # the one every layer must share
+    _check_claims(path, directory, ((f"{i}.w_down", (hidden, config.dim))
+                                    for i in range(num_layers)))
     slot = zero_slot(config, hidden, num_layers)
     _copy_arrays(path, directory, body, dict(slot_arrays(slot)))
     return config, [(w.w_down.values, w.w_up.values) for w in slot], manifest

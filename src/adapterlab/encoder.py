@@ -36,7 +36,6 @@ from .autodiff import (
 from .errors import ConfigError, SequenceLengthError, VocabError
 from .optim import ParamSet
 
-LN_EPS = 1e-12
 MASK_BIAS = -1e9
 
 
@@ -52,19 +51,17 @@ class EncoderConfig:
     tie_mlm: bool = True
 
     def __post_init__(self):
-        for name in ("num_layers", "hidden", "num_heads", "ffn"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+        for name, least in (("vocab", 2), ("num_layers", 1), ("hidden", 1), ("num_heads", 1),
+                            ("ffn", 1), ("max_len", 1)):
+            value = getattr(self, name)
+            if type(value) is not int or value < least:  # bools and floats too
+                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
         if self.hidden % self.num_heads != 0:
             raise ConfigError(
                 f"hidden size {self.hidden} not divisible by {self.num_heads} heads"
             )
-        if self.max_len < 1:
-            raise ConfigError("max_len must be at least 1")
-        if self.vocab < 2:
-            raise ConfigError("vocab must hold at least two ids")
 
 
 def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -199,15 +196,14 @@ class Encoder:
         ctx = attention(q, k, v, key_bias, self.config.num_heads)
         out = dropout(add(matmul(ctx, p[f"layer.{i}.attn.wo"]), p[f"layer.{i}.attn.bo"]),
                       drop, rng)
-        return layer_norm(add(x, out), p[f"layer.{i}.ln1.gain"],
-                          p[f"layer.{i}.ln1.bias"], LN_EPS)
+        return layer_norm(add(x, out), p[f"layer.{i}.ln1.gain"], p[f"layer.{i}.ln1.bias"])
 
     def _ffn_sublayer(self, i, x, drop, rng):
         p = self.params
         inner = relu(add(matmul(x, p[f"layer.{i}.ffn.w1"]), p[f"layer.{i}.ffn.b1"]))
         out = dropout(add(matmul(inner, p[f"layer.{i}.ffn.w2"]), p[f"layer.{i}.ffn.b2"]),
                       drop, rng)
-        return layer_norm(add(x, out), p[f"layer.{i}.ln2.gain"], p[f"layer.{i}.ln2.bias"], LN_EPS)
+        return layer_norm(add(x, out), p[f"layer.{i}.ln2.gain"], p[f"layer.{i}.ln2.bias"])
 
     # --- output heads ------------------------------------------------------------
 

@@ -1,5 +1,9 @@
 """Training losses: masked LM, sequence classification, tagging, orthogonality.
 
+Masked LM selects ``MASK_FRACTION`` of each sequence's maskable tokens and
+splits them ``MASK_SPLIT`` into ``[MASK]``, a random regular id and kept, as
+BERT does (Devlin et al. 2019, arXiv 1810.04805).
+
 Every loss is a plain mean over the rows it receives, and which rows a loss
 reads is decided once, before the head or the adapter recompute runs:
 ``labelled_rows`` picks the masked-LM and tagged positions (the ones whose
@@ -38,24 +42,17 @@ from .errors import ConfigError, ContractError, EmptyLossError, ShapeError
 from .synthlang import FIRST_REGULAR, MASK
 
 
+MASK_FRACTION = 0.15
+MASK_SPLIT = (0.8, 0.1, 0.1)
+
+
 @dataclass
 class MaskingPolicy:
-    """BERT-style masking: which fraction to corrupt, and how.
+    """Masking over ``vocab`` ids, which bounds the random replacements."""
 
-    Of the selected positions, ``split`` = (mask, random, keep) fractions.
-    Reserved ids below ``FIRST_REGULAR`` are never selected; ``vocab`` bounds
-    the random replacements.
-    """
-
-    mask_fraction: float = 0.15
-    split: tuple[float, float, float] = (0.8, 0.1, 0.1)
     vocab: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.mask_fraction <= 1.0:
-            raise ConfigError(f"mask fraction must be in (0, 1], got {self.mask_fraction}")
-        if abs(sum(self.split) - 1.0) > 1e-12 or any(s < 0 for s in self.split):
-            raise ConfigError(f"mask/random/keep split must sum to 1, got {self.split}")
         if self.vocab <= FIRST_REGULAR:
             raise ConfigError("vocab leaves no regular ids to mask")
 
@@ -68,8 +65,8 @@ def apply_masking(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Corrupt a [B, T] id batch for MLM and build its label matrix.
 
-    Selected positions keep their original id as the label; everything else is
-    the ignore marker. 80/10/10: mask token, random regular id, unchanged.
+    Reserved ids below ``FIRST_REGULAR`` are never selected. Selected positions
+    keep their original id as the label; everything else is the ignore marker.
     Sequences with no maskable token are skipped; their count is returned.
     """
     ids = np.asarray(token_ids, dtype=np.int64)
@@ -83,11 +80,11 @@ def apply_masking(
         if maskable.size == 0:
             skipped += 1
             continue
-        n_pick = max(1, round(policy.mask_fraction * maskable.size))
+        n_pick = max(1, round(MASK_FRACTION * maskable.size))
         picked = rng.choice(maskable, size=n_pick, replace=False)
         labels[b, picked] = ids[b, picked]
         rolls = rng.random(n_pick)
-        p_mask, p_rand, _ = policy.split
+        p_mask, p_rand, _ = MASK_SPLIT
         for pos, roll in zip(picked, rolls):
             if roll < p_mask:
                 corrupted[b, pos] = MASK

@@ -6,10 +6,10 @@ yields a target-language corpus whose latent structure matches the source,
 which is exactly what makes zero-shot transfer measurable at desk scale.
 
 The base corpus is fully synthetic: a generator draws class-structured
-sentences (a seeded Markov chain over token classes, Zipf-distributed tokens
-within each class). Token classes double as the tagging task's gold labels,
-so tags are lexically determined per language yet inferable from context
-structure shared across languages.
+sentences of ``MIN_LEN`` to ``MAX_LEN`` words (a seeded Markov chain over
+token classes, Zipf-distributed tokens within each class). Token classes
+double as the tagging task's gold labels, so tags are lexically determined
+per language yet inferable from context structure shared across languages.
 
 Everything here is built array-wide, not token by token: the generator
 steps every sentence's class chain at once, and a corpus or dataset is
@@ -35,6 +35,7 @@ SEQ_CLS = "seq_cls"
 TAGGING = "tagging"
 
 FIRST_LONGER, SECOND_LONGER, EQUAL = 0, 1, 2
+MIN_LEN, MAX_LEN = 4, 12  # the shortest and the longest base sentence, in words
 
 
 def stable_bucket(token: str, n: int) -> int:
@@ -146,25 +147,6 @@ class SyntheticLanguageSpec:
             pos = lo + (at - lo - self._shift) % (hi - lo)
         return np.where(regular, pos, at)
 
-    def to_file(self, path) -> None:
-        write_key_values(path, {"code": self.code, "cipher_seed": self.cipher_seed,
-                                "divergence": repr(self.divergence),
-                                "word_order": self.word_order})
-
-    @classmethod
-    def from_file(cls, path) -> "SyntheticLanguageSpec":
-        fields = read_key_values(path)
-        values = {}
-        for key, parse in (("code", str), ("cipher_seed", int), ("divergence", float)):
-            if key not in fields:
-                raise ConfigError(f"{path}: no {key}= line")
-            try:
-                values[key] = parse(fields[key])
-            except ValueError:
-                raise ConfigError(f"{path}: {key}={fields[key]!r} is not "
-                                  f"a valid {parse.__name__}") from None
-        return cls(**values, word_order=fields.get("word_order", "identity"))
-
 
 def _relexify(spec: SyntheticLanguageSpec, cipher: np.ndarray, sentences) -> list[np.ndarray]:
     """``apply_language`` over many sentences, with the cipher built by the caller.
@@ -257,8 +239,6 @@ def generate_corpus(
     n_words: int = 120,
     n_classes: int = 6,
     seed: int = 0,
-    min_len: int = 4,
-    max_len: int = 12,
 ) -> list[str]:
     """Synthetic base corpus: class-Markov sentences over a Zipfian lexicon.
 
@@ -268,7 +248,7 @@ def generate_corpus(
     tags reflect the latent class of each slot.
 
     Draw order, which fixes the corpus of a seed: each sentence in turn
-    draws ``rng.integers(min_len, max_len + 1)`` for its length,
+    draws ``rng.integers(MIN_LEN, MAX_LEN + 1)`` for its length,
     ``rng.integers(n_classes)`` for its first class, then
     ``rng.random(2 * length)``: a word draw and a transition draw per
     position, the last transition drawn but unused. A draw ``u`` picks
@@ -277,9 +257,10 @@ def generate_corpus(
     corpus is the one two ``choice`` calls per token would give.
     """
     for name, value, least in (("n_sentences", n_sentences, 0), ("n_classes", n_classes, 2),
-                               ("min_len", min_len, 1), ("max_len", max_len, min_len)):
-        if value < least:
-            raise ConfigError(f"generate_corpus: {name} must be >= {least}, got {value}")
+                               ("n_words", n_words, 0)):
+        if type(value) is not int or value < least:  # bools and floats too
+            raise ConfigError(f"generate_corpus: {name} must be an integer >= {least}, "
+                              f"got {value!r}")
     words = make_word_list(n_words)
     by_class: list[list[str]] = [[] for _ in range(n_classes)]
     for w in words:
@@ -296,7 +277,7 @@ def generate_corpus(
     rng = np.random.default_rng(seed)
     lengths, first, draws = [], [], []
     for _ in range(n_sentences):
-        lengths.append(int(rng.integers(min_len, max_len + 1)))
+        lengths.append(int(rng.integers(MIN_LEN, MAX_LEN + 1)))
         first.append(int(rng.integers(n_classes)))
         draws.append(rng.random(2 * lengths[-1]))
     if not lengths:
@@ -533,23 +514,3 @@ def _class_id(text: str, num_classes: int) -> int:
 
 def _bad_line(path, lineno: int, expected: str) -> MissingArtifactError:
     return MissingArtifactError(f"{path}: line {lineno} is not {expected}")
-
-
-def write_key_values(path, entries: dict) -> None:
-    """One ``key=value`` line per entry, in the dict's order."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for key, value in entries.items():
-            fh.write(f"{key}={value}\n")
-
-
-def read_key_values(path) -> dict[str, str]:
-    """Parse ``key=value`` lines; blank lines and ``#`` comments are skipped."""
-    entries = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            entries[key] = value
-    return entries

@@ -15,6 +15,9 @@ other weight is frozen, and each slot weight it trains must be the very
 tensor the stack it runs holds. A task phase runs on a stack with or
 without a language slot: the stacked (MAD-X) and the task-adapter-only
 configurations differ only in the stack the caller builds.
+
+Every descent step clips the global gradient norm to ``CLIP_NORM``. A run
+manifest, written before step 0, is one ``key=value`` line per entry.
 """
 
 from __future__ import annotations
@@ -48,10 +51,11 @@ from .objectives import (
     tagging_loss,
 )
 from .optim import Adam, ParamSet, clip_grad_norm
-from .synthlang import CLS, PAD, SEP, TaskDataset, read_key_values, write_key_values
+from .synthlang import CLS, PAD, SEP, TaskDataset
 
-# each main loss and the name prefix of the head it trains through
-LOSS_HEADS = {"mlm": "head.mlm.", "seq_cls": "head.cls.", "tagging": "head.tag."}
+CLIP_NORM = 1.0
+# each main loss and the head it trains through, whose weights are named head.<head>.*
+LOSS_HEADS = {"mlm": "mlm", "seq_cls": "cls", "tagging": "tag"}
 MAIN_LOSSES = tuple(LOSS_HEADS)
 # the phases, and the main losses each may train with
 PHASE_LOSSES = {
@@ -77,7 +81,6 @@ class PhaseConfig:
     ortho_lr: float = 1e-4
     steps: int = 200
     batch_size: int = 16
-    clip_norm: float = 1.0
     alternation_k: int = 1
     seed: int = 0
 
@@ -94,7 +97,7 @@ class PhaseConfig:
         for name in ("steps", "batch_size", "alternation_k"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("main_lr", "ortho_lr", "clip_norm"):
+        for name in ("main_lr", "ortho_lr"):
             if not getattr(self, name) > 0.0:
                 raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
 
@@ -202,12 +205,12 @@ def trainable_names(params: ParamSet, cfg: PhaseConfig) -> list[str]:
     the phase's loss must have been built.
     """
     names = params.names()
-    head = LOSS_HEADS[cfg.main_loss]
+    head = f"head.{LOSS_HEADS[cfg.main_loss]}."
     if not any(n.startswith(head) for n in names):
         raise ConfigError(f"the {cfg.main_loss} loss needs its head {head}*, "
                           f"which the model has not built")
     if cfg.phase == PHASE_FULL:
-        others = tuple(h for loss, h in LOSS_HEADS.items() if loss != cfg.main_loss)
+        others = tuple(f"head.{h}." for loss, h in LOSS_HEADS.items() if loss != cfg.main_loss)
         return [n for n in names if not n.startswith(others)]
     slot = SLOT_PREFIX[cfg.slot()]
     if not any(n.startswith(slot) for n in names):
@@ -218,8 +221,7 @@ def trainable_names(params: ParamSet, cfg: PhaseConfig) -> list[str]:
     return [n for n in names if n.startswith(prefixes)]
 
 
-def _descend(loss: Tensor, opt: Adam, clip_norm: float, what: str,
-             step: int) -> tuple[float, float]:
+def _descend(loss: Tensor, opt: Adam, what: str, step: int) -> tuple[float, float]:
     """One descent step on ``loss`` over ``opt``'s parameters.
 
     Refuses a non-finite loss, then backpropagates, clips the gradient norm
@@ -229,7 +231,7 @@ def _descend(loss: Tensor, opt: Adam, clip_norm: float, what: str,
     if not math.isfinite(value):
         raise NumericError(f"non-finite {what} loss {value} at step {step}")
     loss.backward()
-    norm = clip_grad_norm(opt.params, opt.names, clip_norm)
+    norm = clip_grad_norm(opt.params, opt.names, CLIP_NORM)
     opt.step()
     return value, norm
 
@@ -257,8 +259,8 @@ def run_phase(
         raise ConfigError(f"the {cfg.main_loss} loss cannot train on a {dataset.kind} dataset")
 
     trainable = trainable_names(encoder.params, cfg)
-    head = {"seq_cls": "cls", "tagging": "tag"}.get(cfg.main_loss)
-    if head and dataset.num_classes > encoder.head_classes[head]:
+    head = LOSS_HEADS[cfg.main_loss]
+    if cfg.main_loss != "mlm" and dataset.num_classes > encoder.head_classes[head]:
         raise ConfigError(f"the {cfg.main_loss} dataset has {dataset.num_classes} classes, "
                           f"more than the {encoder.head_classes[head]} of its {head} head")
     for kind, prefix in SLOT_PREFIX.items():
@@ -283,7 +285,7 @@ def run_phase(
         stats.skipped_sequences += skipped
         states, _ = encoder.encode(ids, mask, stack=stack, rng=drop_rng)
         loss = _main_loss(cfg, encoder, states, labels)
-        value, norm = _descend(loss, opt_main, cfg.clip_norm, cfg.main_loss, step)
+        value, norm = _descend(loss, opt_main, cfg.main_loss, step)
         stats.main_losses.append(value)
         stats.log_lines.append(
             f"{step}\t{cfg.phase}\t{cfg.main_loss}\t{value!r}\t-\t{norm!r}")
@@ -293,7 +295,7 @@ def run_phase(
             with no_grad():  # ortho_loss differentiates its own recompute only
                 _, acts = encoder.encode(ids, mask, stack=stack, rng=drop_rng)
             report = ortho_loss(acts, cfg.slot(), mask)
-            total, norm = _descend(report.loss, opt_ortho, cfg.clip_norm, "ortho", step)
+            total, norm = _descend(report.loss, opt_ortho, "ortho", step)
             stats.ortho_totals.append(total)
             cos2 = ",".join(repr(v) for v in report.per_layer)
             stats.log_lines.append(
@@ -336,9 +338,24 @@ def model_selection(candidates: list[tuple[str, float]]) -> str:
     return min(candidates, key=lambda item: (-item[1], item[0]))[0]
 
 
-# a run manifest, written before step 0, is plain key=value lines
-write_run_manifest = write_key_values
-read_run_manifest = read_key_values
+def write_run_manifest(path, entries: dict) -> None:
+    """One ``key=value`` line per entry, in the dict's order."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for key, value in entries.items():
+            fh.write(f"{key}={value}\n")
+
+
+def read_run_manifest(path) -> dict[str, str]:
+    """Parse ``key=value`` lines; blank lines and ``#`` comments are skipped."""
+    entries = {}
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, _, value = line.partition("=")
+            entries[key] = value
+    return entries
 
 
 def config_hash(*parts) -> str:

@@ -79,7 +79,8 @@ def test_init_adapter_identity_and_determinism():
 
 
 def test_adapter_config_validation():
-    for bad, match in (({"kind": "bogus"}, "unknown adapter kind"), ({"dim": 0}, "dim")):
+    for bad, match in (({"kind": "bogus"}, "unknown adapter kind"), ({"dim": 0}, "dim"),
+                       ({"dim": 2.5}, "dim"), ({"dim": True}, "dim")):
         with pytest.raises(ConfigError, match=match):
             AdapterConfig(**{"dim": 2, **bad})
     with pytest.raises(AttributeError):  # checked once, so no field may change later

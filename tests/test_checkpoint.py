@@ -1,6 +1,9 @@
+import functools
 import json
+import operator
 import re
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,7 +29,7 @@ from adapterlab.checkpoint import (
     save_checkpoint,
 )
 from adapterlab.encoder import Encoder, EncoderConfig
-from adapterlab.errors import ContractError, MissingArtifactError
+from adapterlab.errors import AdapterLabError, ContractError, MissingArtifactError
 
 
 # orders in which a pipeline may build heads and register its adapter stack
@@ -94,8 +97,12 @@ def test_checkpoint_directory_mismatch_raises_typed_error(tmp_path):
         edit(manifest)
         path.write_bytes(json.dumps(manifest).encode() + b"\x00" + body)
 
+    # embed.tok bears out the header's vocab, so its loss is refused before any build
     rewrite(lambda m: m["arrays"][0].update(name="embed.typo"))
-    with pytest.raises(MissingArtifactError, match="embed.typo"):
+    with pytest.raises(MissingArtifactError, match="embed.tok"):
+        load_checkpoint(path)
+    rewrite(lambda m: m["arrays"][2].update(name="layer.0.attn.typo"))
+    with pytest.raises(MissingArtifactError, match="layer.0.attn.typo"):
         load_checkpoint(path)
     rewrite(lambda m: m["arrays"][0].update(shape=[8, 30]))  # same size, transposed
     with pytest.raises(MissingArtifactError, match="embed.tok"):
@@ -154,7 +161,8 @@ def test_checkpoint_config_out_of_range_raises_typed_error(tmp_path):
     head, _, body = path.read_bytes().partition(b"\x00")
     for key, field, bad in (("encoder_config", "num_heads", 0),
                             ("encoder_config", "dropout", 1.0),
-                            (LANGUAGE, "dim", 0)):
+                            ("encoder_config", "ffn", float("nan")),
+                            (LANGUAGE, "dim", 0), (LANGUAGE, "dim", 2.5), (LANGUAGE, "dim", True)):
         manifest = json.loads(head)
         entry = manifest.get(key) or manifest["adapters"][key]
         entry[field] = bad
@@ -406,3 +414,96 @@ def test_adapter_file_without_layers_is_refused(tmp_path):
     with pytest.raises(ContractError, match="at least one layer"):
         save_adapter(path, [])
     assert not path.exists()
+
+
+def _claim(entry, key, value):
+    return lambda m: (m[entry] if entry in m else m["adapters"][entry]).update({key: value})
+
+
+@pytest.mark.parametrize("kind, edit", [
+    ("checkpoint", _claim("encoder_config", "vocab", 10**6)),
+    ("checkpoint", _claim("encoder_config", "max_len", 10**6)),
+    ("checkpoint", _claim("encoder_config", "hidden", 1000)),
+    ("checkpoint", _claim("encoder_config", "ffn", 10**5)),
+    ("checkpoint", _claim("encoder_config", "num_layers", 2000)),
+    ("checkpoint", _claim("heads", "cls", 10**6)),
+    ("checkpoint", _claim(LANGUAGE, "dim", 10**5)),
+    ("adapter", _claim("adapter_config", "dim", 10**5)),
+    ("adapter", lambda m: m.update(num_layers=10**4)),
+], ids=["vocab", "max_len", "hidden", "ffn", "num_layers", "classes", "dim",
+        "adapter_dim", "adapter_layers"])
+def test_a_count_the_file_does_not_hold_is_refused_before_allocating(tmp_path, kind, edit):
+    enc, stack = build_model()
+    path = tmp_path / kind
+    save_checkpoint(path, enc, stack) if kind == "checkpoint" else save_adapter(path, stack.lang)
+    head, _, body = path.read_bytes().partition(b"\x00")
+    manifest = json.loads(head)
+    edit(manifest)
+    path.write_bytes(json.dumps(manifest).encode() + b"\x00" + body)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MissingArtifactError):
+            (load_checkpoint if kind == "checkpoint" else load_adapter)(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # the file itself is about 12 KB
+
+
+# values of each JSON type but an integer, which the fuzz below writes into a header
+ODD_VALUES = st.one_of(st.none(), st.booleans(), st.floats(), st.just(float("nan")),
+                       st.text(max_size=3), st.lists(st.integers(-2, 2), max_size=2),
+                       st.dictionaries(st.text(max_size=2), st.integers(-2, 2), max_size=2))
+LOADERS = {"checkpoint": load_checkpoint, "adapter": load_adapter}
+
+
+@functools.cache
+def saved_file(kind):
+    """The header and body of a valid checkpoint or adapter file."""
+    enc, stack = build_model()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / kind
+        save_checkpoint(path, enc, stack) if kind == "checkpoint" else save_adapter(path, stack.lang)
+        head, _, body = path.read_bytes().partition(b"\x00")
+    return head, body
+
+
+def header_paths(node, path=()):
+    """The key path of every entry under a JSON container, each before its own entries."""
+    entries = node.items() if type(node) is dict else enumerate(node) if type(node) is list else ()
+    for key, child in entries:
+        yield path + (key,)
+        yield from header_paths(child, path + (key,))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.sampled_from(sorted(LOADERS)), st.data())
+def test_a_damaged_file_raises_only_package_errors(kind, data):
+    head, body = saved_file(kind)
+    manifest = json.loads(head)
+    arrays = manifest["arrays"]
+    i = data.draw(st.integers(0, len(arrays) - 1), label="array entry")
+    # every header entry outside the array directory, and those of one directory entry
+    paths = [p for p in header_paths(manifest) if p[0] != "arrays" or p[1:2] in ((), (i,))]
+    damage = data.draw(st.sampled_from(["drop", "set", "shrink", "duplicate", "truncate"]))
+    if damage in ("drop", "set"):
+        *parents, key = data.draw(st.sampled_from(paths))
+        parent = functools.reduce(operator.getitem, parents, manifest)
+        if damage == "drop":
+            del parent[key]
+        else:
+            parent[key] = data.draw(ODD_VALUES, label="value")
+    elif damage == "shrink":
+        shape = arrays[i]["shape"]
+        shape[data.draw(st.integers(0, len(shape) - 1))] -= 1
+    elif damage == "duplicate":
+        arrays.insert(i, dict(arrays[i]))
+    else:
+        body = body[:data.draw(st.integers(0, len(body) - 1))]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / kind
+        path.write_bytes(json.dumps(manifest).encode() + b"\x00" + body)
+        try:
+            LOADERS[kind](path)
+        except AdapterLabError:
+            pass

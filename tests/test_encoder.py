@@ -33,10 +33,12 @@ def test_config_validation():
 
 @pytest.mark.parametrize("field, bad", [("num_layers", 0), ("hidden", 0), ("num_heads", 0),
                                         ("num_heads", -4), ("ffn", 0), ("dropout", 1.0),
-                                        ("dropout", -0.1)])
+                                        ("dropout", -0.1), ("vocab", 20.5),
+                                        ("ffn", float("nan")), ("num_layers", True),
+                                        ("num_heads", 2.0), ("max_len", 8.0)])
 def test_config_refuses_bad_sizes_naming_the_field(field, bad):
     with pytest.raises(ConfigError, match=field):
-        EncoderConfig(vocab=10, **{field: bad})
+        EncoderConfig(**{"vocab": 10, field: bad})
 
 
 def test_defaults_match_toy_scale():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from adapterlab import Adam, Tensor, grad_check
+from adapterlab import Adam, Tensor, grad_check, objectives
 from adapterlab.adapters import (
     LANGUAGE,
     TASK,
@@ -47,8 +47,10 @@ def encoder_with_stack(num_layers=2, lang=True, task=True, seed=0):
 # --- masking -------------------------------------------------------------------
 
 
-def test_exhaustive_masking():
-    policy = MaskingPolicy(mask_fraction=1.0, split=(1.0, 0.0, 0.0), vocab=VOCAB)
+def test_exhaustive_masking(monkeypatch):
+    monkeypatch.setattr(objectives, "MASK_FRACTION", 1.0)
+    monkeypatch.setattr(objectives, "MASK_SPLIT", (1.0, 0.0, 0.0))
+    policy = MaskingPolicy(vocab=VOCAB)
     ids = np.array([[2, 7, 8, 9, 0]])
     mask = np.array([[1, 1, 1, 1, 0]])
     corrupted, labels, skipped = apply_masking(ids, mask, policy, np.random.default_rng(0))
@@ -58,15 +60,8 @@ def test_exhaustive_masking():
 
 
 def test_zero_mask_fraction_rejected():
-    with pytest.raises(ConfigError):
-        MaskingPolicy(mask_fraction=0.0)
     with pytest.raises(ConfigError):  # the default vocab=0 leaves no regular ids
         MaskingPolicy()
-
-
-def test_bad_split_rejected():
-    with pytest.raises(ConfigError):
-        MaskingPolicy(split=(0.9, 0.2, 0.1))
 
 
 def test_special_only_sequence_skipped_with_count():
@@ -316,8 +311,7 @@ def test_labelled_rows_match_full_logits(tie_mlm):
     mask = np.ones_like(ids)
     mask[1, 4:] = mask[2, 2:] = 0
     ids[mask == 0] = 0
-    ids, mlm_labels, _ = apply_masking(ids, mask,
-                                       MaskingPolicy(mask_fraction=0.3, vocab=VOCAB), r)
+    ids, mlm_labels, _ = apply_masking(ids, mask, MaskingPolicy(vocab=VOCAB), r)
     tag_labels = np.where(mask == 1, r.integers(0, 4, size=ids.shape), -1)
     tag_labels[:, 0] = -1  # [CLS]
     heads = (("mlm", mlm_labels, mlm_loss), ("tag", tag_labels, tagging_loss))

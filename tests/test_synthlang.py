@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adapterlab.errors import ConfigError, ContractError, MissingArtifactError
 from adapterlab.synthlang import (
@@ -148,16 +153,11 @@ def test_disjoint_seeds_give_low_overlap():
     assert language_overlap(a, b, 125) < 0.05
 
 
-def test_spec_validation(tmp_path):
+def test_spec_validation():
     for bad in ({"word_order": "sideways"}, {"word_order": "rotate:abc"},
                 {"word_order": "rotate:"}, {"divergence": 1.5}):
         with pytest.raises(ConfigError):
             SyntheticLanguageSpec("xx", **bad)
-    path = tmp_path / "xx.lang"
-    for text in ("code=xx\ndivergence=0.5\n", "code=xx\ncipher_seed=zz\ndivergence=0.5\n"):
-        path.write_text(text)
-        with pytest.raises(ConfigError, match="cipher_seed"):
-            SyntheticLanguageSpec.from_file(path)
 
 
 def test_cipher_built_once_per_corpus_and_dataset(monkeypatch):
@@ -249,16 +249,6 @@ def test_out_of_vocab_id_raises_contract_error():
             tag_labels_for_base(corpus[0], vocab, 4)
 
 
-def test_spec_file_roundtrip(tmp_path):
-    spec = SyntheticLanguageSpec("xx", cipher_seed=77, divergence=0.25,
-                                 word_order="rotate:3")
-    path = tmp_path / "xx.lang"
-    spec.to_file(path)
-    loaded = SyntheticLanguageSpec.from_file(path)
-    assert loaded == spec
-    np.testing.assert_array_equal(loaded.cipher(50), spec.cipher(50))
-
-
 # --- corpora --------------------------------------------------------------------------
 
 
@@ -268,11 +258,11 @@ def test_generate_corpus_deterministic():
 
 
 @pytest.mark.parametrize("bad, field", [
-    (dict(min_len=5, max_len=3), "max_len"),
+    (dict(n_sentences=2.5), "n_sentences"),
     (dict(n_classes=0), "n_classes"),
     (dict(n_classes=1), "n_classes"),
-    (dict(min_len=0), "min_len"),
-    (dict(min_len=-1), "min_len"),
+    (dict(n_words=2.5), "n_words"),
+    (dict(n_classes=6.0), "n_classes"),
     (dict(n_sentences=-1), "n_sentences"),
     (dict(n_words=3), "n_words"),  # too few words to fill every class
 ])
@@ -444,6 +434,26 @@ def test_tag_dataset_file_roundtrip(tmp_path):
     path.write_text(path.read_text().replace("\t", " ", 1))  # line 1 has no tab
     with pytest.raises(MissingArtifactError, match="line 1"):
         load_task_dataset(path, vocab, TAGGING, "src", "dev", 6)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.sampled_from([SEQ_CLS, TAGGING]), st.integers(1, 4), st.data())
+def test_any_saved_dataset_loads_the_same_ids_and_labels(kind, num_classes, data):
+    vocab = build_vocab(["ka fita lo", "lo me"])
+    ids = st.lists(st.integers(0, vocab.size - 1), min_size=1, max_size=5)
+    label = st.integers(0, num_classes - 1)
+    if kind == SEQ_CLS:
+        example = st.tuples(ids, ids, label)
+    else:
+        example = ids.flatmap(lambda s: st.tuples(st.just(s), st.lists(label, min_size=len(s),
+                                                                      max_size=len(s))))
+    examples = data.draw(st.lists(example, max_size=4))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "dataset.txt"
+        save_task_dataset(TaskDataset(kind, "xx", "dev", examples, num_classes), vocab, path)
+        loaded = load_task_dataset(path, vocab, kind, "xx", "dev", num_classes)
+    assert [[np.asarray(part).tolist() for part in ex] for ex in loaded.examples] == \
+        [[np.asarray(part).tolist() for part in ex] for ex in examples]
 
 
 def test_ids_outside_the_vocabulary_are_refused_before_writing(tmp_path):
