@@ -447,7 +447,7 @@ def test_a_count_the_file_does_not_hold_is_refused_before_allocating(tmp_path, k
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2**20  # the file itself is about 12 KB
+    assert peak < 2**20  # the file itself is about 16 KB
 
 
 # values of each JSON type but an integer, which the fuzz below writes into a header
