@@ -10,8 +10,12 @@ Only work some later step reads is done. An op records a node only when a
 parent requires a gradient, and inside a ``no_grad`` block it records none:
 it returns a constant. A backward rule computes the gradient of each parent
 that requires one and skips the rest (frozen weights, constant operands).
-``layer_norm`` adds ``LN_EPS`` to each row's variance, and one ``_softmax``
-serves ``softmax_rows``, ``attention`` and ``cross_entropy``'s gradient.
+Ops that the encoder would otherwise chain are fused into one node each,
+with the chain's arithmetic in its order: ``linear`` is ``x @ w + b``,
+``layer_norm`` normalises the residual sum ``x + y`` (adding ``LN_EPS`` to
+each row's variance), and ``attention`` is multi-head scaled dot-product
+attention. One ``_softmax`` serves ``softmax_rows``, ``attention`` and
+``cross_entropy``'s gradient.
 """
 
 from __future__ import annotations
@@ -203,6 +207,35 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(values, (a, b), backward)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` for a 2-D weight ``w`` and a bias ``b`` of its width, as one node.
+
+    Forward and backward do the arithmetic of ``add(matmul(x, w), b)``, in
+    its order, so values and gradients are bit for bit the same; a gradient
+    is computed only for an input that requires one.
+    """
+    x, w, b = _wrap(x), _wrap(w), _wrap(b)
+    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError(f"linear needs a >=2-d x, a 2-d w and a bias of w's width, "
+                         f"got {x.shape} @ {w.shape} + {b.shape}")
+    k, n = w.shape
+    x2 = x.values.reshape(-1, k)  # a view when ``x`` is contiguous
+    values = (x2 @ w.values).reshape(x.shape[:-1] + (n,)) + b.values
+
+    def backward(g):
+        g2 = g.reshape(-1, n)
+        grads = []
+        if x.requires_grad:
+            grads.append((x, (g2 @ w.values.T).reshape(x.shape)))
+        if w.requires_grad:
+            grads.append((w, x2.T @ g2))
+        if b.requires_grad:
+            grads.append((b, _unbroadcast(g, b.shape)))
+        return grads
+
+    return _node(values, (x, w, b), backward)
+
+
 def relu(x: Tensor) -> Tensor:
     x = _wrap(x)
     values = np.maximum(x.values, 0.0)
@@ -363,16 +396,24 @@ def attention(q: Tensor, k: Tensor, v: Tensor, key_bias: Array, num_heads: int) 
     return _node(values, (q, k, v), backward)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then scale + shift."""
-    x, gain, bias = _wrap(x), _wrap(gain), _wrap(bias)
+def layer_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize the residual sum ``x + y`` over the last axis, then scale + shift.
+
+    One node for ``add`` then a norm: the sum's rows go to zero mean and unit
+    variance (``LN_EPS`` added to the variance). ``x`` and ``y`` share a shape,
+    and both receive the sum's gradient, computed once.
+    """
+    x, y, gain, bias = _wrap(x), _wrap(y), _wrap(gain), _wrap(bias)
+    if y.shape != x.shape:
+        raise ShapeError(f"layer_norm residual operands differ in shape: {x.shape} vs {y.shape}")
     h = x.shape[-1]
     if gain.shape != (h,) or bias.shape != (h,):
         raise ShapeError(
             f"layer_norm affine params must be ({h},), got {gain.shape} and {bias.shape}"
         )
-    mu = x.values.mean(axis=-1, keepdims=True)
-    xc = x.values - mu
+    s = x.values + y.values
+    mu = s.mean(axis=-1, keepdims=True)
+    xc = s - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
@@ -380,14 +421,14 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
     def backward(g):
         grads = []
-        if x.requires_grad:
+        if x.requires_grad or y.requires_grad:
             dxhat = g * gain.values
-            gx = inv * (
+            gs = inv * (
                 dxhat
                 - dxhat.mean(axis=-1, keepdims=True)
                 - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
             )
-            grads.append((x, gx))
+            grads += [(t, gs) for t in (x, y) if t.requires_grad]
         lead = tuple(range(g.ndim - 1))
         if gain.requires_grad:
             grads.append((gain, (g * xhat).sum(axis=lead)))
@@ -395,7 +436,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
             grads.append((bias, g.sum(axis=lead)))
         return grads
 
-    return _node(values, (x, gain, bias), backward)
+    return _node(values, (x, y, gain, bias), backward)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:

@@ -1,12 +1,14 @@
 """Minimal transformer encoder with an adapter injection point per layer.
 
 Each layer runs post-norm self-attention and feed-forward sublayers. The
-attention sublayer projects Q, K and V with three weight GEMMs, then one
-``autodiff.attention`` node splits the heads, scores, masks padded keys,
-takes the softmax, weighs V and merges the heads; the output projection,
-dropout, residual addition and layer norm follow. The adapter injection
-point sits after the feed-forward sublayer's residual addition and layer
-norm. The occupied adapter slots apply there in the order of
+attention sublayer projects Q, K and V with three ``autodiff.linear`` nodes
+(one biased GEMM each), then one ``autodiff.attention`` node splits the
+heads, scores, masks padded keys, takes the softmax, weighs V and merges the
+heads; the output projection (``linear``), dropout and one ``layer_norm``
+node over the residual sum follow. The feed-forward sublayer and the heads
+use ``linear`` too, so every weight GEMM and its bias is one node. The
+adapter injection point sits after the feed-forward sublayer's residual
+layer norm. The occupied adapter slots apply there in the order of
 ``adapters.SLOT_PREFIX``: language first, then task. For each occupied slot
 ``encode`` records, per layer, the values of the slot's input and the
 weights it applied, so the orthogonality loss can recompute the slot output
@@ -16,6 +18,7 @@ from that input taken as a constant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -27,7 +30,7 @@ from .autodiff import (
     dropout,
     embedding_lookup,
     layer_norm,
-    matmul,
+    linear,
     relu,
     select_token,
     swap_last,
@@ -56,8 +59,11 @@ class EncoderConfig:
             value = getattr(self, name)
             if type(value) is not int or value < least:  # bools and floats too
                 raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
+        if (isinstance(self.dropout, bool) or not isinstance(self.dropout, Real)
+                or not 0.0 <= self.dropout < 1.0):
+            raise ConfigError(f"dropout must be a number in [0, 1), got {self.dropout!r}")
+        if type(self.tie_mlm) is not bool:
+            raise ConfigError(f"tie_mlm must be a bool, got {self.tie_mlm!r}")
         if self.hidden % self.num_heads != 0:
             raise ConfigError(
                 f"hidden size {self.hidden} not divisible by {self.num_heads} heads"
@@ -190,20 +196,18 @@ class Encoder:
 
     def _attention_sublayer(self, i, x, key_bias, drop, rng):
         p = self.params
-        q = add(matmul(x, p[f"layer.{i}.attn.wq"]), p[f"layer.{i}.attn.bq"])
-        k = add(matmul(x, p[f"layer.{i}.attn.wk"]), p[f"layer.{i}.attn.bk"])
-        v = add(matmul(x, p[f"layer.{i}.attn.wv"]), p[f"layer.{i}.attn.bv"])
+        q = linear(x, p[f"layer.{i}.attn.wq"], p[f"layer.{i}.attn.bq"])
+        k = linear(x, p[f"layer.{i}.attn.wk"], p[f"layer.{i}.attn.bk"])
+        v = linear(x, p[f"layer.{i}.attn.wv"], p[f"layer.{i}.attn.bv"])
         ctx = attention(q, k, v, key_bias, self.config.num_heads)
-        out = dropout(add(matmul(ctx, p[f"layer.{i}.attn.wo"]), p[f"layer.{i}.attn.bo"]),
-                      drop, rng)
-        return layer_norm(add(x, out), p[f"layer.{i}.ln1.gain"], p[f"layer.{i}.ln1.bias"])
+        out = dropout(linear(ctx, p[f"layer.{i}.attn.wo"], p[f"layer.{i}.attn.bo"]), drop, rng)
+        return layer_norm(x, out, p[f"layer.{i}.ln1.gain"], p[f"layer.{i}.ln1.bias"])
 
     def _ffn_sublayer(self, i, x, drop, rng):
         p = self.params
-        inner = relu(add(matmul(x, p[f"layer.{i}.ffn.w1"]), p[f"layer.{i}.ffn.b1"]))
-        out = dropout(add(matmul(inner, p[f"layer.{i}.ffn.w2"]), p[f"layer.{i}.ffn.b2"]),
-                      drop, rng)
-        return layer_norm(add(x, out), p[f"layer.{i}.ln2.gain"], p[f"layer.{i}.ln2.bias"])
+        inner = relu(linear(x, p[f"layer.{i}.ffn.w1"], p[f"layer.{i}.ffn.b1"]))
+        out = dropout(linear(inner, p[f"layer.{i}.ffn.w2"], p[f"layer.{i}.ffn.b2"]), drop, rng)
+        return layer_norm(x, out, p[f"layer.{i}.ln2.gain"], p[f"layer.{i}.ln2.bias"])
 
     # --- output heads ------------------------------------------------------------
 
@@ -211,16 +215,15 @@ class Encoder:
         """Vocabulary logits per position; projection tied to input embeddings."""
         p = self.params
         proj = swap_last(p["embed.tok"]) if self.config.tie_mlm else p["head.mlm.proj"]
-        return add(matmul(states, proj), p["head.mlm.bias"])
+        return linear(states, proj, p["head.mlm.bias"])
 
     def cls_logits(self, states: Tensor) -> Tensor:
         """Sequence-level logits from a tanh pool over position 0."""
         p = self.params
-        pooled = tanh(add(matmul(select_token(states, 0), p["head.cls.pool_w"]),
-                          p["head.cls.pool_b"]))
-        return add(matmul(pooled, p["head.cls.out_w"]), p["head.cls.out_b"])
+        pooled = tanh(linear(select_token(states, 0), p["head.cls.pool_w"], p["head.cls.pool_b"]))
+        return linear(pooled, p["head.cls.out_w"], p["head.cls.out_b"])
 
     def tag_logits(self, states: Tensor) -> Tensor:
         """Per-position tag logits."""
         p = self.params
-        return add(matmul(states, p["head.tag.w"]), p["head.tag.b"])
+        return linear(states, p["head.tag.w"], p["head.tag.b"])

@@ -441,13 +441,22 @@ def gen_tag_task(
 
 
 def save_task_dataset(dataset: TaskDataset, vocab: Vocab, path) -> None:
-    """Write a dataset as text; every id is checked before the file is opened."""
+    """Write a dataset as text; every example is checked before the file is opened.
+
+    An id outside the vocabulary, and a tagging example with no tokens (it
+    would be a blank line, which the loader skips) or with another number of
+    tags than tokens, raise ``ContractError``.
+    """
     lines = []
     if dataset.kind == SEQ_CLS:
         for a, b, label in dataset.examples:
             lines.append(f"{label}\t{' '.join(vocab.decode(a))}\t{' '.join(vocab.decode(b))}\n")
     else:
-        for ids, tags in dataset.examples:
+        for i, (ids, tags) in enumerate(dataset.examples):
+            if len(ids) == 0 or len(tags) != len(ids):
+                raise ContractError(f"tagging example {i} has {len(ids)} tokens and "
+                                    f"{len(tags)} tags; it needs one tag per token, "
+                                    f"at least one")
             lines.extend(f"{token}\t{int(tag)}\n" for token, tag in zip(vocab.decode(ids), tags))
             lines.append("\n")
     with open(path, "w", encoding="utf-8") as fh:

@@ -12,9 +12,11 @@ never share moment buffers.
 
 What a phase trains is decided in one place, ``trainable_names``; every
 other weight is frozen, and each slot weight it trains must be the very
-tensor the stack it runs holds. A task phase runs on a stack with or
-without a language slot: the stacked (MAD-X) and the task-adapter-only
-configurations differ only in the stack the caller builds.
+tensor the stack it runs holds. When the phase ends, returning or raising,
+every weight is frozen again, so an encode outside a phase records no
+graph. A task phase runs on a stack with or without a language slot: the
+stacked (MAD-X) and the task-adapter-only configurations differ only in the
+stack the caller builds.
 
 Every descent step clips the global gradient norm to ``CLIP_NORM``. A run
 manifest, written before step 0, is one ``key=value`` line per entry.
@@ -280,26 +282,29 @@ def run_phase(
     drop_rng = np.random.default_rng([cfg.seed, 3])
     stats = TrainStats()
 
-    # the range comes first, so no batch is drawn after the last step
-    for step, (ids, mask, labels, skipped) in zip(range(cfg.steps), batches):
-        stats.skipped_sequences += skipped
-        states, _ = encoder.encode(ids, mask, stack=stack, rng=drop_rng)
-        loss = _main_loss(cfg, encoder, states, labels)
-        value, norm = _descend(loss, opt_main, cfg.main_loss, step)
-        stats.main_losses.append(value)
-        stats.log_lines.append(
-            f"{step}\t{cfg.phase}\t{cfg.main_loss}\t{value!r}\t-\t{norm!r}")
-
-        if opt_ortho is not None and (step + 1) % cfg.alternation_k == 0:
-            # fresh forward on the same batch: the main step just moved the weights
-            with no_grad():  # ortho_loss differentiates its own recompute only
-                _, acts = encoder.encode(ids, mask, stack=stack, rng=drop_rng)
-            report = ortho_loss(acts, cfg.slot(), mask)
-            total, norm = _descend(report.loss, opt_ortho, "ortho", step)
-            stats.ortho_totals.append(total)
-            cos2 = ",".join(repr(v) for v in report.per_layer)
+    try:
+        # the range comes first, so no batch is drawn after the last step
+        for step, (ids, mask, labels, skipped) in zip(range(cfg.steps), batches):
+            stats.skipped_sequences += skipped
+            states, _ = encoder.encode(ids, mask, stack=stack, rng=drop_rng)
+            loss = _main_loss(cfg, encoder, states, labels)
+            value, norm = _descend(loss, opt_main, cfg.main_loss, step)
+            stats.main_losses.append(value)
             stats.log_lines.append(
-                f"{step}\t{cfg.phase}\tort\t{total!r}\t{cos2}\t{norm!r}")
+                f"{step}\t{cfg.phase}\t{cfg.main_loss}\t{value!r}\t-\t{norm!r}")
+
+            if opt_ortho is not None and (step + 1) % cfg.alternation_k == 0:
+                # fresh forward on the same batch: the main step just moved the weights
+                with no_grad():  # ortho_loss differentiates its own recompute only
+                    _, acts = encoder.encode(ids, mask, stack=stack, rng=drop_rng)
+                report = ortho_loss(acts, cfg.slot(), mask)
+                total, norm = _descend(report.loss, opt_ortho, "ortho", step)
+                stats.ortho_totals.append(total)
+                cos2 = ",".join(repr(v) for v in report.per_layer)
+                stats.log_lines.append(
+                    f"{step}\t{cfg.phase}\tort\t{total!r}\t{cos2}\t{norm!r}")
+    finally:  # nothing trains outside a phase, so later forwards record no graph
+        encoder.params.set_trainable(())
     return stats
 
 
@@ -339,7 +344,22 @@ def model_selection(candidates: list[tuple[str, float]]) -> str:
 
 
 def write_run_manifest(path, entries: dict) -> None:
-    """One ``key=value`` line per entry, in the dict's order."""
+    """One ``key=value`` line per entry, in the dict's order.
+
+    Only entries ``read_run_manifest`` reads back unchanged are written: a
+    key that is empty, starts with ``#`` or holds ``=``, or a key or value
+    that holds a line break or has edge whitespace, raises ``ConfigError``
+    before the file is opened.
+    """
+    def breaks(text: str) -> bool:  # a line break, or whitespace the reader strips
+        return "\n" in text or "\r" in text or text != text.strip()
+
+    for key, value in entries.items():
+        key, value = str(key), str(value)
+        if not key or key.startswith("#") or "=" in key or breaks(key):
+            raise ConfigError(f"manifest key {key!r} would not read back")
+        if breaks(value):
+            raise ConfigError(f"manifest value {value!r} of key {key!r} would not read back")
     with open(path, "w", encoding="utf-8") as fh:
         for key, value in entries.items():
             fh.write(f"{key}={value}\n")

@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 
 from adapterlab import Tensor, grad_check
 from adapterlab.autodiff import (
+    LN_EPS,
     add,
     attention,
     cosine_sq_rows,
     cross_entropy,
     embedding_lookup,
     layer_norm,
+    linear,
     matmul,
     mul,
     no_grad,
@@ -321,36 +323,119 @@ def test_softmax_gradcheck():
 
 
 def test_layer_norm_constant_row_is_zero():
-    x = Tensor(np.full((1, 4), 3.25))
-    out = layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)))
+    x, y = Tensor(np.full((1, 4), 1.25)), Tensor(np.full((1, 4), 2.0))  # the sum is constant
+    out = layer_norm(x, y, Tensor(np.ones(4)), Tensor(np.zeros(4)))
     np.testing.assert_allclose(out.values, 0.0, atol=1e-12)
 
 
 def test_layer_norm_two_point_row():
-    out = layer_norm(Tensor([[1.0, 3.0]]), Tensor(np.ones(2)), Tensor(np.zeros(2)))
+    out = layer_norm(Tensor([[1.0, 3.0]]), Tensor(np.zeros((1, 2))), Tensor(np.ones(2)),
+                     Tensor(np.zeros(2)))
     np.testing.assert_allclose(out.values, [[-1.0, 1.0]], atol=1e-6)
 
 
 def test_layer_norm_standardizes_within_1e10():
-    x = Tensor(rng(10).normal(loc=2.0, scale=1.5, size=(6, 16)))
-    out = layer_norm(x, Tensor(np.ones(16)), Tensor(np.zeros(16))).values
+    r = rng(10)
+    x, y = (Tensor(r.normal(loc=2.0, scale=1.5, size=(6, 16))) for _ in range(2))
+    out = layer_norm(x, y, Tensor(np.ones(16)), Tensor(np.zeros(16))).values
     np.testing.assert_allclose(out.mean(axis=-1), 0.0, atol=1e-10)
     np.testing.assert_allclose(out.var(axis=-1), 1.0, atol=1e-10)
 
 
 def test_layer_norm_refuses_affine_params_of_another_width():
+    x = Tensor(np.zeros((2, 4)))
     with pytest.raises(ShapeError, match="affine params must be"):
-        layer_norm(Tensor(np.zeros((2, 4))), Tensor(np.ones(4)), Tensor(np.zeros(3)))
+        layer_norm(x, x, Tensor(np.ones(4)), Tensor(np.zeros(3)))
+
+
+def test_layer_norm_refuses_residual_operands_of_another_shape():
+    # a broadcast residual would need its gradient summed back; none is taken
+    with pytest.raises(ShapeError, match="residual operands differ"):
+        layer_norm(Tensor(np.zeros((2, 4))), Tensor(np.zeros(4)), Tensor(np.ones(4)),
+                   Tensor(np.zeros(4)))
 
 
 def test_layer_norm_gradcheck():
     r = rng(11)
-    x = Tensor(r.normal(size=(4, 6)))
+    x, y = Tensor(r.normal(size=(4, 6))), Tensor(r.normal(size=(4, 6)))
     gain = Tensor(r.normal(size=6))
     bias = Tensor(r.normal(size=6))
     w = rng(12).normal(size=(4, 6))
-    f = lambda ts: tsum(mul(layer_norm(ts[0], ts[1], ts[2]), Tensor(w)))
-    assert grad_check(f, [x, gain, bias]) < 1e-5
+    f = lambda ts: tsum(mul(layer_norm(*ts), Tensor(w)))
+    assert grad_check(f, [x, y, gain, bias]) < 1e-5
+
+
+def test_layer_norm_gradcheck_every_input_subset():
+    r = rng(13)
+    values = [r.normal(size=(2, 3, 4)), r.normal(size=(2, 3, 4)), r.normal(size=4),
+              r.normal(size=4)]
+    w = Tensor(rng(14).normal(size=(2, 3, 4)))
+    for mask in range(1, 16):  # each non-empty subset of {x, y, gain, bias}
+        ts = [Tensor(v.copy()) for v in values]
+        picked = [ts[i] for i in range(4) if mask >> i & 1]
+        f = lambda _: tsum(mul(layer_norm(*ts), w))
+        assert grad_check(f, picked) < 1e-5, mask
+        assert all(t.grad is None for t in ts if t not in picked)
+
+
+def test_layer_norm_matches_add_then_norm_bytes():
+    # the composition layer_norm replaced: add, then a norm of the sum, each
+    # op's arithmetic in plain numpy; add hands the sum's gradient to x and y
+    r = rng(15)
+    x, y, gain, bias, g = (r.normal(size=s) for s in [(2, 3, 4)] * 2 + [(4,)] * 2 + [(2, 3, 4)])
+    s = x + y
+    xc = s - s.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + LN_EPS)
+    xhat = xc * inv
+    dxhat = g * gain
+    gs = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    want = [xhat * gain + bias, gs, gs, (g * xhat).sum(axis=(0, 1)), g.sum(axis=(0, 1))]
+    ts = [Tensor(v, requires_grad=True) for v in (x, y, gain, bias)]
+    out = layer_norm(*ts)
+    got = [out.values] + [pg for _, pg in out._backward(g)]
+    assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+
+
+# --- linear --------------------------------------------------------------------
+
+
+def test_linear_gradcheck_every_input_subset():
+    r = rng(16)
+    values = [r.normal(size=(2, 3, 4)), r.normal(size=(4, 5)), r.normal(size=5)]
+    w = Tensor(rng(17).normal(size=(2, 3, 5)))
+    for mask in range(1, 8):  # each non-empty subset of {x, w, b}
+        ts = [Tensor(v.copy()) for v in values]
+        picked = [ts[i] for i in range(3) if mask >> i & 1]
+        f = lambda _: tsum(mul(linear(*ts), w))
+        assert grad_check(f, picked) < 1e-6, mask
+        assert all(t.grad is None for t in ts if t not in picked)
+
+
+@pytest.mark.parametrize("x_shape", [(3, 4), (2, 3, 4)])
+@pytest.mark.parametrize("storage", ["contiguous", "transposed"])
+def test_linear_matches_matmul_then_add_bytes(x_shape, storage):
+    r = rng(18)
+    x, w, b = r.normal(size=x_shape), r.normal(size=(4, 5)), r.normal(size=5)
+    if storage == "transposed":  # a weight stored transposed, as the tied MLM head's is
+        w = np.swapaxes(np.swapaxes(w, 0, 1).copy(), 0, 1)
+    g = r.normal(size=x_shape[:-1] + (5,))
+    out = linear(*(Tensor(v, requires_grad=True) for v in (x, w, b)))
+    got = [out.values] + [pg for _, pg in out._backward(g)]
+    ts = [Tensor(v, requires_grad=True) for v in (x, w, b)]
+    composed = add(matmul(ts[0], ts[1]), ts[2])
+    composed.backward(g)
+    want = [composed.values] + [t.grad for t in ts]
+    assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+
+
+def test_linear_refuses_mismatched_operands():
+    x = Tensor(np.zeros((2, 4)))
+    for w, b in (((4, 5), (4,)), ((3, 5), (5,)), ((4, 5), (1, 5)), ((4, 5, 1), (5,))):
+        with pytest.raises(ShapeError, match="linear needs"):
+            linear(x, Tensor(np.zeros(w)), Tensor(np.zeros(b)))
+    with pytest.raises(ShapeError, match="linear needs"):
+        linear(Tensor(np.zeros(4)), Tensor(np.zeros((4, 5))), Tensor(np.zeros(5)))
 
 
 # --- cross_entropy ------------------------------------------------------------
@@ -480,7 +565,8 @@ def test_no_grad_ops_return_constants():
     gain = Tensor(np.ones(3), requires_grad=True)
     bias = Tensor(np.zeros(3), requires_grad=True)
     ops = (lambda: matmul(x, w), lambda: add(x, bias), lambda: mul(x, 2.0),
-           lambda: relu(x), lambda: layer_norm(x, gain, bias),
+           lambda: relu(x), lambda: layer_norm(x, x, gain, bias),
+           lambda: linear(x, w, bias),
            lambda: cosine_sq_rows(x, x), lambda: softmax_rows(x),
            lambda: embedding_lookup(w, np.array([0, 2])),
            lambda: cross_entropy(x, np.array([0, 1])))
@@ -521,7 +607,8 @@ FROZEN_CASES = {
     "attention": (lambda q, k, v: attention(q, k, v, KEY_BIAS, 2), [(2, 3, 4)] * 3),
     "add": (add, [(2, 3, 4), (4,)]),
     "mul": (mul, [(2, 3, 4), ()]),
-    "layer_norm": (layer_norm, [(3, 4), (4,), (4,)]),
+    "layer_norm": (layer_norm, [(3, 4), (3, 4), (4,), (4,)]),
+    "linear": (linear, [(2, 3, 4), (4, 5), (5,)]),
     "cosine_sq_rows": (cosine_sq_rows, [(3, 4), (3, 4)]),
 }
 
@@ -554,23 +641,28 @@ def test_grad_check_with_a_frozen_operand():
     u = Tensor(r.normal(size=(3, 4)))
     gain, bias = Tensor(r.normal(size=4)), Tensor(r.normal(size=4))
     c = Tensor(r.normal(size=(3, 4)))
+    b2 = Tensor(r.normal(size=2))
     cases = (
         (lambda ts: tsum(matmul(ts[0], w)), r.normal(size=(3, 4))),
         (lambda ts: tsum(matmul(u, ts[0])), r.normal(size=(4, 2))),
-        (lambda ts: tsum(mul(layer_norm(ts[0], gain, bias), c)), r.normal(size=(3, 4))),
-        (lambda ts: tsum(mul(layer_norm(u, ts[0], bias), c)), r.normal(size=4)),
+        (lambda ts: tsum(mul(layer_norm(ts[0], c, gain, bias), c)), r.normal(size=(3, 4))),
+        (lambda ts: tsum(mul(layer_norm(u, ts[0], gain, bias), c)), r.normal(size=(3, 4))),
+        (lambda ts: tsum(mul(layer_norm(u, c, ts[0], bias), c)), r.normal(size=4)),
+        (lambda ts: tsum(linear(ts[0], w, b2)), r.normal(size=(3, 4))),
+        (lambda ts: tsum(linear(u, ts[0], b2)), r.normal(size=(4, 2))),
+        (lambda ts: tsum(linear(u, w, ts[0])), r.normal(size=2)),
         (lambda ts: tsum(cosine_sq_rows(u, ts[0])), r.normal(size=(3, 4))),
     )
     for f, x in cases:
         assert grad_check(f, [Tensor(x)]) < 1e-6
-    assert all(t.grad is None for t in (w, u, gain, bias, c))
+    assert all(t.grad is None for t in (w, u, gain, bias, c, b2))
 
 
 def test_forward_values_stay_finite():
     big = Tensor(np.full((3, 3), 1e3))
     for out in (
         softmax_rows(big),
-        layer_norm(big, Tensor(np.ones(3)), Tensor(np.zeros(3))),
+        layer_norm(big, big, Tensor(np.ones(3)), Tensor(np.zeros(3))),
         relu(big),
         tanh(big),
     ):

@@ -470,6 +470,19 @@ def test_ids_outside_the_vocabulary_are_refused_before_writing(tmp_path):
         assert not path.exists()
 
 
+@pytest.mark.parametrize("examples", [
+    [([5], [0]), ([], []), ([6], [1])],  # an empty sentence would be a skipped blank line
+    [([5, 6, 7], [0, 1])],  # zip would drop the untagged token
+    [([5, 6], [0, 1, 2])],
+])
+def test_tagging_examples_that_would_not_load_back_are_refused(tmp_path, examples):
+    _, vocab, _ = toy_setup(50)
+    path = tmp_path / "tag.txt"
+    with pytest.raises(ContractError, match="one tag per token"):
+        save_task_dataset(TaskDataset(TAGGING, "x", "dev", examples, 3), vocab, path)
+    assert not path.exists()
+
+
 def test_labels_outside_the_classes_are_refused_on_load(tmp_path):
     _, vocab, _ = toy_setup(50)
     for ds, line in ((TaskDataset(TAGGING, "src", "dev", [([5, 6], [0, 9])], 6), 2),

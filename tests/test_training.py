@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from adapterlab import training
+from adapterlab import autodiff, training
 from adapterlab.adapters import (
     LANGUAGE,
     PHASE_FULL,
@@ -34,6 +34,7 @@ from adapterlab.training import (
     make_seq_batch,
     make_tag_batch,
     model_selection,
+    pad_sequences,
     pretrain_backbone,
     read_run_manifest,
     run_phase,
@@ -246,6 +247,65 @@ def test_non_finite_loss_raises_numeric_error():
     cfg = PhaseConfig(phase=PHASE_FULL, main_loss="mlm", steps=2, batch_size=4)
     with pytest.raises(NumericError, match="non-finite mlm loss nan at step 0"):
         pretrain_backbone(enc, corpus, cfg)
+
+
+def count_recorded_nodes(monkeypatch) -> list:
+    """Patch ``autodiff._node`` to log each node it records; returns the log."""
+    recorded = []
+    real = autodiff._node
+
+    def counting(values, parents, backward):
+        out = real(values, parents, backward)
+        if out.requires_grad:
+            recorded.append(out)
+        return out
+
+    monkeypatch.setattr(autodiff, "_node", counting)
+    return recorded
+
+
+@pytest.mark.parametrize("phase", ["pretrain", "lang_ortho", "task"])
+def test_a_finished_phase_leaves_every_weight_frozen(monkeypatch, phase):
+    vocab, corpus = setup_bed()
+    enc, stack = fresh_model(vocab, lang=phase != "pretrain", task=phase == "task",
+                             dropout=0.1)
+    ids, mask = make_mlm_batch(corpus, np.arange(4), MaskingPolicy(vocab=vocab.size),
+                               np.random.default_rng(0))[:2]
+    if phase == "pretrain":
+        pretrain_backbone(enc, corpus, PhaseConfig(phase=PHASE_FULL, main_loss="mlm",
+                                                   steps=2, batch_size=4))
+        stack, head = None, enc.mlm_logits
+    elif phase == "lang_ortho":
+        train_language_adapter(enc, stack, corpus, PhaseConfig(
+            phase=PHASE_LANG, main_loss="mlm", ortho=True, steps=2, batch_size=4))
+        head = enc.mlm_logits
+    else:
+        enc.ensure_tag_head(N_CLASSES)
+        dataset = gen_tag_task(corpus, SyntheticLanguageSpec("src"), vocab, 20, "train",
+                               seed=3, n_tags=N_CLASSES)
+        train_task_adapter(enc, stack, dataset, PhaseConfig(
+            phase=PHASE_TASK, main_loss="tagging", ortho=True, steps=2, batch_size=4))
+        head = enc.tag_logits
+    assert [n for n, t in enc.params.items() if t.requires_grad] == []
+    recorded = count_recorded_nodes(monkeypatch)
+    for rng in (None, np.random.default_rng(1)):  # an evaluation encode, and one with dropout
+        states, _ = enc.encode(ids, mask, stack=stack, rng=rng)
+        assert not head(states).requires_grad
+    assert recorded == []
+
+
+def test_a_phase_that_raises_leaves_every_weight_frozen(monkeypatch):
+    vocab, corpus = setup_bed()
+    enc, stack = fresh_model(vocab, task=False)
+    stack.lang[1].w_up.values[0, 0] = np.nan
+    cfg = PhaseConfig(phase=PHASE_LANG, main_loss="mlm", steps=2, batch_size=4)
+    with pytest.raises(NumericError):
+        train_language_adapter(enc, stack, corpus, cfg)
+    assert [n for n, t in enc.params.items() if t.requires_grad] == []
+    recorded = count_recorded_nodes(monkeypatch)
+    ids, mask = pad_sequences(corpus[:3])
+    enc.mlm_logits(enc.encode(ids, mask, stack=stack)[0])
+    assert recorded == []
 
 
 @pytest.mark.parametrize("loss, other", [("tagging", "seq_cls"), ("seq_cls", "tagging")])
@@ -513,9 +573,23 @@ def test_model_selection_rules():
 
 def test_run_manifest_roundtrip(tmp_path):
     path = tmp_path / "run.manifest"
-    entries = {"config_hash": config_hash("x"), "seed": "3", "phases": "lang,task"}
+    entries = {"config_hash": config_hash("x"), "seed": "3", "phases": "lang,task",
+               "note": "a=b # c", "empty": "", "k#": "in side"}
     write_run_manifest(path, entries)
     assert read_run_manifest(path) == entries
+
+
+@pytest.mark.parametrize("entries", [
+    {"note": "a\nseed=9", "#k": "1", " pad ": "x"},
+    {"note": "a\nseed=9"}, {"#k": "1"}, {" pad ": "x"}, {"pad ": "x"}, {"": "x"},
+    {"a=b": "x"}, {"a\nb": "x"}, {"k": " x"}, {"k": "x\t"}, {"k": "a\rseed=9"},
+    {"seed": "3", "k": "x\n"},
+])
+def test_run_manifest_that_would_not_read_back_is_refused(tmp_path, entries):
+    path = tmp_path / "run.manifest"
+    with pytest.raises(ConfigError, match="manifest"):
+        write_run_manifest(path, entries)
+    assert not path.exists()
 
 
 def test_metrics_log_format(tmp_path):
