@@ -11,11 +11,11 @@ parent requires a gradient, and inside a ``no_grad`` block it records none:
 it returns a constant. A backward rule computes the gradient of each parent
 that requires one and skips the rest (frozen weights, constant operands).
 Ops that the encoder would otherwise chain are fused into one node each,
-with the chain's arithmetic in its order: ``linear`` is ``x @ w + b``,
-``layer_norm`` normalises the residual sum ``x + y`` (adding ``LN_EPS`` to
-each row's variance), and ``attention`` is multi-head scaled dot-product
-attention. One ``_softmax`` serves ``softmax_rows``, ``attention`` and
-``cross_entropy``'s gradient.
+with the chain's arithmetic in its order: ``linear`` is ``x @ w + b`` (and
+``matmul`` is ``linear`` without a bias), ``layer_norm`` normalises the
+residual sum ``x + y`` (adding ``LN_EPS`` to each row's variance), and
+``attention`` is multi-head scaled dot-product attention. One ``_softmax``
+serves ``softmax_rows``, ``attention`` and ``cross_entropy``'s gradient.
 """
 
 from __future__ import annotations
@@ -177,50 +177,24 @@ def mul(a, b) -> Tensor:
     return _node(values, (a, b), backward)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """``a @ b`` for a weight-shaped 2-D ``b``, as one GEMM.
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """``x @ w + b`` for a 2-D weight ``w`` and an optional bias ``b`` of its width, as one node.
 
-    ``a`` is viewed as [n, K] over its flattened leading axes, and the
-    product is a single [n, K] @ [K, N] GEMM; so is the weight's gradient,
-    A^T @ dC over all n rows. A gradient is computed only for an operand
-    that requires one.
+    ``x`` is viewed as [n, K] over its flattened leading axes, so the product
+    and the weight's gradient x^T @ dC are each one GEMM over all n rows; the
+    bias is added after the product. A gradient is computed only for an
+    input that requires one.
     """
-    a, b = _wrap(a), _wrap(b)
-    if a.ndim < 2 or b.ndim != 2:
-        raise ShapeError(f"matmul needs a >=2-d left and a 2-d right operand, "
-                         f"got {a.shape} @ {b.shape}")
-    k, n = b.shape
-    if a.shape[-1] != k:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
-    a2 = a.values.reshape(-1, k)  # a view when ``a`` is contiguous
-    values = (a2 @ b.values).reshape(a.shape[:-1] + (n,))
-
-    def backward(g):
-        g2 = g.reshape(-1, n)
-        grads = []
-        if a.requires_grad:
-            grads.append((a, (g2 @ b.values.T).reshape(a.shape)))
-        if b.requires_grad:
-            grads.append((b, a2.T @ g2))
-        return grads
-
-    return _node(values, (a, b), backward)
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w + b`` for a 2-D weight ``w`` and a bias ``b`` of its width, as one node.
-
-    Forward and backward do the arithmetic of ``add(matmul(x, w), b)``, in
-    its order, so values and gradients are bit for bit the same; a gradient
-    is computed only for an input that requires one.
-    """
-    x, w, b = _wrap(x), _wrap(w), _wrap(b)
-    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
-        raise ShapeError(f"linear needs a >=2-d x, a 2-d w and a bias of w's width, "
-                         f"got {x.shape} @ {w.shape} + {b.shape}")
+    x, w, b = _wrap(x), _wrap(w), b if b is None else _wrap(b)
+    if (x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0]
+            or b is not None and b.shape != w.shape[1:]):
+        raise ShapeError(f"linear needs a >=2-d x, a 2-d w and an optional bias of w's width, "
+                         f"got {x.shape} @ {w.shape}" + ("" if b is None else f" + {b.shape}"))
     k, n = w.shape
     x2 = x.values.reshape(-1, k)  # a view when ``x`` is contiguous
-    values = (x2 @ w.values).reshape(x.shape[:-1] + (n,)) + b.values
+    values = (x2 @ w.values).reshape(x.shape[:-1] + (n,))
+    if b is not None:
+        values = values + b.values
 
     def backward(g):
         g2 = g.reshape(-1, n)
@@ -229,11 +203,16 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             grads.append((x, (g2 @ w.values.T).reshape(x.shape)))
         if w.requires_grad:
             grads.append((w, x2.T @ g2))
-        if b.requires_grad:
+        if b is not None and b.requires_grad:
             grads.append((b, _unbroadcast(g, b.shape)))
         return grads
 
-    return _node(values, (x, w, b), backward)
+    return _node(values, (x, w) if b is None else (x, w, b), backward)
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """``a @ b`` for a weight-shaped 2-D ``b``: ``linear`` without a bias."""
+    return linear(a, b)
 
 
 def relu(x: Tensor) -> Tensor:

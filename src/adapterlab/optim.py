@@ -1,4 +1,4 @@
-"""Named parameter collections, Adam, and global gradient-norm clipping."""
+"""Named weights, each frozen until a phase trains it; Adam; gradient-norm clipping."""
 
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ class ParamSet:
     def add(self, name: str, tensor: Tensor) -> Tensor:
         if name in self._params:
             raise ContractError(f"parameter {name!r} already declared")
-        tensor.requires_grad = True
+        tensor.requires_grad = False
         self._params[name] = tensor
         return tensor
 

@@ -10,21 +10,22 @@ recorded input and live weights, so only that recompute is differentiated.
 The ortho loss is never added to the main loss, and the two optimizers
 never share moment buffers.
 
-What a phase trains is decided in one place, ``trainable_names``; every
-other weight is frozen, and each slot weight it trains must be the very
-tensor the stack it runs holds. When the phase ends, returning or raising,
-every weight is frozen again, so an encode outside a phase records no
+What a phase trains is decided in one place, ``trainable_names``, and each
+slot weight it trains must be the very tensor the stack it runs holds. A
+weight is frozen until a phase trains it, and frozen again when the phase
+ends, returning or raising, so an encode outside a phase records no
 graph. A task phase runs on a stack with or without a language slot: the
 stacked (MAD-X) and the task-adapter-only configurations differ only in the
 stack the caller builds.
 
 Every descent step clips the global gradient norm to ``CLIP_NORM``. A run
-manifest, written before step 0, is one ``key=value`` line per entry.
+manifest, written before step 0, is one JSON object of strings.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -42,7 +43,7 @@ from .adapters import (
 )
 from .autodiff import IGNORE_LABEL, Tensor, no_grad
 from .encoder import Encoder
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, MissingArtifactError, NumericError
 from .objectives import (
     MaskingPolicy,
     apply_masking,
@@ -344,37 +345,26 @@ def model_selection(candidates: list[tuple[str, float]]) -> str:
 
 
 def write_run_manifest(path, entries: dict) -> None:
-    """One ``key=value`` line per entry, in the dict's order.
+    """One JSON object of the entries' ``str`` keys and values, in the dict's order.
 
-    Only entries ``read_run_manifest`` reads back unchanged are written: a
-    key that is empty, starts with ``#`` or holds ``=``, or a key or value
-    that holds a line break or has edge whitespace, raises ``ConfigError``
-    before the file is opened.
+    Keys that collide as strings (``1`` and ``"1"``) raise ``ConfigError``.
     """
-    def breaks(text: str) -> bool:  # a line break, or whitespace the reader strips
-        return "\n" in text or "\r" in text or text != text.strip()
-
-    for key, value in entries.items():
-        key, value = str(key), str(value)
-        if not key or key.startswith("#") or "=" in key or breaks(key):
-            raise ConfigError(f"manifest key {key!r} would not read back")
-        if breaks(value):
-            raise ConfigError(f"manifest value {value!r} of key {key!r} would not read back")
+    manifest = {str(key): str(value) for key, value in entries.items()}
+    if len(manifest) != len(entries):
+        raise ConfigError(f"manifest keys {list(entries)!r} collide as strings")
     with open(path, "w", encoding="utf-8") as fh:
-        for key, value in entries.items():
-            fh.write(f"{key}={value}\n")
+        fh.write(json.dumps(manifest) + "\n")
 
 
 def read_run_manifest(path) -> dict[str, str]:
-    """Parse ``key=value`` lines; blank lines and ``#`` comments are skipped."""
-    entries = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            entries[key] = value
+    """A run manifest's entries; ``MissingArtifactError`` unless it is a JSON object of strings."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            entries = json.load(fh)
+    except (FileNotFoundError, ValueError) as exc:  # ValueError: not UTF-8, not JSON
+        raise MissingArtifactError(f"{path}: no readable run manifest: {exc}") from exc
+    if type(entries) is not dict or any(type(v) is not str for v in entries.values()):
+        raise MissingArtifactError(f"{path}: run manifest is not a JSON object of strings")
     return entries
 
 

@@ -76,6 +76,20 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
         np.testing.assert_array_equal(a.values, b.values)
 
 
+def test_a_fresh_and_a_loaded_model_encode_without_a_graph(tmp_path):
+    # outside a training phase no weight requires a gradient, so an encode
+    # records no autodiff node, whether the weights were built or loaded
+    enc, stack = build_model()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, enc, stack)
+    loaded, loaded_stack, _ = load_checkpoint(path)
+    ids = np.array([[2, 7, 8, 9]])
+    for model, slots in ((enc, stack), (loaded, loaded_stack)):
+        assert [n for n, t in model.params.items() if t.requires_grad] == []
+        states, _ = model.encode(ids, np.ones_like(ids), stack=slots)
+        assert not states.requires_grad
+
+
 def test_checkpoint_double_roundtrip_identical_bytes(tmp_path):
     for order in ORDERS:
         enc, stack = build_model(order=order)

@@ -215,6 +215,7 @@ def test_all_padding_mask_raises():
 def test_stop_grad_keeps_backbone_out_of_ortho_gradient():
     enc, stack = encoder_with_stack(num_layers=1, lang=False, task=True)
     stack.register(enc.params)
+    enc.params.set_trainable(enc.params.names())  # the backbone too: stop_grad alone blocks it
     r = np.random.default_rng(6)
     for w in stack.task:
         w.w_up.values[...] = r.normal(scale=0.4, size=w.w_up.shape)
@@ -321,6 +322,7 @@ def test_labelled_rows_match_full_logits(tie_mlm):
         for gather_first in (False, True):
             enc = Encoder(cfg, seed=3)
             enc.ensure_tag_head(4)
+            enc.params.set_trainable(enc.params.names())
             logits_of = enc.mlm_logits if head == "mlm" else enc.tag_logits
             states, _ = enc.encode(ids, mask)
             if gather_first:

@@ -16,6 +16,7 @@ def test_first_step_with_unit_gradient_is_minus_lr():
     # bias correction makes m_hat = v_hat = 1 on step one, so the update is
     # -lr / (1 + eps) per element
     ps = make_params()
+    ps.set_trainable(ps.names())
     for _, t in ps.items():
         t.grad = np.ones_like(t.values)
     opt = Adam(ps, lr=0.1)
@@ -26,7 +27,7 @@ def test_first_step_with_unit_gradient_is_minus_lr():
 
 def test_frozen_parameter_bit_identical():
     ps = make_params()
-    ps["a"].requires_grad = False
+    ps.set_trainable(["b"])
     before = ps["a"].values.tobytes()
     ps["b"].grad = np.ones(3)
     ps["a"].grad = np.full((2, 2), 123.0)  # present but must be ignored
@@ -38,6 +39,7 @@ def test_frozen_parameter_bit_identical():
 
 def test_missing_gradient_on_unfrozen_is_contract_error():
     ps = make_params()
+    ps.set_trainable(ps.names())
     ps["a"].grad = np.ones((2, 2))
     opt = Adam(ps)
     with pytest.raises(ContractError, match="b"):
@@ -67,6 +69,7 @@ def test_three_step_trajectory_matches_scalar_oracle():
 
     ps = ParamSet()
     ps.add("x", Tensor(np.array(1.7)))
+    ps.set_trainable(["x"])
     opt = Adam(ps, lr=lr)
     got = []
     for _ in range(3):
@@ -120,6 +123,14 @@ def test_duplicate_or_unknown_parameter_names_are_contract_errors():
     with pytest.raises(ContractError, match="unknown parameters: \\['c'\\]"):
         ps.set_trainable(["b", "c"])
     assert ps["a"].values.shape == (2, 2)
+
+
+def test_add_declares_a_weight_frozen():
+    ps = ParamSet()
+    ps.add("w", Tensor(np.ones(2), requires_grad=True))
+    assert not ps["w"].requires_grad
+    ps.set_trainable(["w"])
+    assert ps["w"].requires_grad
 
 
 def test_set_trainable_and_checksum():

@@ -16,7 +16,7 @@ from adapterlab.adapters import (
 )
 from adapterlab.autodiff import IGNORE_LABEL, no_grad
 from adapterlab.encoder import Encoder, EncoderConfig
-from adapterlab.errors import ConfigError, EmptyLossError, NumericError
+from adapterlab.errors import ConfigError, EmptyLossError, MissingArtifactError, NumericError
 from adapterlab.objectives import MaskingPolicy, labelled_rows, mlm_loss
 from adapterlab.synthlang import (
     SyntheticLanguageSpec,
@@ -585,11 +585,31 @@ def test_run_manifest_roundtrip(tmp_path):
     {"a=b": "x"}, {"a\nb": "x"}, {"k": " x"}, {"k": "x\t"}, {"k": "a\rseed=9"},
     {"seed": "3", "k": "x\n"},
 ])
-def test_run_manifest_that_would_not_read_back_is_refused(tmp_path, entries):
+def test_run_manifest_roundtrip_of_any_strings(tmp_path, entries):
+    # line breaks, "=", "#", empty keys and edge whitespace read back unchanged
     path = tmp_path / "run.manifest"
-    with pytest.raises(ConfigError, match="manifest"):
-        write_run_manifest(path, entries)
+    write_run_manifest(path, entries)
+    assert read_run_manifest(path) == entries
+
+
+def test_run_manifest_keys_that_collide_as_strings_are_refused(tmp_path):
+    path = tmp_path / "run.manifest"
+    with pytest.raises(ConfigError, match="collide"):
+        write_run_manifest(path, {1: "a", "1": "b"})
     assert not path.exists()
+
+
+@pytest.mark.parametrize("content", [
+    None, b"\xff\xfe{}", b"", b"seed=3\n", b'{"seed": "3"}\nseed=9\n', b'["seed"]',
+    b'{"seed": 3}',
+], ids=["missing", "not_utf8", "empty", "key_value_line", "trailing_line", "list",
+        "number_value"])
+def test_unreadable_run_manifest_is_refused(tmp_path, content):
+    path = tmp_path / "run.manifest"
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(MissingArtifactError, match="run manifest"):
+        read_run_manifest(path)
 
 
 def test_metrics_log_format(tmp_path):
