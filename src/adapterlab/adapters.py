@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, add, matmul, relu
-from .errors import ConfigError, ContractError, SwapError
+from .errors import ConfigError, ContractError, SwapError, require_int
 from .optim import ParamSet
 
 LANGUAGE = "language"
@@ -50,8 +50,7 @@ class AdapterConfig:
     def __post_init__(self):
         if self.kind not in SLOT_PREFIX:
             raise ConfigError(f"unknown adapter kind {self.kind!r}")
-        if type(self.dim) is not int or self.dim < 1:  # bools and floats too
-            raise ConfigError(f"adapter dim must be an integer >= 1, got {self.dim!r}")
+        require_int("adapter dim", self.dim, 1)
 
 
 @dataclass

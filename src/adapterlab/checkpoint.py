@@ -35,7 +35,7 @@ from .adapters import (SLOT_PREFIX, AdapterConfig, AdapterStack, slot_arrays,
                        slot_config, zero_slot)
 from .autodiff import Tensor
 from .encoder import Encoder, EncoderConfig
-from .errors import ConfigError, MissingArtifactError
+from .errors import ConfigError, MissingArtifactError, require_int
 from .optim import ParamSet
 
 FORMAT_VERSION = 2
@@ -108,10 +108,7 @@ def _require(path, where: str, header, *keys: str) -> dict:
 
 def _integer(path, key: str, value, least: int) -> int:
     """``value`` if it is an integer of at least ``least``, else a typed error."""
-    if type(value) is not int or value < least:
-        raise MissingArtifactError(f"{path}: header entry {key} must be an integer "
-                                   f">= {least}, got {value!r}")
-    return value
+    return require_int(f"{path}: header entry {key}", value, least, MissingArtifactError)
 
 
 def _build(path, cls, header: dict, key: str):

@@ -36,7 +36,7 @@ from .autodiff import (
     swap_last,
     tanh,
 )
-from .errors import ConfigError, SequenceLengthError, VocabError
+from .errors import ConfigError, SequenceLengthError, VocabError, require_int
 from .optim import ParamSet
 
 MASK_BIAS = -1e9
@@ -56,9 +56,7 @@ class EncoderConfig:
     def __post_init__(self):
         for name, least in (("vocab", 2), ("num_layers", 1), ("hidden", 1), ("num_heads", 1),
                             ("ffn", 1), ("max_len", 1)):
-            value = getattr(self, name)
-            if type(value) is not int or value < least:  # bools and floats too
-                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+            require_int(name, getattr(self, name), least)
         if (isinstance(self.dropout, bool) or not isinstance(self.dropout, Real)
                 or not 0.0 <= self.dropout < 1.0):
             raise ConfigError(f"dropout must be a number in [0, 1), got {self.dropout!r}")
@@ -85,7 +83,7 @@ class Encoder:
 
     def __init__(self, config: EncoderConfig, seed: int = 0):
         self.config = config
-        self.seed = seed
+        self.seed = require_int("seed", seed, 0)
         self.params = ParamSet()
         rng = np.random.default_rng(seed)
         c = config
@@ -134,8 +132,7 @@ class Encoder:
 
     def _head_built(self, head: str, num_classes: int) -> bool:
         """Whether the head is built; refuses no classes and a changed class count."""
-        if num_classes < 1:
-            raise ConfigError(f"a {head} head needs at least 1 class, got {num_classes}")
+        require_int(f"{head} head classes", num_classes, 1)
         if self.head_classes.get(head, num_classes) != num_classes:
             raise ConfigError(f"{head} head already built for {self.head_classes[head]} classes")
         return head in self.head_classes

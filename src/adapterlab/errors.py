@@ -39,3 +39,13 @@ class SwapError(AdapterLabError):
 
 class EmptyLossError(AdapterLabError):
     """A loss was requested over zero labeled positions."""
+
+
+def require_int(name: str, value, least: int, error: type = ConfigError) -> int:
+    """``value`` if it is an int of at least ``least``, else ``error`` naming ``name``.
+
+    A bool, a float or a string is refused even when it reads as an integer.
+    """
+    if type(value) is not int or value < least:
+        raise error(f"{name} must be an integer >= {least}, got {value!r}")
+    return value

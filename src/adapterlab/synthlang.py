@@ -22,10 +22,11 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, MissingArtifactError
+from .errors import ConfigError, ContractError, MissingArtifactError, require_int
 
 PAD, UNK, CLS, MASK, SEP = 0, 1, 2, 3, 4
 RESERVED_TOKENS = ("[PAD]", "[UNK]", "[CLS]", "[MASK]", "[SEP]")
@@ -102,8 +103,10 @@ class SyntheticLanguageSpec:
     word_order: str = "identity"
 
     def __post_init__(self):
-        if not 0.0 <= self.divergence <= 1.0:
-            raise ConfigError(f"divergence must be in [0, 1], got {self.divergence}")
+        require_int("cipher_seed", self.cipher_seed, 0)
+        if (isinstance(self.divergence, bool) or not isinstance(self.divergence, Real)
+                or not 0.0 <= self.divergence <= 1.0):
+            raise ConfigError(f"divergence must be a number in [0, 1], got {self.divergence!r}")
         kind, _, k = self.word_order.partition(":")
         named = {"identity": 0, "reverse": None}  # how far each run rotates; None reverses
         try:
@@ -258,9 +261,7 @@ def generate_corpus(
     """
     for name, value, least in (("n_sentences", n_sentences, 0), ("n_classes", n_classes, 2),
                                ("n_words", n_words, 0)):
-        if type(value) is not int or value < least:  # bools and floats too
-            raise ConfigError(f"generate_corpus: {name} must be an integer >= {least}, "
-                              f"got {value!r}")
+        require_int(f"generate_corpus: {name}", value, least)
     words = make_word_list(n_words)
     by_class: list[list[str]] = [[] for _ in range(n_classes)]
     for w in words:
@@ -404,8 +405,7 @@ def gen_seq_task(
 
 def tag_labels_for_base(base_sentence: np.ndarray, vocab: Vocab, n_tags: int) -> np.ndarray:
     """Gold tags of a base-language sentence: hash bucket of each token type."""
-    if n_tags < 1:
-        raise ConfigError(f"tagging needs at least 1 tag, got n_tags={n_tags}")
+    require_int("n_tags", n_tags, 1)
     _check_ids(np.asarray(base_sentence), vocab.size)
     return np.array(
         [stable_bucket(vocab.id_to_token[int(t)], n_tags) for t in base_sentence],
@@ -427,6 +427,7 @@ def gen_tag_task(
     Each output id is tagged with the base tag of the id the cipher sent to
     it, so the labeling commutes with apply_language.
     """
+    require_int("n_examples", n_examples, 0)
     rng = np.random.default_rng(seed)
     picks = rng.choice(len(base_ids), size=min(n_examples, len(base_ids)), replace=False)
     cipher = spec.cipher(vocab.size)

@@ -28,6 +28,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -43,7 +44,7 @@ from .adapters import (
 )
 from .autodiff import IGNORE_LABEL, Tensor, no_grad
 from .encoder import Encoder
-from .errors import ConfigError, MissingArtifactError, NumericError
+from .errors import ConfigError, MissingArtifactError, NumericError, require_int
 from .objectives import (
     MaskingPolicy,
     apply_masking,
@@ -95,14 +96,16 @@ class PhaseConfig:
         if self.main_loss not in PHASE_LOSSES[self.phase]:
             raise ConfigError(f"phase {self.phase} does not train with the "
                               f"{self.main_loss} loss")
+        if type(self.ortho) is not bool:
+            raise ConfigError(f"ortho must be a bool, got {self.ortho!r}")
         if self.phase == PHASE_FULL and self.ortho:
             raise ConfigError("full fine-tuning runs without the orthogonality loss")
-        for name in ("steps", "batch_size", "alternation_k"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name, least in (("steps", 1), ("batch_size", 1), ("alternation_k", 1), ("seed", 0)):
+            require_int(name, getattr(self, name), least)
         for name in ("main_lr", "ortho_lr"):
-            if not getattr(self, name) > 0.0:
-                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real) or not 0.0 < value < math.inf:
+                raise ConfigError(f"{name} must be a finite number > 0, got {value!r}")
 
     def slot(self) -> str:
         """The adapter slot an adapter phase trains."""

@@ -12,6 +12,7 @@ from adapterlab.autodiff import (
     attention,
     cosine_sq_rows,
     cross_entropy,
+    dropout,
     embedding_lookup,
     layer_norm,
     linear,
@@ -272,7 +273,7 @@ def test_cosine_sq_rows_rejects_bad_operands():
     st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=6),
     st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=6),
 )
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_cosine_sq_in_unit_interval(u, v):
     n = min(len(u), len(v))
     assert 0.0 <= one_row_cos2(u[:n], v[:n]) <= 1.0
@@ -305,7 +306,7 @@ def test_softmax_vs_extended_precision_oracle():
 
 
 @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_softmax_rows_sum_to_one(row):
     out = softmax_rows(Tensor([row])).values
     assert np.all(out >= 0.0)
@@ -436,6 +437,32 @@ def test_linear_refuses_mismatched_operands():
             linear(x, Tensor(np.zeros(w)), Tensor(np.zeros(b)))
     with pytest.raises(ShapeError, match="linear needs"):
         linear(Tensor(np.zeros(4)), Tensor(np.zeros((4, 5))), Tensor(np.zeros(5)))
+
+
+# --- dropout -------------------------------------------------------------------
+
+
+def test_dropout_gradcheck_with_a_fixed_mask():
+    x = Tensor(rng(40).normal(size=(3, 4)))
+    w = Tensor(rng(41).normal(size=(3, 4)))
+    # a fresh generator on every call draws the same mask each time
+    f = lambda ts: tsum(mul(dropout(ts[0], 0.3, np.random.default_rng(7)), w))
+    assert grad_check(f, [x]) < 1e-6
+    assert 0 < np.count_nonzero(x.grad) < x.size  # some entries dropped, some kept
+
+
+def test_dropout_at_rate_zero_returns_its_input():
+    x = Tensor(np.ones(3), requires_grad=True)
+    assert dropout(x, 0.0, np.random.default_rng(0)) is x
+
+
+def test_dropout_scales_kept_entries_by_exactly_the_inverse_keep_rate():
+    p = 0.25
+    x = rng(42).normal(size=(50, 8))
+    out = dropout(Tensor(x), p, np.random.default_rng(3)).values
+    kept = out != 0.0
+    assert 0 < kept.sum() < x.size
+    assert out[kept].tobytes() == (x[kept] * (1.0 / (1.0 - p))).tobytes()
 
 
 # --- cross_entropy ------------------------------------------------------------

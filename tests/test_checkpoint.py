@@ -272,7 +272,7 @@ def model_with(kind, hidden, slot):
     return enc, stack
 
 
-@settings(max_examples=100, derandomize=True, deadline=None)
+@settings(max_examples=100)
 @given(slots())
 def test_any_legal_slot_round_trips_bit_exact(drawn):
     kind, hidden, slot = drawn
@@ -294,7 +294,7 @@ def test_any_legal_slot_round_trips_bit_exact(drawn):
         assert got.w_up.values.tobytes() == want.w_up.values.tobytes()
 
 
-@settings(max_examples=100, derandomize=True, deadline=None)
+@settings(max_examples=100)
 @given(slots(), st.data())
 def test_misshapen_slot_is_refused_and_never_written(drawn, data):
     kind, hidden, slot = drawn
@@ -490,7 +490,7 @@ def header_paths(node, path=()):
         yield from header_paths(child, path + (key,))
 
 
-@settings(max_examples=150, derandomize=True, deadline=None)
+@settings(max_examples=150)
 @given(st.sampled_from(sorted(LOADERS)), st.data())
 def test_a_damaged_file_raises_only_package_errors(kind, data):
     head, body = saved_file(kind)

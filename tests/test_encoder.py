@@ -27,6 +27,9 @@ def test_config_validation():
         EncoderConfig(vocab=10, max_len=0)
     with pytest.raises(ConfigError, match="vocab"):
         EncoderConfig(vocab=1)
+    for seed in (-1, 1.5):
+        with pytest.raises(ConfigError, match="seed"):
+            Encoder(EncoderConfig(vocab=10), seed=seed)
     with pytest.raises(AttributeError):  # checked once, so no field may change later
         EncoderConfig(vocab=10).num_heads = 0
 
@@ -193,8 +196,8 @@ def test_head_with_no_class_is_refused():
     # load_checkpoint refuses such a head, so no model may build one and save it
     enc = encoder()
     for build in (enc.ensure_cls_head, enc.ensure_tag_head):
-        for n in (0, -1):
-            with pytest.raises(ConfigError, match="at least 1 class"):
+        for n in (0, -1, 2.5, True, "3"):
+            with pytest.raises(ConfigError, match="head classes must be an integer >= 1"):
                 build(n)
     assert enc.head_classes == {}
 

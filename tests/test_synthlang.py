@@ -158,6 +158,10 @@ def test_spec_validation():
                 {"word_order": "rotate:"}, {"divergence": 1.5}):
         with pytest.raises(ConfigError):
             SyntheticLanguageSpec("xx", **bad)
+    # refused when the spec is built, not when its cipher first runs
+    for bad in ({"divergence": "0.5"}, {"cipher_seed": -1}, {"cipher_seed": 1.5}):
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            SyntheticLanguageSpec("xx", **bad)
 
 
 def test_cipher_built_once_per_corpus_and_dataset(monkeypatch):
@@ -349,12 +353,18 @@ def test_tag_task_every_bucket_populated():
 
 def test_tag_count_below_one_is_refused():
     _, vocab, ids = toy_setup(50)
-    for n_tags in (0, -2):
+    for n_tags in (0, -2, 2.5):
         with pytest.raises(ConfigError, match="n_tags"):
             tag_labels_for_base(ids[0], vocab, n_tags)
         with pytest.raises(ConfigError, match="n_tags"):
             gen_tag_task(ids, SyntheticLanguageSpec("src"), vocab, 10, "dev", seed=1,
                          n_tags=n_tags)
+
+
+def test_negative_example_count_is_refused():
+    _, vocab, ids = toy_setup(50)
+    with pytest.raises(ConfigError, match="n_examples"):
+        gen_tag_task(ids, SyntheticLanguageSpec("src"), vocab, -1, "dev", seed=1)
 
 
 def test_labels_commute_with_language_transforms():
@@ -436,7 +446,7 @@ def test_tag_dataset_file_roundtrip(tmp_path):
         load_task_dataset(path, vocab, TAGGING, "src", "dev", 6)
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
+@settings(max_examples=60)
 @given(st.sampled_from([SEQ_CLS, TAGGING]), st.integers(1, 4), st.data())
 def test_any_saved_dataset_loads_the_same_ids_and_labels(kind, num_classes, data):
     vocab = build_vocab(["ka fita lo", "lo me"])

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -79,7 +80,9 @@ def test_phase_config_validation():
     with pytest.raises(ConfigError):
         PhaseConfig(phase=PHASE_TASK, main_loss="mlm")
     for bad in ({"alternation_k": 0}, {"batch_size": 0}, {"steps": -3}, {"steps": 0},
-                {"main_lr": -1.0}, {"main_lr": 0.0}, {"ortho_lr": 0.0}):
+                {"main_lr": -1.0}, {"main_lr": 0.0}, {"ortho_lr": 0.0},
+                {"steps": 2.5}, {"batch_size": 4.0}, {"alternation_k": 1.5}, {"seed": -1},
+                {"seed": 1.5}, {"main_lr": "x"}, {"main_lr": math.inf}, {"ortho": "no"}):
         with pytest.raises(ConfigError, match=next(iter(bad))):
             PhaseConfig(phase=PHASE_LANG, main_loss="mlm", **bad)
     with pytest.raises(AttributeError):  # checked once, so no field may change later
