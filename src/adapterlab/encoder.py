@@ -131,7 +131,7 @@ class Encoder:
         self.head_classes["tag"] = num_tags
 
     def _head_built(self, head: str, num_classes: int) -> bool:
-        """Whether the head is built; refuses no classes and a changed class count."""
+        """Whether the head is built; refuses a class count below 1, or not an int, or changed."""
         require_int(f"{head} head classes", num_classes, 1)
         if self.head_classes.get(head, num_classes) != num_classes:
             raise ConfigError(f"{head} head already built for {self.head_classes[head]} classes")

@@ -373,6 +373,7 @@ def gen_seq_task(
     construction. Pairs are rejection-sampled from natural sentences; a
     corpus that cannot fill every class is rejected as degenerate.
     """
+    require_int("n_examples", n_examples, 0)
     rng = np.random.default_rng(seed)
     per_class = n_examples // 3
     quota = {FIRST_LONGER: per_class, SECOND_LONGER: per_class,

@@ -361,10 +361,12 @@ def test_tag_count_below_one_is_refused():
                          n_tags=n_tags)
 
 
-def test_negative_example_count_is_refused():
+def test_example_count_that_is_no_count_is_refused():
     _, vocab, ids = toy_setup(50)
-    with pytest.raises(ConfigError, match="n_examples"):
-        gen_tag_task(ids, SyntheticLanguageSpec("src"), vocab, -1, "dev", seed=1)
+    for gen in (gen_seq_task, gen_tag_task):
+        for n_examples in (-1, 2.5):
+            with pytest.raises(ConfigError, match="n_examples"):
+                gen(ids, SyntheticLanguageSpec("src"), vocab, n_examples, "dev", seed=1)
 
 
 def test_labels_commute_with_language_transforms():
