@@ -16,6 +16,11 @@ with the chain's arithmetic in its order: ``linear`` is ``x @ w + b`` (and
 residual sum ``x + y`` (adding ``LN_EPS`` to each row's variance), and
 ``attention`` is multi-head scaled dot-product attention. One ``_softmax``
 serves ``softmax_rows``, ``attention`` and ``cross_entropy``'s gradient.
+
+An op writes in place only into an array it allocated in the same call,
+never into an input, a gradient handed to it or an array it returned
+earlier. Each element still goes through the same ufuncs in the same order,
+so values and gradients are bit for bit those of the out-of-place chain.
 """
 
 from __future__ import annotations
@@ -194,7 +199,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     x2 = x.values.reshape(-1, k)  # a view when ``x`` is contiguous
     values = (x2 @ w.values).reshape(x.shape[:-1] + (n,))
     if b is not None:
-        values = values + b.values
+        values += b.values
 
     def backward(g):
         g2 = g.reshape(-1, n)
@@ -308,13 +313,18 @@ def embedding_lookup(table: Tensor, ids: Array) -> Tensor:
 
 def _softmax(x: Array) -> Array:
     """Softmax over the last axis, computed with max-subtraction for stability."""
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = x - x.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def _softmax_backward(probs: Array, g: Array) -> Array:
     """The gradient of a softmax's input, from its output ``probs`` and ``g``."""
-    return probs * (g - (g * probs).sum(axis=-1, keepdims=True))
+    gx = g * probs
+    np.subtract(g, gx.sum(axis=-1, keepdims=True), out=gx)
+    gx *= probs
+    return gx
 
 
 def softmax_rows(x: Tensor) -> Tensor:
@@ -356,14 +366,18 @@ def attention(q: Tensor, k: Tensor, v: Tensor, key_bias: Array, num_heads: int) 
         return z.transpose(0, 2, 1, 3).reshape(b, t, h)
 
     q4, k4, v4 = split(q.values), split(k.values), split(v.values)
-    probs = _softmax(q4 @ np.swapaxes(k4, -1, -2) * scale + key_bias)
+    scores = q4 @ np.swapaxes(k4, -1, -2)
+    scores *= scale
+    scores += key_bias
+    probs = _softmax(scores)
     values = merge(probs @ v4)
 
     def backward(g):
         g4 = split(g)
         grads = []
         if q.requires_grad or k.requires_grad:
-            gs = _softmax_backward(probs, g4 @ np.swapaxes(v4, -1, -2)) * scale
+            gs = _softmax_backward(probs, g4 @ np.swapaxes(v4, -1, -2))
+            gs *= scale
             if q.requires_grad:
                 grads.append((q, merge(gs @ k4)))
             if k.requires_grad:  # (q^T gs)^T: gs^T q is the same sum, rounded apart
@@ -390,23 +404,22 @@ def layer_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(
             f"layer_norm affine params must be ({h},), got {gain.shape} and {bias.shape}"
         )
-    s = x.values + y.values
-    mu = s.mean(axis=-1, keepdims=True)
-    xc = s - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = xc * inv
-    values = xhat * gain.values + bias.values
+    xhat = x.values + y.values  # the sum, centred, then normalised in this one buffer
+    xhat -= xhat.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(np.square(xhat).mean(axis=-1, keepdims=True) + LN_EPS)
+    xhat *= inv
+    values = xhat * gain.values
+    values += bias.values
 
     def backward(g):
         grads = []
         if x.requires_grad or y.requires_grad:
-            dxhat = g * gain.values
-            gs = inv * (
-                dxhat
-                - dxhat.mean(axis=-1, keepdims=True)
-                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-            )
+            gs = g * gain.values  # dxhat, then the sum's gradient in the same buffer
+            proj = gs * xhat  # dxhat * xhat, then xhat times its row mean
+            np.multiply(xhat, proj.mean(axis=-1, keepdims=True), out=proj)
+            gs -= gs.mean(axis=-1, keepdims=True)
+            gs -= proj
+            gs *= inv
             grads += [(t, gs) for t in (x, y) if t.requires_grad]
         lead = tuple(range(g.ndim - 1))
         if gain.requires_grad:

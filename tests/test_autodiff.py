@@ -320,6 +320,20 @@ def test_softmax_gradcheck():
     assert grad_check(f, [x]) < 1e-6
 
 
+@pytest.mark.parametrize("storage", ["contiguous", "transposed"])
+def test_softmax_rows_matches_the_out_of_place_expressions_bytes(storage):
+    r = rng(62)
+    x, g = r.normal(scale=4.0, size=(2, 3, 7)), r.normal(size=(2, 3, 7))
+    if storage == "transposed":  # equal values, stored transposed in the last two axes
+        x = np.swapaxes(np.swapaxes(x, -1, -2).copy(), -1, -2)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+    want = [probs, probs * (g - (g * probs).sum(axis=-1, keepdims=True))]
+    out = softmax_rows(Tensor(x, requires_grad=True))
+    got = [out.values] + [pg for _, pg in out._backward(g)]
+    assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+
+
 # --- layer_norm ----------------------------------------------------------------
 
 
@@ -694,3 +708,37 @@ def test_forward_values_stay_finite():
         tanh(big),
     ):
         assert np.all(np.isfinite(out.values))
+
+
+# --- the in-place rule -----------------------------------------------------------
+
+# each op whose arithmetic runs in buffers, and its constant (non-tensor) inputs
+IN_PLACE_CASES = {
+    "linear": (linear, [(2, 3, 4), (4, 5), (5,)], ()),
+    "attention": (lambda q, k, v, bias: attention(q, k, v, bias, 2), [(2, 3, 4)] * 3,
+                  (KEY_BIAS,)),
+    "layer_norm": (layer_norm, [(2, 3, 4), (2, 3, 4), (4,), (4,)], ()),
+    "softmax_rows": (softmax_rows, [(2, 3, 5)], ()),
+    "dropout": (lambda x: dropout(x, 0.3, np.random.default_rng(1)), [(3, 4)], ()),
+    "cross_entropy": (cross_entropy, [(4, 5)], (np.array([0, 4, 2, 2]),)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IN_PLACE_CASES))
+def test_op_writes_into_no_input_and_returns_no_view_of_one(name):
+    # an op writes in place only into arrays it allocated in the same call
+    op, shapes, constants = IN_PLACE_CASES[name]
+    r = rng(63)
+    arrays = [r.normal(size=s) for s in shapes] + [c.copy() for c in constants]
+    ts = [Tensor(a, requires_grad=True) for a in arrays[:len(shapes)]]
+    out = op(*ts, *arrays[len(shapes):])
+    g = np.asarray(r.normal(size=out.shape))
+    inputs = arrays + [g]
+    before = [a.tobytes() for a in inputs]
+    returned = [out.values] + [pg for _, pg in out._backward(g)]
+    again = [out.values] + [pg for _, pg in out._backward(g)]
+    assert len(returned) == len(ts) + 1
+    assert [a.tobytes() for a in inputs] == before
+    # a second backward reads the same saved arrays, so it returns the same bytes
+    assert [v.tobytes() for v in again] == [v.tobytes() for v in returned]
+    assert not any(np.shares_memory(v, a) for v in returned for a in inputs)
