@@ -51,6 +51,8 @@ class AdapterConfig:
         if self.kind not in SLOT_PREFIX:
             raise ConfigError(f"unknown adapter kind {self.kind!r}")
         require_int("adapter dim", self.dim, 1)
+        if type(self.orthogonal) is not bool:
+            raise ConfigError(f"orthogonal must be a bool, got {self.orthogonal!r}")
 
 
 @dataclass

@@ -18,7 +18,6 @@ from that input taken as a constant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
@@ -36,7 +35,7 @@ from .autodiff import (
     swap_last,
     tanh,
 )
-from .errors import ConfigError, SequenceLengthError, VocabError, require_int
+from .errors import ConfigError, SequenceLengthError, VocabError, require_int, require_real
 from .optim import ParamSet
 
 MASK_BIAS = -1e9
@@ -57,9 +56,7 @@ class EncoderConfig:
         for name, least in (("vocab", 2), ("num_layers", 1), ("hidden", 1), ("num_heads", 1),
                             ("ffn", 1), ("max_len", 1)):
             require_int(name, getattr(self, name), least)
-        if (isinstance(self.dropout, bool) or not isinstance(self.dropout, Real)
-                or not 0.0 <= self.dropout < 1.0):
-            raise ConfigError(f"dropout must be a number in [0, 1), got {self.dropout!r}")
+        require_real("dropout", self.dropout, 0.0, 1.0, "[)")
         if type(self.tie_mlm) is not bool:
             raise ConfigError(f"tie_mlm must be a bool, got {self.tie_mlm!r}")
         if self.hidden % self.num_heads != 0:

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checks that raise them."""
+
+from numbers import Real
 
 
 class AdapterLabError(Exception):
@@ -48,4 +50,18 @@ def require_int(name: str, value, least: int, error: type = ConfigError) -> int:
     """
     if type(value) is not int or value < least:
         raise error(f"{name} must be an integer >= {least}, got {value!r}")
+    return value
+
+
+def require_real(name: str, value, low: float, high: float, ends: str = "[]") -> float:
+    """``value`` if it is a real number between ``low`` and ``high``, else ``ConfigError``.
+
+    ``ends`` says which ends are closed: "[]", "[)", "(]" or "()". A bool is
+    refused although it is an int, and so is NaN, which lies in no interval.
+    """
+    if (isinstance(value, bool) or not isinstance(value, Real)
+            or not (low <= value if ends[0] == "[" else low < value)
+            or not (value <= high if ends[1] == "]" else value < high)):
+        raise ConfigError(f"{name} must be a real number in "
+                          f"{ends[0]}{low:g}, {high:g}{ends[1]}, got {value!r}")
     return value

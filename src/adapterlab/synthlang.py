@@ -22,11 +22,10 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from dataclasses import dataclass, field
-from numbers import Real
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, MissingArtifactError, require_int
+from .errors import ConfigError, ContractError, MissingArtifactError, require_int, require_real
 
 PAD, UNK, CLS, MASK, SEP = 0, 1, 2, 3, 4
 RESERVED_TOKENS = ("[PAD]", "[UNK]", "[CLS]", "[MASK]", "[SEP]")
@@ -104,9 +103,9 @@ class SyntheticLanguageSpec:
 
     def __post_init__(self):
         require_int("cipher_seed", self.cipher_seed, 0)
-        if (isinstance(self.divergence, bool) or not isinstance(self.divergence, Real)
-                or not 0.0 <= self.divergence <= 1.0):
-            raise ConfigError(f"divergence must be a number in [0, 1], got {self.divergence!r}")
+        require_real("divergence", self.divergence, 0.0, 1.0)
+        if not isinstance(self.word_order, str):
+            raise ConfigError(f"word_order must be a string, got {self.word_order!r}")
         kind, _, k = self.word_order.partition(":")
         named = {"identity": 0, "reverse": None}  # how far each run rotates; None reverses
         try:

@@ -28,7 +28,6 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from numbers import Real
 
 import numpy as np
 
@@ -44,7 +43,7 @@ from .adapters import (
 )
 from .autodiff import IGNORE_LABEL, Tensor, no_grad
 from .encoder import Encoder
-from .errors import ConfigError, MissingArtifactError, NumericError, require_int
+from .errors import ConfigError, MissingArtifactError, NumericError, require_int, require_real
 from .objectives import (
     MaskingPolicy,
     apply_masking,
@@ -103,9 +102,7 @@ class PhaseConfig:
         for name, least in (("steps", 1), ("batch_size", 1), ("alternation_k", 1), ("seed", 0)):
             require_int(name, getattr(self, name), least)
         for name in ("main_lr", "ortho_lr"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Real) or not 0.0 < value < math.inf:
-                raise ConfigError(f"{name} must be a finite number > 0, got {value!r}")
+            require_real(name, getattr(self, name), 0.0, math.inf, "()")
 
     def slot(self) -> str:
         """The adapter slot an adapter phase trains."""

@@ -185,6 +185,23 @@ def test_checkpoint_config_out_of_range_raises_typed_error(tmp_path):
             load_checkpoint(path)
 
 
+def test_orthogonal_flag_that_is_no_bool_is_refused_in_either_header(tmp_path):
+    enc, stack = build_model()
+    files = {"model.ckpt": (lambda path: save_checkpoint(path, enc, stack), load_checkpoint,
+                            lambda m: m["adapters"][TASK]),
+             "task.adapter": (lambda path: save_adapter(path, stack.task), load_adapter,
+                              lambda m: m["adapter_config"])}
+    for name, (save, load, config) in files.items():
+        path = tmp_path / name
+        save(path)
+        head, _, body = path.read_bytes().partition(b"\x00")
+        manifest = json.loads(head)
+        config(manifest)["orthogonal"] = "no"
+        path.write_bytes(json.dumps(manifest).encode() + b"\x00" + body)
+        with pytest.raises(MissingArtifactError, match="AdapterConfig: orthogonal must be a bool"):
+            load(path)
+
+
 def test_checkpoint_without_stack(tmp_path):
     enc = Encoder(EncoderConfig(vocab=30, num_layers=1, hidden=8, num_heads=2,
                                 ffn=12, max_len=10, dropout=0.0), seed=4)

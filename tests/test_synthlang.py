@@ -159,7 +159,9 @@ def test_spec_validation():
         with pytest.raises(ConfigError):
             SyntheticLanguageSpec("xx", **bad)
     # refused when the spec is built, not when its cipher first runs
-    for bad in ({"divergence": "0.5"}, {"cipher_seed": -1}, {"cipher_seed": 1.5}):
+    for bad in ({"divergence": "0.5"}, {"divergence": True}, {"divergence": float("nan")},
+                {"divergence": -0.1}, {"cipher_seed": -1}, {"cipher_seed": 1.5},
+                {"word_order": None}, {"word_order": 5}):
         with pytest.raises(ConfigError, match=next(iter(bad))):
             SyntheticLanguageSpec("xx", **bad)
 
