@@ -730,11 +730,12 @@ def test_op_writes_into_no_input_and_returns_no_view_of_one(name):
     op, shapes, constants = IN_PLACE_CASES[name]
     r = rng(63)
     arrays = [r.normal(size=s) for s in shapes] + [c.copy() for c in constants]
+    before = [a.tobytes() for a in arrays]
     ts = [Tensor(a, requires_grad=True) for a in arrays[:len(shapes)]]
     out = op(*ts, *arrays[len(shapes):])
     g = np.asarray(r.normal(size=out.shape))
     inputs = arrays + [g]
-    before = [a.tobytes() for a in inputs]
+    before.append(g.tobytes())
     returned = [out.values] + [pg for _, pg in out._backward(g)]
     again = [out.values] + [pg for _, pg in out._backward(g)]
     assert len(returned) == len(ts) + 1

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from adapterlab.errors import ConfigError, MissingArtifactError, require_int, require_real
+from adapterlab.errors import ConfigError, require_real
 
 
 @pytest.mark.parametrize("value", [0, 1, np.float32(0.5), Fraction(1, 2), 1.0])
@@ -35,9 +35,3 @@ def test_unbounded_real_interval_prints_inf_and_refuses_it():
     with pytest.raises(ConfigError, match=r"lr must be a real number in \(0, inf\), got inf"):
         require_real("lr", math.inf, 0.0, math.inf, "()")
 
-
-@pytest.mark.parametrize("value", [True, 2.0, "2", None, 0])
-def test_int_that_is_no_int_or_too_small_is_refused_with_the_asked_error(value):
-    with pytest.raises(MissingArtifactError, match="count must be an integer >= 1"):
-        require_int("count", value, 1, MissingArtifactError)
-    assert require_int("count", 7, 1) == 7
