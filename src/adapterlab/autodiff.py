@@ -356,6 +356,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, key_bias: Array, num_heads: int) 
         raise ShapeError(f"attention needs equal [B, T, H] q, k, v with H divisible by "
                          f"{num_heads} heads, got {q.shape}, {k.shape}, {v.shape}")
     b, t, h = q.shape
+    bias, want = np.shape(key_bias), (b, num_heads, t, t)
+    if len(bias) > 4 or any(d not in (1, n) for d, n in zip(bias[::-1], want[::-1])):
+        raise ShapeError(f"key_bias of shape {bias} does not broadcast to the {want} scores")
     dh = h // num_heads
     scale = 1.0 / np.sqrt(dh)
 

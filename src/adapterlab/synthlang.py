@@ -15,13 +15,16 @@ Everything here is built array-wide, not token by token: the generator
 steps every sentence's class chain at once, and a corpus or dataset is
 re-lexified as one ``PAD``-separated id array, with its cipher built once.
 The bytes are those of the token-by-token definitions the docstrings give.
+
+A task dataset file is one JSON object of ids, with no vocabulary.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -64,11 +67,6 @@ class Vocab:
 
     def encode(self, tokens: list[str]) -> list[int]:
         return [self.token_to_id.get(t, UNK) for t in tokens]
-
-    def decode(self, ids) -> list[str]:
-        ids = np.asarray(ids, dtype=np.int64)
-        _check_ids(ids, self.size)
-        return [self.id_to_token[i] for i in ids.tolist()]
 
     def content_hash(self) -> str:
         return hashlib.sha256("\n".join(self.id_to_token).encode()).hexdigest()
@@ -330,7 +328,8 @@ class TaskDataset:
     """One split of one task in one language.
 
     seq_cls examples are (ids_a, ids_b, label); tagging examples are
-    (ids, tags) with tags aligned per token.
+    (ids, tags) with one tag per token. Ids are integers >= 0, and labels
+    and tags integers in [0, num_classes).
     """
 
     kind: str
@@ -340,13 +339,9 @@ class TaskDataset:
     num_classes: int
 
     def label_counts(self) -> Counter:
-        counts = Counter()
-        for ex in self.examples:
-            if self.kind == SEQ_CLS:
-                counts[ex[2]] += 1
-            else:
-                counts.update(int(t) for t in ex[1])
-        return counts
+        if self.kind == SEQ_CLS:
+            return Counter(ex[2] for ex in self.examples)
+        return Counter(int(t) for _, tags in self.examples for t in tags)
 
     def content_hash(self) -> str:
         h = hashlib.sha256()
@@ -379,20 +374,13 @@ def gen_seq_task(
              EQUAL: n_examples - 2 * per_class}
     pairs, labels = [], []  # pairs holds a, b of each accepted pair in turn
     attempts = 0
-    max_attempts = 200 * n_examples
     while sum(quota.values()) > 0:
         attempts += 1
-        if attempts > max_attempts:
-            raise ConfigError(
-                "degenerate corpus: cannot balance length-relation classes")
+        if attempts > 200 * n_examples:
+            raise ConfigError("degenerate corpus: cannot balance length-relation classes")
         i, j = rng.integers(len(base_ids)), rng.integers(len(base_ids))
         a, b = base_ids[int(i)], base_ids[int(j)]
-        if len(a) > len(b):
-            label = FIRST_LONGER
-        elif len(a) < len(b):
-            label = SECOND_LONGER
-        else:
-            label = EQUAL
+        label = FIRST_LONGER if len(a) > len(b) else SECOND_LONGER if len(a) < len(b) else EQUAL
         if quota[label] == 0:
             continue
         quota[label] -= 1
@@ -438,89 +426,63 @@ def gen_tag_task(
     return TaskDataset(TAGGING, spec.code, split, examples, n_tags)
 
 
-# --- on-disk formats ----------------------------------------------------------------
+# --- on-disk format ---------------------------------------------------------------
 
 
-def save_task_dataset(dataset: TaskDataset, vocab: Vocab, path) -> None:
-    """Write a dataset as text; every example is checked before the file is opened.
+def save_task_dataset(dataset: TaskDataset, path) -> None:
+    """Write a dataset as one JSON object of its fields, each example lists of ints.
 
-    An id outside the vocabulary, and a tagging example with no tokens (it
-    would be a blank line, which the loader skips) or with another number of
-    tags than tokens, raise ``ContractError``.
+    The loader's check runs before the file is opened, so a dataset the
+    loader would refuse raises ``ContractError`` and writes nothing.
     """
-    lines = []
-    if dataset.kind == SEQ_CLS:
-        for a, b, label in dataset.examples:
-            lines.append(f"{label}\t{' '.join(vocab.decode(a))}\t{' '.join(vocab.decode(b))}\n")
-    else:
-        for i, (ids, tags) in enumerate(dataset.examples):
-            if len(ids) == 0 or len(tags) != len(ids):
-                raise ContractError(f"tagging example {i} has {len(ids)} tokens and "
-                                    f"{len(tags)} tags; it needs one tag per token, "
-                                    f"at least one")
-            lines.extend(f"{token}\t{int(tag)}\n" for token, tag in zip(vocab.decode(ids), tags))
-            lines.append("\n")
+    try:
+        plain = replace(dataset, examples=[[np.asarray(part).tolist() for part in ex]
+                                           for ex in dataset.examples])
+        _checked(plain)
+    except (TypeError, ValueError) as exc:  # TypeError: an example that is not a sequence
+        raise ContractError(f"cannot save {path}: {exc}") from None
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(lines)
+        json.dump(vars(plain), fh)
 
 
-def load_task_dataset(path, vocab: Vocab, kind: str, language: str, split: str,
-                      num_classes: int) -> TaskDataset:
-    """Read a dataset written by ``save_task_dataset``.
+def load_task_dataset(path) -> TaskDataset:
+    """Read a dataset file; any flaw raises ``MissingArtifactError`` naming the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return _checked(TaskDataset(**json.load(fh)))
+    except (OSError, TypeError, ValueError) as exc:  # TypeError: not an object of the fields
+        raise MissingArtifactError(f"{path}: not a task dataset file: {exc}") from exc
 
-    A line that does not parse, or whose label or tag lies outside
-    [0, num_classes), raises ``MissingArtifactError`` naming the line.
+
+def _checked(dataset: TaskDataset) -> TaskDataset:
+    """A dataset read from JSON, with int64 arrays, if it is as ``TaskDataset`` describes.
+
+    Bools and floats are refused; the first flaw raises ``ValueError``.
     """
+    kind, n = dataset.kind, dataset.num_classes
     if kind not in (SEQ_CLS, TAGGING):
-        raise ConfigError(f"unknown dataset kind {kind!r}, expected {SEQ_CLS!r} or {TAGGING!r}")
-    classes = f"in [0, {num_classes})"
+        raise ValueError(f"unknown dataset kind {kind!r}")
+    if type(dataset.language) is not str or type(dataset.split) is not str:
+        raise ValueError("language and split must be strings")
+    require_int("num_classes", n, 1, ValueError)
+    if type(dataset.examples) is not list:
+        raise ValueError("examples must be a list")
     examples = []
-    with open(path, encoding="utf-8") as fh:
+    for i, ex in enumerate(dataset.examples):
+        if type(ex) is not list or len(ex) != (3 if kind == SEQ_CLS else 2):
+            raise ValueError(f"example {i} is not [ids, ids, label] or [ids, tags] as {kind} needs")
         if kind == SEQ_CLS:
-            for lineno, line in enumerate(fh, 1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                try:
-                    label, a, b = line.split("\t")
-                    label = _class_id(label, num_classes)
-                except ValueError:
-                    raise _bad_line(path, lineno, f"label<TAB>sentence<TAB>sentence, "
-                                                  f"the label {classes}") from None
-                examples.append((
-                    np.asarray(vocab.encode(a.split()), dtype=np.int64),
-                    np.asarray(vocab.encode(b.split()), dtype=np.int64),
-                    label,
-                ))
+            examples.append((_ints(i, ex[0]), _ints(i, ex[1]), int(_ints(i, ex[2:], n)[0])))
         else:
-            ids, tags = [], []
-            for lineno, line in enumerate(fh, 1):
-                line = line.rstrip("\n")
-                if not line:
-                    if ids:
-                        examples.append((np.asarray(ids, dtype=np.int64),
-                                         np.asarray(tags, dtype=np.int64)))
-                        ids, tags = [], []
-                    continue
-                try:
-                    token, tag = line.split("\t")
-                    tags.append(_class_id(tag, num_classes))
-                except ValueError:
-                    raise _bad_line(path, lineno, f"token<TAB>tag, the tag {classes}") from None
-                ids.append(vocab.token_to_id.get(token, UNK))
-            if ids:
-                examples.append((np.asarray(ids, dtype=np.int64),
-                                 np.asarray(tags, dtype=np.int64)))
-    return TaskDataset(kind, language, split, examples, num_classes)
+            ids, tags = _ints(i, ex[0]), _ints(i, ex[1], n)
+            if ids.size != tags.size:
+                raise ValueError(f"example {i} has {ids.size} tokens and {tags.size} tags")
+            examples.append((ids, tags))
+    return replace(dataset, examples=examples)
 
 
-def _class_id(text: str, num_classes: int) -> int:
-    """``text`` as an integer in [0, num_classes); ``ValueError`` otherwise."""
-    label = int(text)
-    if not 0 <= label < num_classes:
-        raise ValueError(label)
-    return label
-
-
-def _bad_line(path, lineno: int, expected: str) -> MissingArtifactError:
-    return MissingArtifactError(f"{path}: line {lineno} is not {expected}")
+def _ints(i: int, values, high: int = 2**63) -> np.ndarray:
+    """``values`` as int64 if it is a list of integers in [0, high), else ``ValueError``."""
+    if type(values) is not list or any(type(v) is not int or not 0 <= v < high for v in values):
+        raise ValueError(f"example {i}: {str(values)[:40]} is not a list of ints in [0, {high})")
+    return np.array(values, dtype=np.int64)

@@ -228,6 +228,14 @@ def test_attention_refuses_mismatched_inputs():
         attention(x, x, x, KEY_BIAS, 3)  # 4 is not divisible into 3 heads
 
 
+@pytest.mark.parametrize("shape", [(2, 1, 1, 4), (3, 1, 1, 3), (2, 2, 3, 3, 3)])
+def test_attention_refuses_a_key_bias_that_does_not_broadcast_to_the_scores(shape):
+    x = Tensor(np.zeros((2, 3, 4)))  # [2, 2 heads, 3, 3] scores
+    with pytest.raises(ShapeError, match="key_bias"):
+        attention(x, x, x, np.zeros(shape), 2)
+    assert attention(x, x, x, np.zeros((2, 1, 1, 3)), 2).shape == (2, 3, 4)
+
+
 # --- cosine_sq_rows ----------------------------------------------------------
 
 

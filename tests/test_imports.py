@@ -6,10 +6,14 @@ imported name counts as used when it appears anywhere in the module's code
 module exports through ``__all__`` are exempt. A name a module defines at
 top level counts as read when a bare name or an attribute of that name is
 loaded outside its own definition: a private name (``_helper``) in its own
-module, a public one anywhere under ``src``, ``tests`` or ``perfbench``.
+module, a public one anywhere under ``src``, ``tests`` or ``perfbench``. A
+method or dataclass field of a top-level class counts as read when an
+attribute of its name is loaded, or a keyword of its name passed, anywhere
+there outside its own definition; dunder methods are exempt.
 """
 
 import ast
+from collections import Counter
 from functools import cache
 from pathlib import Path
 
@@ -113,3 +117,71 @@ def test_package_module_has_no_orphaned_name(module):
     path = PACKAGE / module
     elsewhere = set().union(*(reads_of(p) for p in READERS if p != path))
     assert orphaned_names(path.read_text(encoding="utf-8"), elsewhere) == []
+
+
+def member_reads(node: ast.AST) -> Counter:
+    """How often each attribute name is loaded, or passed as a keyword, in ``node``."""
+    return Counter(sub.attr if isinstance(sub, ast.Attribute) else sub.arg
+                   for sub in ast.walk(node)
+                   if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+                   or isinstance(sub, ast.keyword) and sub.arg)
+
+
+def orphaned_members(source: str, read_elsewhere: set[str]) -> list[str]:
+    """``Class.member`` for each method or dataclass field that nothing reads.
+
+    A member is read in ``source`` outside its own definition, or in
+    ``read_elsewhere``. A store (``self.count += 1``) is not a read.
+    """
+    tree = ast.parse(source)
+    reads = member_reads(tree)
+    orphans = []
+    for cls in (stmt for stmt in tree.body if isinstance(stmt, ast.ClassDef)):
+        dataclass = any(isinstance(d, ast.Name) and d.id == "dataclass"
+                        or isinstance(d, ast.Call) and getattr(d.func, "id", "") == "dataclass"
+                        for d in cls.decorator_list)
+        for stmt in cls.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = stmt.name
+            elif (dataclass and isinstance(stmt, ast.AnnAssign)
+                  and isinstance(stmt.target, ast.Name)):
+                name = stmt.target.id
+            else:
+                continue
+            if (not name.startswith("__") and name not in read_elsewhere
+                    and reads[name] == member_reads(stmt)[name]):
+                orphans.append(f"{cls.name}.{name}")
+    return orphans
+
+
+@cache
+def member_reads_of(path: Path) -> set[str]:
+    return set(member_reads(ast.parse(path.read_text(encoding="utf-8"))))
+
+
+def test_checker_finds_an_orphaned_member():
+    source = ("from dataclasses import dataclass\n"
+              "@dataclass(frozen=True)\n"
+              "class Stats:\n"
+              "    steps: int = 0\n"
+              "    skipped: int = 0\n"
+              "    losses: list = None\n"
+              "    def __post_init__(self):\n"
+              "        self.skipped += 1\n"  # a store, not a read
+              "    def total(self):\n"
+              "        return self.total() if self.steps else 0\n"  # only its own body reads it
+              "    def mean(self):\n"
+              "        return self.losses\n"
+              "class Plain:\n"
+              "    limit: int = 3\n"  # not a dataclass, so no field
+              "    def run(self):\n"
+              "        return Stats(steps=1).mean()\n")
+    assert orphaned_members(source, {"run"}) == ["Stats.skipped", "Stats.total"]
+    assert orphaned_members(source, {"total"}) == ["Stats.skipped", "Plain.run"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_package_module_has_no_orphaned_member(module):
+    path = PACKAGE / module
+    elsewhere = set().union(*(member_reads_of(p) for p in READERS if p != path))
+    assert orphaned_members(path.read_text(encoding="utf-8"), elsewhere) == []

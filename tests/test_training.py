@@ -20,6 +20,7 @@ from adapterlab.encoder import Encoder, EncoderConfig
 from adapterlab.errors import ConfigError, EmptyLossError, MissingArtifactError, NumericError
 from adapterlab.objectives import MaskingPolicy, labelled_rows, mlm_loss
 from adapterlab.synthlang import (
+    UNK,
     SyntheticLanguageSpec,
     TaskDataset,
     build_vocab,
@@ -344,6 +345,25 @@ def test_unlabelled_mlm_batch_raises_empty_loss(monkeypatch, tie_mlm):
     cfg = PhaseConfig(phase=PHASE_FULL, main_loss="mlm", steps=2, batch_size=4)
     with pytest.raises(EmptyLossError):
         pretrain_backbone(enc, corpus, cfg)
+
+
+def test_skipped_sequences_count_the_drawn_sentences_with_no_maskable_token(monkeypatch):
+    vocab, corpus = setup_bed()
+    corpus = corpus[:6] + [np.array([], dtype=np.int64), np.array([UNK, UNK])]  # reserved only
+    drawn = []
+
+    def recording_batch(corpus, picks, policy, rng):
+        drawn.extend(picks.tolist())
+        return make_mlm_batch(corpus, picks, policy, rng)
+
+    monkeypatch.setattr(training, "make_mlm_batch", recording_batch)
+    enc = Encoder(EncoderConfig(vocab=vocab.size, num_layers=1, hidden=16, num_heads=2,
+                                ffn=24, max_len=32, dropout=0.0), seed=0)
+    cfg = PhaseConfig(phase=PHASE_FULL, main_loss="mlm", steps=6, batch_size=4, seed=2)
+    stats = pretrain_backbone(enc, corpus, cfg)
+    skipped = sum(i >= 6 for i in drawn)
+    assert len(drawn) == 24 and 0 < skipped < 24
+    assert stats.skipped_sequences == skipped
 
 
 def test_batch_builders():
