@@ -7,9 +7,9 @@ nothing persists across iterations except parameter tensors and their
 (additively accumulated) ``grad`` buffers.
 
 Only work some later step reads is done. An op records a node only when a
-parent requires a gradient, and inside a ``no_grad`` block it records none:
-it returns a constant. A backward rule computes the gradient of each parent
-that requires one and skips the rest (frozen weights, constant operands).
+parent requires a gradient, else it returns a constant: the freeze flag
+``requires_grad`` is the one graph switch. A backward rule computes the
+gradient of each parent that requires one and skips the rest.
 Ops that the encoder would otherwise chain are fused into one node each,
 with the chain's arithmetic in its order: ``linear`` is ``x @ w + b`` (and
 ``matmul`` is ``linear`` without a bias), ``layer_norm`` normalises the
@@ -25,7 +25,6 @@ so values and gradients are bit for bit those of the out-of-place chain.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
@@ -119,28 +118,9 @@ def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-_recording = True
-
-
-@contextmanager
-def no_grad():
-    """Within the block every op returns a constant: no parents, no backward.
-
-    The previous state comes back on exit, also when the block raises, so
-    blocks nest.
-    """
-    global _recording
-    previous = _recording
-    _recording = False
-    try:
-        yield
-    finally:
-        _recording = previous
-
-
 def _node(values: Array, parents: Sequence[Tensor], backward) -> Tensor:
     out = Tensor(values)
-    if _recording and any(p.requires_grad for p in parents):
+    if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward

@@ -1,16 +1,17 @@
 """Checkpoint and adapter container files.
 
-One file = a JSON manifest line (format version, configs, seed, array
-directory) + NUL separator + the raw little-endian float64 bytes of every
-named array in declaration order. Raw bytes make the round-trip bit-exact.
-A write goes to a temporary file beside the target and is renamed over it,
-so a write that fails partway leaves any earlier file at the path whole.
-Both kinds of file lay a slot out by ``adapters.slot_arrays`` and
-``adapters.slot_config``, and a loader copies a file's slot into an
-``adapters.zero_slot``. A read refuses a header that is not UTF-8 JSON,
-lacks a key it needs, holds a container of the wrong type, a config entry
-its class does not take or refuses (``num_heads: 0``) or, in a checkpoint,
-of another slot kind, a non-integer count, seed or array dimension, an
+One file = a JSON manifest line (format version, configs, a checkpoint's
+seed, array directory) + NUL separator + the raw little-endian float64
+bytes of every named array in declaration order. Raw bytes make the
+round-trip bit-exact. A write goes to a temporary file beside the target
+and is renamed over it, so a write that fails partway leaves any earlier
+file at the path whole. Both kinds of file lay a slot out by
+``adapters.slot_arrays`` and ``adapters.slot_config``, and a loader copies
+a file's slot into an ``adapters.zero_slot``. A read refuses a path it
+cannot read (absent, a directory), a header that is not UTF-8 JSON, lacks
+a key it needs, holds a container of the wrong type, a config entry its
+class does not take or refuses (``num_heads: 0``) or, in a checkpoint, of
+another slot kind, a non-integer count, seed or array dimension, an
 unknown head, or an array directory that names one array twice, and a body
 that does not hold exactly the bytes its array directory lists. Next,
 before building anything, ``_check_claims`` refuses a header count no array
@@ -63,10 +64,10 @@ def _write_container(path, manifest: dict, arrays: list[tuple[str, Tensor]]) -> 
 
 def _read_container(path) -> tuple[dict, dict[str, tuple[int, ...]], bytes]:
     """The header, its array directory (name -> shape) and the array bytes."""
-    path = Path(path)
-    if not path.exists():
-        raise MissingArtifactError(f"no such checkpoint or adapter file: {path}")
-    raw = path.read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:  # absent, a directory, unreadable
+        raise MissingArtifactError(f"{path}: not a readable container file: {exc}") from exc
     head, _, body = raw.partition(_SEP)
     try:
         manifest = json.loads(head.decode("utf-8"))
@@ -208,11 +209,10 @@ def load_checkpoint(path) -> tuple[Encoder, AdapterStack | None, dict]:
     return encoder, stack, manifest
 
 
-def save_adapter(path, weights: list, seed: int = 0, language: str | None = None) -> None:
+def save_adapter(path, weights: list, language: str | None = None) -> None:
     """Standalone adapter file of a slot: one (w_down, w_up) pair per layer."""
     manifest = {
         "kind": "adapter",
-        "seed": seed,
         "language": language,
         "adapter_config": dataclasses.asdict(slot_config(weights)),
         "num_layers": len(weights),

@@ -1,4 +1,7 @@
-"""Central finite-difference verification of analytic gradients."""
+"""Central finite-difference verification of analytic gradients.
+
+The freeze flag is the one graph switch: perturbed evaluations run frozen.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +10,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor, no_grad
+from .autodiff import Tensor
 from .errors import NumericError, ShapeError
 
 STEP = 1e-5  # each input coordinate moves by this much each way
@@ -21,7 +24,7 @@ def grad_check(
 
     ``f`` must map the given tensors to a differentiable scalar. Returns the
     maximum over all coordinates of |analytic - numeric| / max(1, |numeric|).
-    The perturbed evaluations only read values, so they record no graph.
+    After the backward the inputs are frozen, each keeping its gradient in ``grad``.
     """
     for t in inputs:
         t.requires_grad = True
@@ -32,20 +35,19 @@ def grad_check(
     if not math.isfinite(out.item()):
         raise NumericError("grad_check: function value is non-finite at the base point")
     out.backward()
-    analytic = [
-        t.grad.copy() if t.grad is not None else np.zeros_like(t.values) for t in inputs
-    ]
+    for t in inputs:
+        t.requires_grad = False  # so the perturbed evaluations record no graph
+    analytic = [t.grad if t.grad is not None else np.zeros_like(t.values) for t in inputs]
 
     worst = 0.0
     for idx, t in enumerate(inputs):
         flat = t.values.reshape(-1)
         for k in range(flat.size):
             orig = flat[k]
-            with no_grad():
-                flat[k] = orig + STEP
-                up = f(inputs).item()
-                flat[k] = orig - STEP
-                down = f(inputs).item()
+            flat[k] = orig + STEP
+            up = f(inputs).item()
+            flat[k] = orig - STEP
+            down = f(inputs).item()
             flat[k] = orig
             if not (math.isfinite(up) and math.isfinite(down)):
                 raise NumericError(

@@ -4,19 +4,19 @@ Each iteration takes one batch and runs the main-loss step (forward, then a
 descent step: backward, clip, Adam A). With the orthogonality loss on, every
 ``alternation_k``-th iteration then runs a fresh forward on the same batch
 and an ortho step: the same descent step on the orthogonality loss, under
-Adam B, over the target slot's weights only. That forward records no graph
-(``no_grad``): the ortho loss recomputes each slot output from the slot's
-recorded input and live weights, so only that recompute is differentiated.
+Adam B, over the target slot's weights only. That forward runs frozen, so
+it records no graph: the ortho loss recomputes each slot output from the
+slot's recorded input and live weights and differentiates only that.
 The ortho loss is never added to the main loss, and the two optimizers
 never share moment buffers.
 
 What a phase trains is decided in one place, ``trainable_names``, and each
 slot weight it trains must be the very tensor the stack it runs holds. A
 weight is frozen until a phase trains it, and frozen again when the phase
-ends, returning or raising, so an encode outside a phase records no
-graph. A task phase runs on a stack with or without a language slot: the
-stacked (MAD-X) and the task-adapter-only configurations differ only in the
-stack the caller builds.
+ends, returning or raising. The freeze flag is the one graph switch, so an
+encode outside a phase records no graph. A task phase runs on a stack with
+or without a language slot: the stacked (MAD-X) and the task-adapter-only
+configurations differ only in the stack the caller builds.
 
 Every descent step clips the global gradient norm to ``CLIP_NORM``. A run
 manifest, written before step 0, is one JSON object of strings.
@@ -41,7 +41,7 @@ from .adapters import (
     AdapterStack,
     slot_arrays,
 )
-from .autodiff import IGNORE_LABEL, Tensor, no_grad
+from .autodiff import IGNORE_LABEL, Tensor
 from .encoder import Encoder
 from .errors import ConfigError, MissingArtifactError, NumericError, require_int, require_real
 from .objectives import (
@@ -295,9 +295,11 @@ def run_phase(
                 f"{step}\t{cfg.phase}\t{cfg.main_loss}\t{value!r}\t-\t{norm!r}")
 
             if opt_ortho is not None and (step + 1) % cfg.alternation_k == 0:
-                # fresh forward on the same batch: the main step just moved the weights
-                with no_grad():  # ortho_loss differentiates its own recompute only
-                    _, acts = encoder.encode(ids, mask, stack=stack, rng=drop_rng)
+                # fresh forward on the same batch (the main step just moved the weights),
+                # frozen so it records nothing: ortho_loss differentiates its own recompute
+                encoder.params.set_trainable(())
+                _, acts = encoder.encode(ids, mask, stack=stack, rng=drop_rng)
+                encoder.params.set_trainable(trainable)
                 report = ortho_loss(acts, cfg.slot(), mask)
                 total, norm = _descend(report.loss, opt_ortho, "ortho", step)
                 stats.ortho_totals.append(total)
@@ -361,7 +363,7 @@ def read_run_manifest(path) -> dict[str, str]:
     try:
         with open(path, encoding="utf-8") as fh:
             entries = json.load(fh)
-    except (FileNotFoundError, ValueError) as exc:  # ValueError: not UTF-8, not JSON
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, not JSON
         raise MissingArtifactError(f"{path}: no readable run manifest: {exc}") from exc
     if type(entries) is not dict or any(type(v) is not str for v in entries.values()):
         raise MissingArtifactError(f"{path}: run manifest is not a JSON object of strings")

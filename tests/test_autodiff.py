@@ -18,7 +18,6 @@ from adapterlab.autodiff import (
     linear,
     matmul,
     mul,
-    no_grad,
     relu,
     reshape,
     select_token,
@@ -604,46 +603,7 @@ def test_gradients_accumulate_across_uses():
     np.testing.assert_allclose(x.grad, [14.0])
 
 
-# --- no_grad and frozen operands ------------------------------------------------
-
-
-def test_no_grad_ops_return_constants():
-    r = rng(30)
-    x = Tensor(r.normal(size=(2, 3)), requires_grad=True)
-    w = Tensor(r.normal(size=(3, 3)), requires_grad=True)
-    gain = Tensor(np.ones(3), requires_grad=True)
-    bias = Tensor(np.zeros(3), requires_grad=True)
-    ops = (lambda: matmul(x, w), lambda: add(x, bias), lambda: mul(x, 2.0),
-           lambda: relu(x), lambda: layer_norm(x, x, gain, bias),
-           lambda: linear(x, w, bias),
-           lambda: cosine_sq_rows(x, x), lambda: softmax_rows(x),
-           lambda: embedding_lookup(w, np.array([0, 2])),
-           lambda: cross_entropy(x, np.array([0, 1])))
-    with no_grad():
-        constants = [op() for op in ops]
-    for op, const in zip(ops, constants):
-        assert not const.requires_grad
-        assert const._backward is None and const._parents == ()
-        recorded = op()  # recording again after the block, same values
-        assert recorded.requires_grad and recorded._backward is not None
-        assert recorded.values.tobytes() == const.values.tobytes()
-
-
-def test_no_grad_nests_and_restores_on_error():
-    x = Tensor([1.0, 2.0], requires_grad=True)
-
-    def records():
-        return relu(x).requires_grad
-
-    with no_grad():
-        with no_grad():
-            assert not records()
-        assert not records()  # leaving the inner block keeps the outer state
-    assert records()
-    with pytest.raises(ShapeError):
-        with no_grad():
-            matmul(x, x)  # 1-d operands
-    assert records()
+# --- frozen operands --------------------------------------------------------
 
 
 # each multi-operand op, with operands shaped as the encoder uses them: an

@@ -197,20 +197,27 @@ def test_checkpoint_without_stack(tmp_path):
 
 
 def test_missing_checkpoint_raises(tmp_path):
-    with pytest.raises(MissingArtifactError):
-        load_checkpoint(tmp_path / "nope.ckpt")
+    (tmp_path / "dir.ckpt").mkdir()
+    for load in (load_checkpoint, load_adapter):
+        for name in ("nope.ckpt", "dir.ckpt"):  # absent, and a directory
+            with pytest.raises(MissingArtifactError, match=name):
+                load(tmp_path / name)
 
 
 def test_adapter_file_roundtrip_and_cross_run_swap(tmp_path):
     enc, stack = build_model(seed=0)
     path = tmp_path / "lang.adapter"
-    save_adapter(path, stack.lang, seed=5, language="tgt")
+    save_adapter(path, stack.lang, language="tgt")
     config, pairs, manifest = load_adapter(path)
     assert manifest["language"] == "tgt"
+    assert "seed" not in manifest  # nothing reads one, so an adapter file holds none
     assert config == stack.lang[0].config
     for w, (down, up) in zip(stack.lang, pairs):
         assert down.tobytes() == w.w_down.values.tobytes()
         assert up.tobytes() == w.w_up.values.tobytes()
+    head, _, body = path.read_bytes().partition(b"\x00")
+    path.write_bytes(json.dumps({**json.loads(head), "seed": 0}).encode() + b"\x00" + body)
+    assert load_adapter(path)[0] == config  # a file that still holds a seed loads
 
     # adapter trained in run A drops into run B's model
     enc_b, stack_b = build_model(seed=9)

@@ -45,6 +45,8 @@ def test_perturbed_evaluations_record_no_graph():
 
     grad_check(f, [x])
     assert recorded == [True] + [False] * 4  # the base point, then two per coordinate
+    assert not x.requires_grad  # left frozen, with its analytic gradient
+    np.testing.assert_array_equal(x.grad, [2.0, 4.0])
 
 
 def test_rejects_non_scalar_function():

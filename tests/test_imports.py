@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used, and every name it defines is read.
+"""Every name a module of the package imports is used, every name it defines is read,
+and no module rebinds a global.
 
 Stdlib stand-ins for a linter's unused-import and dead-code rules. An
 imported name counts as used when it appears anywhere in the module's code
@@ -9,7 +10,9 @@ loaded outside its own definition: a private name (``_helper``) in its own
 module, a public one anywhere under ``src``, ``tests`` or ``perfbench``. A
 method or dataclass field of a top-level class counts as read when an
 attribute of its name is loaded, or a keyword of its name passed, anywhere
-there outside its own definition; dunder methods are exempt.
+there outside its own definition; dunder methods are exempt. A ``global``
+statement anywhere in a module is refused: state a function rebinds at
+module level is shared by every caller.
 """
 
 import ast
@@ -185,3 +188,32 @@ def test_package_module_has_no_orphaned_member(module):
     path = PACKAGE / module
     elsewhere = set().union(*(member_reads_of(p) for p in READERS if p != path))
     assert orphaned_members(path.read_text(encoding="utf-8"), elsewhere) == []
+
+
+def global_statements(source: str) -> list[str]:
+    """``line N: global names`` for each ``global`` statement, at any depth."""
+    return [f"line {node.lineno}: global {', '.join(node.names)}"
+            for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Global)]
+
+
+def test_checker_finds_a_global_statement():
+    source = ("_count = 0\n"
+              "def bump():\n"
+              "    global _count\n"
+              "    _count += 1\n"
+              "class Box:\n"
+              "    def set(self):\n"
+              "        global _a, _b\n"
+              "        _a = _b = 1\n"
+              "def read():\n"
+              "    total = _count\n"
+              "    def inner():\n"
+              "        nonlocal total\n"  # a closure's rebind is not module state
+              "        total += 1\n"
+              "    return total\n")
+    assert global_statements(source) == ["line 3: global _count", "line 7: global _a, _b"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_package_module_has_no_global_statement(module):
+    assert global_statements((PACKAGE / module).read_text(encoding="utf-8")) == []

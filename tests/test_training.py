@@ -15,7 +15,7 @@ from adapterlab.adapters import (
     AdapterStack,
     init_adapter_stack_slot,
 )
-from adapterlab.autodiff import IGNORE_LABEL, no_grad
+from adapterlab.autodiff import IGNORE_LABEL
 from adapterlab.encoder import Encoder, EncoderConfig
 from adapterlab.errors import ConfigError, EmptyLossError, MissingArtifactError, NumericError
 from adapterlab.objectives import MaskingPolicy, labelled_rows, mlm_loss
@@ -299,12 +299,27 @@ def test_a_finished_phase_leaves_every_weight_frozen(monkeypatch, phase):
     assert recorded == []
 
 
-def test_a_phase_that_raises_leaves_every_weight_frozen(monkeypatch):
+@pytest.mark.parametrize("where", ["main_step", "ortho_encode"])
+def test_a_phase_that_raises_leaves_every_weight_frozen(monkeypatch, where):
     vocab, corpus = setup_bed()
     enc, stack = fresh_model(vocab, task=False)
-    stack.lang[1].w_up.values[0, 0] = np.nan
-    cfg = PhaseConfig(phase=PHASE_LANG, main_loss="mlm", steps=2, batch_size=4)
-    with pytest.raises(NumericError):
+    if where == "main_step":
+        stack.lang[1].w_up.values[0, 0] = np.nan
+        match = "non-finite mlm loss"
+    else:
+        encode, calls = Encoder.encode, []
+
+        def encode_failing_second(self, *args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:  # step 0's ortho re-encode, between two set_trainable calls
+                raise NumericError("ortho re-encode failed")
+            return encode(self, *args, **kwargs)
+
+        monkeypatch.setattr(Encoder, "encode", encode_failing_second)
+        match = "ortho re-encode failed"
+    cfg = PhaseConfig(phase=PHASE_LANG, main_loss="mlm", ortho=where == "ortho_encode",
+                      steps=2, batch_size=4)
+    with pytest.raises(NumericError, match=match):
         train_language_adapter(enc, stack, corpus, cfg)
     assert [n for n, t in enc.params.items() if t.requires_grad] == []
     recorded = count_recorded_nodes(monkeypatch)
@@ -505,10 +520,9 @@ def _mean_masked_loss(enc, batches):
     """Mean cross-entropy over every labelled position of the set (forward only)."""
     total = count = 0
     for ids, mask, labels in batches:
-        with no_grad():
-            states, _ = enc.encode(ids, mask)
-            rows, targets = labelled_rows(states, labels)
-            loss = mlm_loss(enc.mlm_logits(rows), targets).item()
+        states, _ = enc.encode(ids, mask)
+        rows, targets = labelled_rows(states, labels)
+        loss = mlm_loss(enc.mlm_logits(rows), targets).item()
         total += loss * targets.size
         count += targets.size
     return total / count
@@ -624,14 +638,16 @@ def test_run_manifest_keys_that_collide_as_strings_are_refused(tmp_path):
 
 
 @pytest.mark.parametrize("content", [
-    None, b"\xff\xfe{}", b"", b"seed=3\n", b'{"seed": "3"}\nseed=9\n', b'["seed"]',
-    b'{"seed": 3}',
-], ids=["missing", "not_utf8", "empty", "key_value_line", "trailing_line", "list",
-        "number_value"])
+    None, "directory", b"\xff\xfe{}", b"", b"seed=3\n", b'{"seed": "3"}\nseed=9\n',
+    b'["seed"]', b'{"seed": 3}',
+], ids=["missing", "directory", "not_utf8", "empty", "key_value_line", "trailing_line",
+        "list", "number_value"])
 def test_unreadable_run_manifest_is_refused(tmp_path, content):
     path = tmp_path / "run.manifest"
-    if content is not None:
+    if isinstance(content, bytes):
         path.write_bytes(content)
+    elif content == "directory":
+        path.mkdir()
     with pytest.raises(MissingArtifactError, match="run manifest"):
         read_run_manifest(path)
 
