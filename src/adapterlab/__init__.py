@@ -1,7 +1,6 @@
 """Desk-scale lab for orthogonal language/task adapters and zero-shot transfer."""
 
-from .autodiff import Tensor
+from .autodiff import Tensor, grad_check
 from .optim import Adam, ParamSet, clip_grad_norm
-from .gradcheck import grad_check
 
 __all__ = ["Tensor", "Adam", "ParamSet", "clip_grad_norm", "grad_check"]

@@ -10,6 +10,8 @@ Only work some later step reads is done. An op records a node only when a
 parent requires a gradient, else it returns a constant: the freeze flag
 ``requires_grad`` is the one graph switch. A backward rule computes the
 gradient of each parent that requires one and skips the rest.
+``grad_check`` compares a backward against central differences; its
+perturbed evaluations run frozen.
 Ops that the encoder would otherwise chain are fused into one node each,
 with the chain's arithmetic in its order: ``linear`` is ``x @ w + b`` (and
 ``matmul`` is ``linear`` without a bias), ``layer_norm`` normalises the
@@ -25,11 +27,12 @@ so values and gradients are bit for bit those of the out-of-place chain.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ContractError, EmptyLossError, ShapeError
+from .errors import ContractError, EmptyLossError, NumericError, ShapeError
 
 Array = np.ndarray
 COSINE_EPS = 1e-12  # added to each squared norm in ``cosine_sq_rows``
@@ -491,3 +494,52 @@ def cross_entropy(logits: Tensor, labels: Array) -> Tensor:
         return ((logits, probs),)
 
     return _node(values, (logits,), backward)
+
+
+STEP = 1e-5  # each input coordinate moves by this much each way
+
+
+def grad_check(
+    f: Callable[[Sequence[Tensor]], Tensor],
+    inputs: Sequence[Tensor],
+) -> float:
+    """Compare the backward pass of ``f`` against central differences.
+
+    ``f`` must map the given tensors to a differentiable scalar. Returns the
+    maximum over all coordinates of |analytic - numeric| / max(1, |numeric|).
+    The inputs end frozen, returning or raising, each keeping its gradient in ``grad``.
+    """
+    for t in inputs:
+        t.requires_grad = True
+        t.grad = None
+    try:
+        out = f(inputs)
+        if out.shape != ():
+            raise ShapeError(f"grad_check needs a scalar function, got shape {out.shape}")
+        if not math.isfinite(out.item()):
+            raise NumericError("grad_check: function value is non-finite at the base point")
+        out.backward()
+    finally:
+        for t in inputs:
+            t.requires_grad = False  # so the perturbed evaluations record no graph
+    analytic = [t.grad if t.grad is not None else np.zeros_like(t.values) for t in inputs]
+
+    worst = 0.0
+    for idx, t in enumerate(inputs):
+        flat = t.values.reshape(-1)
+        for k in range(flat.size):
+            orig = flat[k]
+            flat[k] = orig + STEP
+            up = f(inputs).item()
+            flat[k] = orig - STEP
+            down = f(inputs).item()
+            flat[k] = orig
+            if not (math.isfinite(up) and math.isfinite(down)):
+                raise NumericError(
+                    f"grad_check: non-finite value perturbing input {idx} coordinate {k}"
+                )
+            numeric = (up - down) / (2.0 * STEP)
+            a = analytic[idx].reshape(-1)[k]
+            err = abs(a - numeric) / max(1.0, abs(numeric))
+            worst = max(worst, err)
+    return worst

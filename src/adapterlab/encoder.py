@@ -153,11 +153,13 @@ class Encoder:
         """
         c = self.config
         p = self.params
-        ids = np.asarray(token_ids, dtype=np.int64)
+        ids = np.asarray(token_ids)
         mask = np.asarray(mask)
         if ids.ndim != 2 or mask.shape != ids.shape or ids.size == 0:
             raise ConfigError(f"ids {ids.shape} and mask {mask.shape} must both be "
                               f"[B, T] with B, T >= 1")
+        if ids.dtype.kind not in "iu":
+            raise ConfigError(f"token ids must be integers, got dtype {ids.dtype}")
         if not ((mask == 0) | (mask == 1)).all():
             raise ConfigError(f"mask entries must be 0 or 1, got {np.unique(mask)}")
         lo, hi = int(ids.min()), int(ids.max())

@@ -50,7 +50,7 @@ MASK_SPLIT = (0.8, 0.1, 0.1)
 class MaskingPolicy:
     """Masking over ``vocab`` ids, which bounds the random replacements."""
 
-    vocab: int = 0
+    vocab: int
 
     def __post_init__(self):
         if self.vocab <= FIRST_REGULAR:

@@ -194,14 +194,6 @@ def invert_language(spec: SyntheticLanguageSpec, token_ids, vocab_size: int):
     return np.argsort(spec.cipher(vocab_size))[undone]
 
 
-def language_overlap(a: SyntheticLanguageSpec, b: SyntheticLanguageSpec,
-                     vocab_size: int) -> float:
-    """Fraction of regular ids the two ciphers send to the same image."""
-    ca = a.cipher(vocab_size)[FIRST_REGULAR:]
-    cb = b.cipher(vocab_size)[FIRST_REGULAR:]
-    return float((ca == cb).mean())
-
-
 # --- corpora ---------------------------------------------------------------------
 
 _SYLLABLES = ("ba", "de", "fi", "go", "hu", "ka", "lo", "me", "ni", "po",

@@ -18,8 +18,9 @@ encode outside a phase records no graph. A task phase runs on a stack with
 or without a language slot: the stacked (MAD-X) and the task-adapter-only
 configurations differ only in the stack the caller builds.
 
-Every descent step clips the global gradient norm to ``CLIP_NORM``. A run
-manifest, written before step 0, is one JSON object of strings.
+Every descent step clips the global gradient norm to ``CLIP_NORM``. Adam A
+steps at ``MAIN_LR`` and Adam B at ``ORTHO_LR``. A run manifest, written
+before step 0, is one JSON object of strings.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .adapters import (
 )
 from .autodiff import IGNORE_LABEL, Tensor
 from .encoder import Encoder
-from .errors import ConfigError, MissingArtifactError, NumericError, require_int, require_real
+from .errors import ConfigError, MissingArtifactError, NumericError, require_int
 from .objectives import (
     MaskingPolicy,
     apply_masking,
@@ -57,6 +58,8 @@ from .optim import Adam, ParamSet, clip_grad_norm
 from .synthlang import CLS, PAD, SEP, TaskDataset
 
 CLIP_NORM = 1.0
+MAIN_LR = 1e-3
+ORTHO_LR = 1e-4
 # each main loss and the head it trains through, whose weights are named head.<head>.*
 LOSS_HEADS = {"mlm": "mlm", "seq_cls": "cls", "tagging": "tag"}
 MAIN_LOSSES = tuple(LOSS_HEADS)
@@ -80,8 +83,6 @@ class PhaseConfig:
     phase: str
     main_loss: str  # mlm | seq_cls | tagging
     ortho: bool = False
-    main_lr: float = 1e-3
-    ortho_lr: float = 1e-4
     steps: int = 200
     batch_size: int = 16
     alternation_k: int = 1
@@ -101,8 +102,6 @@ class PhaseConfig:
             raise ConfigError("full fine-tuning runs without the orthogonality loss")
         for name, least in (("steps", 1), ("batch_size", 1), ("alternation_k", 1), ("seed", 0)):
             require_int(name, getattr(self, name), least)
-        for name in ("main_lr", "ortho_lr"):
-            require_real(name, getattr(self, name), 0.0, math.inf, "()")
 
     def slot(self) -> str:
         """The adapter slot an adapter phase trains."""
@@ -273,11 +272,11 @@ def run_phase(
             raise ConfigError(f"phase {cfg.phase} trains the {kind} slot ({prefix}*), "
                               f"but the stack it runs does not hold those tensors")
     encoder.params.set_trainable(trainable)
-    opt_main = Adam(encoder.params, names=trainable, lr=cfg.main_lr)
+    opt_main = Adam(encoder.params, names=trainable, lr=MAIN_LR)
     opt_ortho = None
     if cfg.ortho:
         slot = [n for n in trainable if n.startswith(SLOT_PREFIX[cfg.slot()])]
-        opt_ortho = Adam(encoder.params, names=slot, lr=cfg.ortho_lr)
+        opt_ortho = Adam(encoder.params, names=slot, lr=ORTHO_LR)
 
     batches = _batches(cfg, encoder.config.vocab, corpus, dataset)
     drop_rng = np.random.default_rng([cfg.seed, 3])

@@ -324,6 +324,48 @@ def test_misshapen_slot_is_refused_and_never_written(drawn, data):
         assert list(Path(tmp).iterdir()) == []
 
 
+
+@st.composite
+def models(draw):
+    """A whole legal model: 1-3 layers, a head count dividing H, a tied or untied
+    MLM head, any subset of the cls and tag heads and of the two slots, and any
+    order of building those heads and registering the stack once."""
+    num_layers, hidden = draw(st.integers(1, 3)), draw(st.integers(2, 12))
+    num_heads = draw(st.sampled_from([n for n in range(1, hidden + 1) if hidden % n == 0]))
+    seed = draw(st.integers(0, 2**16))
+    enc = Encoder(EncoderConfig(vocab=12, num_layers=num_layers, hidden=hidden,
+                                num_heads=num_heads, ffn=6, max_len=6, dropout=0.0,
+                                tie_mlm=draw(st.booleans())), seed=seed)
+    stack = AdapterStack(num_layers)
+    r = np.random.default_rng(seed)
+    for kind in draw(st.lists(st.sampled_from([LANGUAGE, TASK]), unique=True)):
+        config = AdapterConfig(dim=draw(st.integers(1, hidden - 1)), kind=kind)
+        stack.fill(kind, init_adapter_stack_slot(config, hidden, num_layers, seed))
+        for w in stack.slot(kind):
+            w.w_up.values[...] = r.normal(size=w.w_up.shape)
+    heads = draw(st.lists(st.sampled_from(["cls", "tag"]), unique=True))
+    for part in draw(st.permutations(heads + ["stack"])):
+        if part == "cls":
+            enc.ensure_cls_head(draw(st.integers(1, 4)))
+        elif part == "tag":
+            enc.ensure_tag_head(draw(st.integers(1, 4)))
+        else:
+            stack.register(enc.params)
+    return enc, stack
+
+
+@settings(max_examples=150)
+@given(models())
+def test_any_legal_model_round_trips_bit_exact(drawn):
+    enc, stack = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "a.ckpt", Path(tmp) / "b.ckpt"
+        save_checkpoint(first, enc, stack)
+        loaded, loaded_stack, _ = load_checkpoint(first)
+        save_checkpoint(second, loaded, loaded_stack)
+        assert first.read_bytes() == second.read_bytes()
+    assert loaded.params.names() == enc.params.names()
+
 def test_adapter_file_arrays_its_header_does_not_cover_are_refused(tmp_path):
     enc, stack = build_model()
     path = tmp_path / "lang.adapter"

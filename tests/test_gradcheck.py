@@ -53,3 +53,15 @@ def test_rejects_non_scalar_function():
     x = Tensor(np.zeros(3))
     with pytest.raises(ShapeError):
         grad_check(lambda ts: mul(ts[0], 2.0), [x])
+
+
+@pytest.mark.parametrize("f, error", [
+    (lambda ts: mul(ts[0], 2.0), ShapeError),  # not a scalar
+    (lambda ts: tsum(mul(ts[0], np.inf)), NumericError),  # non-finite at the base point
+], ids=["non_scalar", "non_finite"])
+def test_inputs_left_frozen_when_the_check_raises(f, error):
+    x = Tensor(np.ones(3))
+    with pytest.raises(error):
+        grad_check(f, [x])
+    assert not x.requires_grad
+    assert not mul(x, 2.0).requires_grad  # so later ops on it record no graph

@@ -60,8 +60,8 @@ def test_exhaustive_masking(monkeypatch):
 
 
 def test_zero_mask_fraction_rejected():
-    with pytest.raises(ConfigError):  # the default vocab=0 leaves no regular ids
-        MaskingPolicy()
+    with pytest.raises(ConfigError):  # a vocab of reserved ids only leaves nothing to mask
+        MaskingPolicy(vocab=FIRST_REGULAR)
 
 
 def test_special_only_sequence_skipped_with_count():
