@@ -324,7 +324,6 @@ def test_misshapen_slot_is_refused_and_never_written(drawn, data):
         assert list(Path(tmp).iterdir()) == []
 
 
-
 @st.composite
 def models(draw):
     """A whole legal model: 1-3 layers, a head count dividing H, a tied or untied
@@ -365,6 +364,7 @@ def test_any_legal_model_round_trips_bit_exact(drawn):
         save_checkpoint(second, loaded, loaded_stack)
         assert first.read_bytes() == second.read_bytes()
     assert loaded.params.names() == enc.params.names()
+
 
 def test_adapter_file_arrays_its_header_does_not_cover_are_refused(tmp_path):
     enc, stack = build_model()

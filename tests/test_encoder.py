@@ -79,7 +79,6 @@ def test_mask_entries_other_than_zero_or_one_are_refused():
     enc.encode(ids, np.array([[True, True, True, False]]))  # a boolean mask is 0/1
 
 
-
 @pytest.mark.parametrize("bad", [[[2.7, 3.9]], [[True, False]]], ids=["float", "bool"])
 def test_token_ids_that_are_not_integers_are_refused(bad):
     # an int64 cast would read 2.7 as 2 and True as 1
@@ -98,6 +97,7 @@ def test_integer_ids_of_any_width_encode_alike(monkeypatch):
                         lambda table, ids: looked_up.append(ids) or real(table, ids))
     enc.encode(BATCH, MASK)
     assert looked_up[0] is BATCH  # int64 ids are used as given, not copied
+
 
 def test_encode_node_count_is_pinned(monkeypatch):
     # attention, each biased GEMM (linear) and each residual layer norm is one
