@@ -10,9 +10,10 @@ inserting one changes nothing until training moves it.
 
 A slot's shape and layout live here alone: ``zero_slot`` builds a slot's
 ``[H, dim]`` / ``[dim, H]`` tensors, ``slot_config`` checks that they fit one
-config and one H, and ``slot_arrays`` names them, in a ParamSet and in
-files. The training phase ids are named here too; which weights each phase
-trains is decided by ``training.trainable_names``.
+config and one H, ``slot_arrays`` names them, in a ParamSet and in files, and
+``check_registered`` requires a stack a phase runs or a checkpoint saves to
+be, slot for slot, the one registered. The training phase ids are named here
+too; which weights each phase trains is decided by ``training.trainable_names``.
 """
 
 from __future__ import annotations
@@ -141,7 +142,17 @@ class AdapterStack:
                 params.add(name, tensor)
 
 
-def swap_language_adapter(stack: AdapterStack, new_weights: list[tuple[np.ndarray, np.ndarray]]) -> AdapterStack:
+def check_registered(stack: AdapterStack | None, params: ParamSet) -> None:
+    """``ConfigError`` naming every slot of ``stack`` (``None`` has none) that does not
+    hold exactly the tensor objects ``params`` registers under the slot's prefix."""
+    differ = [f"the {kind} slot ({prefix}*)" for kind, prefix in SLOT_PREFIX.items()
+              if {n: id(t) for n, t in slot_arrays(stack and stack.slot(kind) or [], prefix)}
+              != {n: id(t) for n, t in params.items() if n.startswith(prefix)}]
+    if differ:
+        raise ConfigError("the stack is not the one registered in " + " and ".join(differ))
+
+
+def swap_language_adapter(stack: AdapterStack, new_weights: list[tuple[np.ndarray, np.ndarray]]) -> None:
     """Replace the language slot's weights in every layer, in place.
 
     ``new_weights`` is one (w_down, w_up) array pair per layer. Task slots and
@@ -166,4 +177,3 @@ def swap_language_adapter(stack: AdapterStack, new_weights: list[tuple[np.ndarra
     for i, (w_down, w_up) in enumerate(new_weights):
         stack.lang[i].w_down.values[...] = w_down
         stack.lang[i].w_up.values[...] = w_up
-    return stack

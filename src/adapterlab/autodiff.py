@@ -109,8 +109,6 @@ class Tensor:
                 node.accumulate_grad(g)
                 continue
             for parent, pg in node._backward(g):
-                if not parent.requires_grad:
-                    continue
                 if id(parent) in pending:
                     pending[id(parent)] = pending[id(parent)] + pg
                 else:

@@ -32,8 +32,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .adapters import (SLOT_PREFIX, AdapterConfig, AdapterStack, slot_arrays,
-                       slot_config, zero_slot)
+from .adapters import (SLOT_PREFIX, AdapterConfig, AdapterStack, check_registered,
+                       slot_arrays, slot_config, zero_slot)
 from .autodiff import Tensor
 from .encoder import Encoder, EncoderConfig
 from .errors import ConfigError, MissingArtifactError, require_int
@@ -161,6 +161,7 @@ def save_checkpoint(path, encoder: Encoder, stack: AdapterStack | None = None) -
             for kind in SLOT_PREFIX
         },
     }
+    check_registered(stack, encoder.params)  # else the file would not load
     _write_container(path, manifest, list(encoder.params.items()))
 
 

@@ -35,7 +35,7 @@ from .autodiff import (
     swap_last,
     tanh,
 )
-from .errors import ConfigError, SequenceLengthError, VocabError, require_int, require_real
+from .errors import ConfigError, SequenceLengthError, VocabError, require_fraction, require_int
 from .optim import ParamSet
 
 MASK_BIAS = -1e9
@@ -56,7 +56,7 @@ class EncoderConfig:
         for name, least in (("vocab", 2), ("num_layers", 1), ("hidden", 1), ("num_heads", 1),
                             ("ffn", 1), ("max_len", 1)):
             require_int(name, getattr(self, name), least)
-        require_real("dropout", self.dropout, 0.0, 1.0, "[)")
+        require_fraction("dropout", self.dropout, below_one=True)
         if type(self.tie_mlm) is not bool:
             raise ConfigError(f"tie_mlm must be a bool, got {self.tie_mlm!r}")
         if self.hidden % self.num_heads != 0:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the checks that raise them."""
+"""Exception types shared across the package, and the count and fraction checks that raise them."""
 
 from numbers import Real
 
@@ -53,15 +53,13 @@ def require_int(name: str, value, least: int, error: type = ConfigError) -> int:
     return value
 
 
-def require_real(name: str, value, low: float, high: float, ends: str = "[]") -> float:
-    """``value`` if it is a real number between ``low`` and ``high``, else ``ConfigError``.
+def require_fraction(name: str, value, below_one: bool = False) -> float:
+    """``value`` if it is a real number in [0, 1], or [0, 1) if ``below_one``, else ``ConfigError``.
 
-    ``ends`` says which ends are closed: "[]", "[)", "(]" or "()". A bool is
-    refused although it is an int, and so is NaN, which lies in no interval.
+    A bool is refused although it is an int, and so is NaN, which lies in no interval.
     """
     if (isinstance(value, bool) or not isinstance(value, Real)
-            or not (low <= value if ends[0] == "[" else low < value)
-            or not (value <= high if ends[1] == "]" else value < high)):
-        raise ConfigError(f"{name} must be a real number in "
-                          f"{ends[0]}{low:g}, {high:g}{ends[1]}, got {value!r}")
+            or not (0 <= value < 1 if below_one else 0 <= value <= 1)):
+        raise ConfigError(f"{name} must be a real number in [0, 1{')' if below_one else ']'}, "
+                          f"got {value!r}")
     return value

@@ -87,14 +87,14 @@ class Adam:
     """Adam with bias correction over a named subset of a ParamSet.
 
     Each instance owns its own first/second moment buffers, so two optimizers
-    driving the same parameters from different losses never share state. The
-    step is applied only to unfrozen parameters; frozen ones stay bit-identical.
-    Gradients of the scoped parameters are cleared after each step.
+    driving the same parameters from different losses never share state. A
+    step moves exactly the given names, each of which must hold a gradient,
+    and clears their gradients; every other weight stays bit-identical.
     """
 
-    def __init__(self, params: ParamSet, names=None, lr: float = 1e-3):
+    def __init__(self, params: ParamSet, names, lr: float):
         self.params = params
-        self.names = list(names) if names is not None else params.names()
+        self.names = list(names)
         self.lr = lr
         self.t = 0
         self.m = {n: np.zeros_like(params[n].values) for n in self.names}
@@ -104,10 +104,8 @@ class Adam:
         self.t += 1
         for name in self.names:
             p = self.params[name]
-            if not p.requires_grad:
-                continue
             if p.grad is None:
-                raise ContractError(f"unfrozen parameter {name!r} has no gradient")
+                raise ContractError(f"parameter {name!r} has no gradient")
             g = p.grad
             m = self.m[name]
             v = self.v[name]

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, MissingArtifactError, require_int, require_real
+from .errors import ConfigError, ContractError, MissingArtifactError, require_fraction, require_int
 
 PAD, UNK, CLS, MASK, SEP = 0, 1, 2, 3, 4
 RESERVED_TOKENS = ("[PAD]", "[UNK]", "[CLS]", "[MASK]", "[SEP]")
@@ -101,7 +101,7 @@ class SyntheticLanguageSpec:
 
     def __post_init__(self):
         require_int("cipher_seed", self.cipher_seed, 0)
-        require_real("divergence", self.divergence, 0.0, 1.0)
+        require_fraction("divergence", self.divergence)
         if not isinstance(self.word_order, str):
             raise ConfigError(f"word_order must be a string, got {self.word_order!r}")
         kind, _, k = self.word_order.partition(":")
@@ -163,10 +163,18 @@ def _relexify(spec: SyntheticLanguageSpec, cipher: np.ndarray, sentences) -> lis
     ids = np.full(stops[-1], PAD, dtype=np.int64)
     body = np.ones(stops[-1], dtype=bool)
     body[stops - 1] = False
-    ids[body] = np.concatenate([np.asarray(s, dtype=np.int64) for s in sentences])
+    ids[body] = np.concatenate([_int_ids(s) for s in sentences])
     _check_ids(ids, cipher.size)
     out = cipher[ids[spec.order_map(ids)]]
     return [out[b - n - 1 : b - 1] for n, b in zip(lengths.tolist(), stops.tolist())]
+
+
+def _int_ids(sentence) -> np.ndarray:
+    """One sentence's ids as int64, refused if not integers: the cast would read 5.9 as 5."""
+    ids = np.asarray(sentence)
+    if ids.size and ids.dtype.kind not in "iu":  # an empty one may be float, as np.asarray([])
+        raise ContractError(f"token ids must be integers, got dtype {ids.dtype}")
+    return ids.astype(np.int64, copy=False)
 
 
 def _check_ids(ids: np.ndarray, vocab_size: int) -> None:
@@ -187,7 +195,7 @@ def apply_language(spec: SyntheticLanguageSpec, token_ids, vocab_size: int) -> n
 
 def invert_language(spec: SyntheticLanguageSpec, token_ids, vocab_size: int):
     """Inverse of apply_language: undo the word order, then the cipher."""
-    ids = np.asarray(token_ids, dtype=np.int64)
+    ids = _int_ids(token_ids)
     _check_ids(ids, vocab_size)
     undone = np.empty_like(ids)
     undone[spec.order_map(ids)] = ids
@@ -383,14 +391,10 @@ def gen_seq_task(
     return TaskDataset(SEQ_CLS, spec.code, split, examples, 3)
 
 
-def tag_labels_for_base(base_sentence: np.ndarray, vocab: Vocab, n_tags: int) -> np.ndarray:
-    """Gold tags of a base-language sentence: hash bucket of each token type."""
+def tag_table(vocab: Vocab, n_tags: int) -> np.ndarray:
+    """The gold tag of each base-language id: the hash bucket of its token."""
     require_int("n_tags", n_tags, 1)
-    _check_ids(np.asarray(base_sentence), vocab.size)
-    return np.array(
-        [stable_bucket(vocab.id_to_token[int(t)], n_tags) for t in base_sentence],
-        dtype=np.int64,
-    )
+    return np.array([stable_bucket(t, n_tags) for t in vocab.id_to_token], dtype=np.int64)
 
 
 def gen_tag_task(
@@ -412,7 +416,7 @@ def gen_tag_task(
     picks = rng.choice(len(base_ids), size=min(n_examples, len(base_ids)), replace=False)
     cipher = spec.cipher(vocab.size)
     tag_of = np.empty(vocab.size, dtype=np.int64)  # by output id
-    tag_of[cipher] = tag_labels_for_base(np.arange(vocab.size), vocab, n_tags)
+    tag_of[cipher] = tag_table(vocab, n_tags)
     ids = _relexify(spec, cipher, [base_ids[int(i)] for i in picks])
     examples = [(out, tag_of[out]) for out in ids]
     return TaskDataset(TAGGING, spec.code, split, examples, n_tags)

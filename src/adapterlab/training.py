@@ -10,13 +10,13 @@ slot's recorded input and live weights and differentiates only that.
 The ortho loss is never added to the main loss, and the two optimizers
 never share moment buffers.
 
-What a phase trains is decided in one place, ``trainable_names``, and each
-slot weight it trains must be the very tensor the stack it runs holds. A
+What a phase trains is decided in one place, ``trainable_names``, and the
+stack it runs must be the one registered (``adapters.check_registered``). A
 weight is frozen until a phase trains it, and frozen again when the phase
 ends, returning or raising. The freeze flag is the one graph switch, so an
 encode outside a phase records no graph. A task phase runs on a stack with
 or without a language slot: the stacked (MAD-X) and the task-adapter-only
-configurations differ only in the stack the caller builds.
+configurations differ only in the stack the caller builds and registers.
 
 Every descent step clips the global gradient norm to ``CLIP_NORM``. Adam A
 steps at ``MAIN_LR`` and Adam B at ``ORTHO_LR``. A run manifest, written
@@ -40,7 +40,7 @@ from .adapters import (
     SLOT_PREFIX,
     TASK,
     AdapterStack,
-    slot_arrays,
+    check_registered,
 )
 from .autodiff import IGNORE_LABEL, Tensor
 from .encoder import Encoder
@@ -248,8 +248,8 @@ def run_phase(
     """Run one training phase over its step budget and return the stats.
 
     The caller provides either a corpus (mlm) or a task dataset. Only the
-    weights ``trainable_names`` picks move, and each slot tensor among them
-    must be in ``stack``, which the forward runs; the ortho optimizer is
+    weights ``trainable_names`` picks move, and ``stack``, which the forward
+    runs, must be the one registered in the encoder; the ortho optimizer is
     scoped to the phase's slot and owns separate Adam state. Dropout applies
     at the encoder's configured rate.
     """
@@ -265,12 +265,7 @@ def run_phase(
     if cfg.main_loss != "mlm" and dataset.num_classes > encoder.head_classes[head]:
         raise ConfigError(f"the {cfg.main_loss} dataset has {dataset.num_classes} classes, "
                           f"more than the {encoder.head_classes[head]} of its {head} head")
-    for kind, prefix in SLOT_PREFIX.items():
-        # a trained slot tensor the forward does not run would get no gradient
-        runs = dict(slot_arrays(stack and stack.slot(kind) or [], prefix))
-        if any(encoder.params[n] is not runs.get(n) for n in trainable if n.startswith(prefix)):
-            raise ConfigError(f"phase {cfg.phase} trains the {kind} slot ({prefix}*), "
-                              f"but the stack it runs does not hold those tensors")
+    check_registered(stack, encoder.params)
     encoder.params.set_trainable(trainable)
     opt_main = Adam(encoder.params, names=trainable, lr=MAIN_LR)
     opt_ortho = None

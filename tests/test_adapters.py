@@ -3,7 +3,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from adapterlab import Adam, Tensor, grad_check
 from adapterlab.adapters import (
     LANGUAGE,
     TASK,
@@ -14,9 +13,10 @@ from adapterlab.adapters import (
     init_adapter_stack_slot,
     swap_language_adapter,
 )
-from adapterlab.autodiff import tsum, mul
+from adapterlab.autodiff import Tensor, grad_check, mul, tsum
 from adapterlab.encoder import Encoder, EncoderConfig
 from adapterlab.errors import ConfigError, ContractError, SwapError
+from adapterlab.optim import Adam
 from adapterlab.training import (
     PHASE_FULL,
     PHASE_LANG,

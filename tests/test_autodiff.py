@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adapterlab import Tensor, grad_check
 from adapterlab.autodiff import (
     LN_EPS,
+    Tensor,
     add,
     attention,
     cosine_sq_rows,
     cross_entropy,
     dropout,
     embedding_lookup,
+    grad_check,
     layer_norm,
     linear,
     matmul,

@@ -29,7 +29,7 @@ from adapterlab.checkpoint import (
     save_checkpoint,
 )
 from adapterlab.encoder import Encoder, EncoderConfig
-from adapterlab.errors import AdapterLabError, ContractError, MissingArtifactError
+from adapterlab.errors import AdapterLabError, ConfigError, ContractError, MissingArtifactError
 
 
 # orders in which a pipeline may build heads and register its adapter stack
@@ -256,6 +256,24 @@ def test_slot_of_mixed_layers_is_never_written(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_a_stack_other_than_the_registered_one_is_never_written(tmp_path):
+    # the file would hold the registered tensors under another stack's slot
+    # configs, or under none, and its loader would refuse it
+    enc, stack = build_model()
+    plain = Encoder(enc.config, seed=1)  # registers no stack
+    other_lang = AdapterStack(2)
+    other_lang.fill(LANGUAGE, init_adapter_stack_slot(AdapterConfig(dim=2, kind=LANGUAGE),
+                                                      8, 2, 5))
+    other_lang.fill(TASK, stack.task)
+    for model, argument, differ in ((enc, None, [LANGUAGE, TASK]),
+                                    (plain, stack, [LANGUAGE, TASK]),
+                                    (enc, other_lang, [LANGUAGE])):
+        with pytest.raises(ConfigError) as refused:
+            save_checkpoint(tmp_path / "model.ckpt", model, argument)
+        assert re.findall(r"the (\w+) slot", str(refused.value)) == differ
+    assert list(tmp_path.iterdir()) == []
+
+
 @st.composite
 def slots(draw):
     """(kind, hidden size, slot): 1-3 layers, 4 <= H <= 12, 1 <= dim < H, non-zero w_up."""
@@ -328,18 +346,21 @@ def test_misshapen_slot_is_refused_and_never_written(drawn, data):
 def models(draw):
     """A whole legal model: 1-3 layers, a head count dividing H, a tied or untied
     MLM head, any subset of the cls and tag heads and of the two slots, and any
-    order of building those heads and registering the stack once."""
+    order of building those heads and registering the stack once. With it, a
+    stack argument to save it with: the registered stack, ``None``, or a fresh
+    stack of the same slot configs that is registered nowhere."""
     num_layers, hidden = draw(st.integers(1, 3)), draw(st.integers(2, 12))
     num_heads = draw(st.sampled_from([n for n in range(1, hidden + 1) if hidden % n == 0]))
     seed = draw(st.integers(0, 2**16))
     enc = Encoder(EncoderConfig(vocab=12, num_layers=num_layers, hidden=hidden,
                                 num_heads=num_heads, ffn=6, max_len=6, dropout=0.0,
                                 tie_mlm=draw(st.booleans())), seed=seed)
-    stack = AdapterStack(num_layers)
+    stack, fresh = AdapterStack(num_layers), AdapterStack(num_layers)
     r = np.random.default_rng(seed)
     for kind in draw(st.lists(st.sampled_from([LANGUAGE, TASK]), unique=True)):
         config = AdapterConfig(dim=draw(st.integers(1, hidden - 1)), kind=kind)
         stack.fill(kind, init_adapter_stack_slot(config, hidden, num_layers, seed))
+        fresh.fill(kind, init_adapter_stack_slot(config, hidden, num_layers, seed))
         for w in stack.slot(kind):
             w.w_up.values[...] = r.normal(size=w.w_up.shape)
     heads = draw(st.lists(st.sampled_from(["cls", "tag"]), unique=True))
@@ -350,13 +371,13 @@ def models(draw):
             enc.ensure_tag_head(draw(st.integers(1, 4)))
         else:
             stack.register(enc.params)
-    return enc, stack
+    return enc, stack, draw(st.sampled_from([stack, None, fresh]))
 
 
 @settings(max_examples=150)
 @given(models())
 def test_any_legal_model_round_trips_bit_exact(drawn):
-    enc, stack = drawn
+    enc, stack, _ = drawn
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp) / "a.ckpt", Path(tmp) / "b.ckpt"
         save_checkpoint(first, enc, stack)
@@ -364,6 +385,21 @@ def test_any_legal_model_round_trips_bit_exact(drawn):
         save_checkpoint(second, loaded, loaded_stack)
         assert first.read_bytes() == second.read_bytes()
     assert loaded.params.names() == enc.params.names()
+
+
+@settings(max_examples=150)
+@given(models())
+def test_any_stack_argument_is_saved_loadable_or_refused_unwritten(drawn):
+    enc, stack, argument = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "a.ckpt", Path(tmp) / "b.ckpt"
+        try:
+            save_checkpoint(first, enc, argument)
+        except AdapterLabError:
+            assert argument is not stack and not first.exists()
+            return
+        save_checkpoint(second, *load_checkpoint(first)[:2])
+        assert first.read_bytes() == second.read_bytes()
 
 
 def test_adapter_file_arrays_its_header_does_not_cover_are_refused(tmp_path):

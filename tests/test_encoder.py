@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from adapterlab import Tensor, autodiff, grad_check
+from adapterlab import autodiff
 from adapterlab.adapters import LANGUAGE, AdapterConfig, AdapterStack, init_adapter_stack_slot
-from adapterlab.autodiff import tsum, mul
+from adapterlab.autodiff import Tensor, grad_check, mul, tsum
 from adapterlab.encoder import Encoder, EncoderConfig
 from adapterlab.errors import ConfigError, SequenceLengthError, VocabError
 from adapterlab.objectives import labelled_rows, mlm_loss

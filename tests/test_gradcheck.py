@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from adapterlab import Tensor, grad_check
-from adapterlab.autodiff import mul, tsum
+from adapterlab.autodiff import Tensor, grad_check, mul, tsum
 from adapterlab.errors import NumericError, ShapeError
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from adapterlab import Adam, Tensor, grad_check, objectives
+from adapterlab import objectives
 from adapterlab.adapters import (
     LANGUAGE,
     TASK,
@@ -12,7 +12,7 @@ from adapterlab.adapters import (
     AdapterWeights,
     init_adapter_stack_slot,
 )
-from adapterlab.autodiff import cross_entropy, matmul
+from adapterlab.autodiff import Tensor, cross_entropy, grad_check, matmul
 from adapterlab.encoder import Encoder, EncoderConfig
 from adapterlab.errors import ConfigError, ContractError, EmptyLossError, ShapeError
 from adapterlab.objectives import (
@@ -25,6 +25,7 @@ from adapterlab.objectives import (
     seq_cls_loss,
     tagging_loss,
 )
+from adapterlab.optim import Adam
 
 VOCAB = 40
 FIRST_REGULAR = 5

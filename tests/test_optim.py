@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from adapterlab import Adam, ParamSet, Tensor, clip_grad_norm
+from adapterlab.autodiff import Tensor
 from adapterlab.errors import ContractError
+from adapterlab.optim import Adam, ParamSet, clip_grad_norm
 
 
 def make_params():
@@ -19,30 +20,36 @@ def test_first_step_with_unit_gradient_is_minus_lr():
     ps.set_trainable(ps.names())
     for _, t in ps.items():
         t.grad = np.ones_like(t.values)
-    opt = Adam(ps, lr=0.1)
+    opt = Adam(ps, ps.names(), lr=0.1)
     opt.step()
     np.testing.assert_allclose(ps["a"].values, 1.0 - 0.1, atol=1e-8)
     np.testing.assert_allclose(ps["b"].values, 5.0 - 0.1, atol=1e-8)
 
 
 def test_frozen_parameter_bit_identical():
+    # a step moves exactly the optimizer's names; a weight outside them keeps
+    # its bytes and its gradient, even one that could train
     ps = make_params()
-    ps.set_trainable(["b"])
+    ps.set_trainable(ps.names())
     before = ps["a"].values.tobytes()
     ps["b"].grad = np.ones(3)
     ps["a"].grad = np.full((2, 2), 123.0)  # present but must be ignored
-    opt = Adam(ps, lr=0.5)
+    opt = Adam(ps, ["b"], lr=0.5)
     opt.step()
     assert ps["a"].values.tobytes() == before
     assert ps["b"].values[0] != 5.0
+    assert ps["a"].grad[0, 0] == 123.0 and ps["b"].grad is None
 
 
 def test_missing_gradient_on_unfrozen_is_contract_error():
     ps = make_params()
     ps.set_trainable(ps.names())
     ps["a"].grad = np.ones((2, 2))
-    opt = Adam(ps)
+    opt = Adam(ps, ps.names(), lr=1e-3)
     with pytest.raises(ContractError, match="b"):
+        opt.step()
+    ps.set_trainable(["a"])  # a scope naming a frozen weight is refused, not skipped
+    with pytest.raises(ContractError, match="'b' has no gradient"):
         opt.step()
 
 
@@ -50,7 +57,7 @@ def test_gradients_cleared_after_step():
     ps = make_params()
     for _, t in ps.items():
         t.grad = np.ones_like(t.values)
-    Adam(ps).step()
+    Adam(ps, ps.names(), lr=1e-3).step()
     assert ps["a"].grad is None and ps["b"].grad is None
 
 
@@ -70,7 +77,7 @@ def test_three_step_trajectory_matches_scalar_oracle():
     ps = ParamSet()
     ps.add("x", Tensor(np.array(1.7)))
     ps.set_trainable(["x"])
-    opt = Adam(ps, lr=lr)
+    opt = Adam(ps, ["x"], lr=lr)
     got = []
     for _ in range(3):
         ps["x"].grad = ps["x"].values.copy()
@@ -81,8 +88,8 @@ def test_three_step_trajectory_matches_scalar_oracle():
 
 def test_two_optimizers_same_params_independent_state():
     ps = make_params()
-    opt_a = Adam(ps, lr=0.1)
-    opt_b = Adam(ps, lr=0.01)
+    opt_a = Adam(ps, ps.names(), lr=0.1)
+    opt_b = Adam(ps, ps.names(), lr=0.01)
     for _, t in ps.items():
         t.grad = np.ones_like(t.values)
     a_before = opt_a.state_checksum()

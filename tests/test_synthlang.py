@@ -37,7 +37,7 @@ from adapterlab.synthlang import (
     make_word_list,
     save_task_dataset,
     stable_bucket,
-    tag_labels_for_base,
+    tag_table,
 )
 
 
@@ -226,7 +226,7 @@ def test_batched_relexify_matches_one_sentence_at_a_time(order):
     for i, (out, tags) in zip(picks, data.examples):
         base = corpus[int(i)]
         want_ids, want_tags = one_at_a_time(spec, base, vocab.size,
-                                            tag_labels_for_base(base, vocab, 5))
+                                            tag_table(vocab, 5)[base])
         assert_same_bytes(out, want_ids)
         assert_same_bytes(tags, want_tags)
 
@@ -246,8 +246,24 @@ def test_out_of_vocab_id_raises_contract_error():
             apply_language(spec, corpus[0], vocab.size)
         with pytest.raises(ContractError, match="outside the vocabulary"):
             invert_language(spec, corpus[0], vocab.size)
-        with pytest.raises(ContractError, match="outside the vocabulary"):
-            tag_labels_for_base(corpus[0], vocab, 4)
+
+
+def test_ids_that_are_no_integers_are_refused_before_the_cast():
+    # a cast to int64 would read [5.9, 6.2, 7.0] as [5, 6, 7] and bools as 0 and 1
+    _, vocab, ids = toy_setup()
+    spec = SyntheticLanguageSpec("tgt", cipher_seed=5, divergence=0.5, word_order="reverse")
+    for bad in ([5.9, 6.2, 7.0], ids[0] + 0.25, np.ones(4, dtype=bool)):
+        with pytest.raises(ContractError, match="ids must be integers"):
+            apply_language(spec, bad, vocab.size)
+        with pytest.raises(ContractError, match="ids must be integers"):
+            language_corpus(spec, [ids[1], bad], vocab)
+        with pytest.raises(ContractError, match="ids must be integers"):
+            invert_language(spec, bad, vocab.size)
+    # an empty sentence stays legal, though np.asarray([]) is float64
+    out = language_corpus(spec, [[], ids[1]], vocab)
+    assert out[0].size == 0 and out[0].dtype == np.int64
+    assert_same_bytes(out[1], apply_language(spec, ids[1], vocab.size))
+    assert invert_language(spec, [], vocab.size).size == 0
 
 
 # --- corpora --------------------------------------------------------------------------
@@ -352,7 +368,7 @@ def test_tag_count_below_one_is_refused():
     _, vocab, ids = toy_setup(50)
     for n_tags in (0, -2, 2.5):
         with pytest.raises(ConfigError, match="n_tags"):
-            tag_labels_for_base(ids[0], vocab, n_tags)
+            tag_table(vocab, n_tags)
         with pytest.raises(ConfigError, match="n_tags"):
             gen_tag_task(ids, SyntheticLanguageSpec("src"), vocab, 10, "dev", seed=1,
                          n_tags=n_tags)
@@ -373,14 +389,15 @@ def test_labels_commute_with_language_transforms():
         spec = SyntheticLanguageSpec("tgt", cipher_seed=8, divergence=0.6,
                                      word_order=order)
         inverse_cipher = np.argsort(spec.cipher(vocab.size))
+        tags = tag_table(vocab, n_tags)
         for base in ids[:1000]:
-            base_tags = tag_labels_for_base(base, vocab, n_tags)
+            base_tags = tags[base]
             out = apply_language(spec, base, vocab.size)
             moved_tags = base_tags[spec.order_map(base)]
             # undoing the transform must recover the base labeling exactly
             recovered = invert_language(spec, out, vocab.size)
             np.testing.assert_array_equal(recovered, base)
-            recovered_tags = tag_labels_for_base(recovered, vocab, n_tags)
+            recovered_tags = tags[recovered]
             np.testing.assert_array_equal(np.sort(moved_tags), np.sort(recovered_tags))
             # and the moved tags still ride their own tokens
             for token_id, tag in zip(out, moved_tags):

@@ -163,15 +163,16 @@ def test_trainable_names_table():
 
 def test_adapter_slot_the_forward_skips_is_refused_before_step_0(monkeypatch):
     # a registered slot missing from the stack the phase runs, or held there by
-    # other tensors (a second stack of the same kinds, never registered), would
-    # train weights no forward reaches; they get no gradient, so refuse up front
+    # other tensors (a second stack of the same kinds, never registered),
+    # trains weights no forward reaches, or runs a model no checkpoint can hold
     vocab, corpus = setup_bed()
     enc, stack = fresh_model(vocab)
     enc.ensure_tag_head(N_CLASSES)
     dataset = gen_tag_task(corpus, SyntheticLanguageSpec("src"), vocab, 40, "train", 1,
                            N_CLASSES)
-    lang_only = AdapterStack(2)
+    lang_only, task_only = AdapterStack(2), AdapterStack(2)
     lang_only.fill(LANGUAGE, stack.lang)
+    task_only.fill(TASK, stack.task)
     _, other = fresh_model(vocab, seed=5)
 
     def no_forward(*args, **kwargs):
@@ -188,6 +189,7 @@ def test_adapter_slot_the_forward_skips_is_refused_before_step_0(monkeypatch):
                       (lambda: run_phase(enc, None, lang, corpus=corpus), LANGUAGE),
                       (lambda: run_phase(enc, other, lang, corpus=corpus), LANGUAGE),
                       (lambda: run_phase(enc, other, task, dataset=dataset), TASK),
+                      (lambda: run_phase(enc, task_only, task, dataset=dataset), LANGUAGE),
                       (lambda: run_phase(enc, other, full_mlm, corpus=corpus), LANGUAGE)):
         with pytest.raises(ConfigError, match=f"the {slot} slot"):
             run()
