@@ -163,23 +163,22 @@ def _relexify(spec: SyntheticLanguageSpec, cipher: np.ndarray, sentences) -> lis
     ids = np.full(stops[-1], PAD, dtype=np.int64)
     body = np.ones(stops[-1], dtype=bool)
     body[stops - 1] = False
-    ids[body] = np.concatenate([_int_ids(s) for s in sentences])
-    _check_ids(ids, cipher.size)
+    ids[body] = _joined_ids(sentences, cipher.size)
     out = cipher[ids[spec.order_map(ids)]]
     return [out[b - n - 1 : b - 1] for n, b in zip(lengths.tolist(), stops.tolist())]
 
 
-def _int_ids(sentence) -> np.ndarray:
-    """One sentence's ids as int64, refused if not integers: the cast would read 5.9 as 5."""
-    ids = np.asarray(sentence)
-    if ids.size and ids.dtype.kind not in "iu":  # an empty one may be float, as np.asarray([])
-        raise ContractError(f"token ids must be integers, got dtype {ids.dtype}")
-    return ids.astype(np.int64, copy=False)
-
-
-def _check_ids(ids: np.ndarray, vocab_size: int) -> None:
+def _joined_ids(sentences, vocab_size: int) -> np.ndarray:
+    """The sentences' ids joined as int64; ``ContractError`` for a float or bool
+    sentence, which the cast would truncate (an empty one may be float, as
+    ``np.asarray([])`` is), or for an id outside ``[0, vocab_size)``."""
+    parts = [np.asarray(s) for s in sentences]
+    if any(p.size and p.dtype.kind not in "iu" for p in parts):
+        raise ContractError("token ids must be integers, of an integer dtype")
+    ids = np.concatenate(parts, dtype=np.int64, casting="unsafe")
     if ids.size and (ids.min() < 0 or ids.max() >= vocab_size):
         raise ContractError("token id outside the vocabulary")
+    return ids
 
 
 def apply_language(spec: SyntheticLanguageSpec, token_ids, vocab_size: int) -> np.ndarray:
@@ -195,8 +194,7 @@ def apply_language(spec: SyntheticLanguageSpec, token_ids, vocab_size: int) -> n
 
 def invert_language(spec: SyntheticLanguageSpec, token_ids, vocab_size: int):
     """Inverse of apply_language: undo the word order, then the cipher."""
-    ids = _int_ids(token_ids)
-    _check_ids(ids, vocab_size)
+    ids = _joined_ids([token_ids], vocab_size)
     undone = np.empty_like(ids)
     undone[spec.order_map(ids)] = ids
     return np.argsort(spec.cipher(vocab_size))[undone]
