@@ -8,12 +8,13 @@ up-projection, then adds its input back:
 The up-projection starts at zero, so a fresh adapter is the identity map and
 inserting one changes nothing until training moves it.
 
-A slot's shape and layout live here alone: ``zero_slot`` builds a slot's
-``[H, dim]`` / ``[dim, H]`` tensors, ``slot_config`` checks that they fit one
-config and one H, ``slot_arrays`` names them, in a ParamSet and in files, and
-``check_registered`` requires a stack a phase runs or a checkpoint saves to
-be, slot for slot, the one registered. The training phase ids are named here
-too; which weights each phase trains is decided by ``training.trainable_names``.
+A slot's shape and layout live here alone: ``slot_layout`` names and shapes
+a slot's ``[H, dim]`` / ``[dim, H]`` tensors, ``zero_slot`` builds them,
+``slot_config`` checks that they fit one config and one H, ``slot_arrays``
+names them by the layout, in a ParamSet and in files, and ``check_registered``
+requires a stack a phase runs or a checkpoint saves to be, slot for slot, the
+one registered. The training phase ids are named here too; which weights each
+phase trains is decided by ``training.trainable_names``.
 """
 
 from __future__ import annotations
@@ -70,17 +71,25 @@ def adapter_forward(x: Tensor, w_down: Tensor, w_up: Tensor,
     return add(core, x) if residual else core
 
 
+def slot_layout(config: AdapterConfig, hidden: int, num_layers: int, prefix: str = ""):
+    """(name, shape) of a slot's tensors in file order: ``{prefix}{layer}.w_down``
+    [H, dim], then ``.w_up`` [dim, H]."""
+    for i in range(num_layers):
+        yield f"{prefix}{i}.w_down", (hidden, config.dim)
+        yield f"{prefix}{i}.w_up", (config.dim, hidden)
+
+
 def zero_slot(config: AdapterConfig, hidden: int, num_layers: int) -> list[AdapterWeights]:
     """A slot of ``num_layers`` adapters, every projection zero."""
-    return [AdapterWeights(config, Tensor(np.zeros((hidden, config.dim))),
-                           Tensor(np.zeros((config.dim, hidden))))
-            for _ in range(num_layers)]
+    t = [Tensor(np.zeros(shape)) for _, shape in slot_layout(config, hidden, num_layers)]
+    return [AdapterWeights(config, w_down, w_up) for w_down, w_up in zip(t[::2], t[1::2])]
 
 
 def slot_arrays(weights: list[AdapterWeights], prefix: str = "") -> list[tuple[str, Tensor]]:
-    """A slot's named tensors in file order: ``{prefix}{layer}.w_down``, then ``.w_up``."""
-    return [(f"{prefix}{i}.{part}", tensor) for i, w in enumerate(weights)
-            for part, tensor in (("w_down", w.w_down), ("w_up", w.w_up))]
+    """A slot's tensors, named and ordered by ``slot_layout`` (whose shapes are not read)."""
+    layout = slot_layout(weights[0].config, 0, len(weights), prefix) if weights else ()
+    tensors = (t for w in weights for t in (w.w_down, w.w_up))
+    return [(name, t) for (name, _), t in zip(layout, tensors)]
 
 
 def slot_config(weights: list[AdapterWeights]) -> AdapterConfig:

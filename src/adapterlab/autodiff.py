@@ -273,15 +273,26 @@ def select_token(x: Tensor, position: int) -> Tensor:
     return _node(values, (x,), backward)
 
 
+def _ids(ids, size: int, name: str) -> Array:
+    """``ids`` as int64, or ``ContractError`` unless they are of an integer dtype and each in
+    [0, size): the cast would truncate a float id, and an index would wrap a negative one."""
+    ids = np.asarray(ids)
+    if ids.size and ids.dtype.kind not in "iu":
+        raise ContractError(f"{name} must be integers, of an integer dtype, got {ids.dtype}")
+    if ids.size and (ids.min() < 0 or ids.max() >= size):
+        raise ContractError(f"{name} must lie in [0, {size})")
+    return ids.astype(np.int64, copy=False)
+
+
 def embedding_lookup(table: Tensor, ids: Array) -> Tensor:
-    """Gather rows of ``table`` ([V, H]) for an integer id array of any shape.
+    """Gather rows of ``table`` ([V, H]) for an integer id array of any shape, each in [0, V).
 
     The backward sums each row's gradients with one ``np.bincount`` over
     ``id * H + column`` bins; it adds each bin in input order, as
     ``np.add.at`` would, so repeated ids accumulate bit for bit the same.
     """
     table = _wrap(table)
-    ids = np.asarray(ids, dtype=np.int64)
+    ids = _ids(ids, table.shape[0], "ids")
     values = table.values[ids]
 
     def backward(g):
@@ -470,7 +481,7 @@ def cross_entropy(logits: Tensor, labels: Array) -> Tensor:
     passes only the rows the loss reads; zero rows raise ``EmptyLossError``.
     """
     logits = _wrap(logits)
-    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
+    labels = np.asarray(labels).reshape(-1)
     if logits.ndim != 2 or logits.shape[0] != labels.shape[0]:
         raise ShapeError(
             f"cross_entropy got logits {logits.shape} for {labels.shape[0]} labels"
@@ -478,8 +489,7 @@ def cross_entropy(logits: Tensor, labels: Array) -> Tensor:
     n, n_classes = logits.shape
     if n == 0:
         raise EmptyLossError("cross_entropy over zero rows")
-    if labels.min() < 0 or labels.max() >= n_classes:
-        raise ContractError(f"labels must lie in [0, {n_classes})")
+    labels = _ids(labels, n_classes, "labels")
     rows = np.arange(n)
     shifted = logits.values - logits.values.max(axis=-1, keepdims=True)
     logsumexp = np.log(np.exp(shifted).sum(axis=-1)) + logits.values.max(axis=-1)

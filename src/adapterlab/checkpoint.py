@@ -14,17 +14,21 @@ class does not take or refuses (``num_heads: 0``) or, in a checkpoint, of
 another slot kind, a non-integer count, seed or array dimension, an
 unknown head, or an array directory that names one array twice, and a body
 that does not hold exactly the bytes its array directory lists. Next,
-before building anything, ``_check_claims`` refuses a header count no array
-bears out, so a load allocates no more than the file holds. Then
-``_copy_arrays`` refuses a missing, unexpected or misshapen array (an
-adapter file's hidden size is that of ``0.w_down``) before copying any. A
-checkpoint loads by array name, so any construction order of the saved
-model (heads and adapter stack in either order) reloads.
+before building anything, ``_check_layout`` compares the array directory in
+one pass with the layout the header implies (``encoder.backbone_layout`` and
+``head_layout``, ``adapters.slot_layout``; an adapter file's hidden size is
+that of ``0.w_down``) and refuses a missing, unexpected or misshapen array.
+It reads at most one layout entry past the directory's length, so a load
+allocates no more than the file holds; a save refuses, unwritten, a model its
+header would not reload. A checkpoint loads by array name, so any
+construction order of the saved model (heads and adapter stack in either
+order) reloads.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -33,15 +37,14 @@ from pathlib import Path
 import numpy as np
 
 from .adapters import (SLOT_PREFIX, AdapterConfig, AdapterStack, check_registered,
-                       slot_arrays, slot_config, zero_slot)
+                       slot_arrays, slot_config, slot_layout, zero_slot)
 from .autodiff import Tensor
-from .encoder import Encoder, EncoderConfig
+from .encoder import HEAD_SEED_OFFSET, Encoder, EncoderConfig, backbone_layout, head_layout
 from .errors import ConfigError, MissingArtifactError, require_int
 from .optim import ParamSet
 
 FORMAT_VERSION = 2
 _SEP = b"\x00"
-_HEAD_CLASSES = {"cls": "head.cls.out_b", "tag": "head.tag.b"}  # [classes] bias of each head
 
 
 def _write_container(path, manifest: dict, arrays: list[tuple[str, Tensor]]) -> None:
@@ -121,48 +124,59 @@ def _build(path, cls, header: dict, key: str):
                                    f"{cls.__name__}: {exc}") from exc
 
 
-def _check_claims(path, directory: dict, claims) -> None:
-    """Refuse the first (name, shape) claim the array directory does not hold."""
-    for name, shape in claims:
-        if directory.get(name) != shape:
-            raise MissingArtifactError(f"{path}: the header implies array {name} of shape "
-                                       f"{shape}, the array directory holds {directory.get(name)}")
+def _layout(config: EncoderConfig, heads: dict, slots: dict):
+    """(name, shape) of every array of a checkpoint with these configs, heads and slots."""
+    hidden, num_layers = config.hidden, config.num_layers
+    return itertools.chain(
+        backbone_layout(config), *(head_layout(head, hidden, n) for head, n in heads.items()),
+        *(slot_layout(acfg, hidden, num_layers, SLOT_PREFIX[kind]) for kind, acfg in slots.items()))
 
 
-def _copy_arrays(path, directory: dict, body: bytes, expected: dict[str, Tensor]) -> None:
-    """Copy each array of ``body`` into its tensor, once all names and shapes match."""
+def _check_layout(path, directory: dict, layout, error=MissingArtifactError) -> None:
+    """Refuse an array directory (name -> shape) that is not exactly ``layout``; reads at
+    most one layout entry past the directory's length, so a count no array bears out is cheap."""
+    expected = dict(itertools.islice(layout, len(directory) + 1))
     missing = [name for name in expected if name not in directory]
+    if len(expected) > len(directory):  # the rest of the layout is never read
+        raise error(f"{path}: the header implies more arrays than the {len(directory)} of its "
+                    f"array directory; of the first {len(expected)}, missing {missing}")
     extra = [name for name in directory if name not in expected]
     if missing or extra:
-        raise MissingArtifactError(f"{path}: array directory does not match the model: "
-                                   f"missing {missing}, unexpected {extra}")
-    for name, shape in directory.items():
-        if shape != expected[name].shape:
-            raise MissingArtifactError(f"{path}: array {name} has shape {shape}, "
-                                       f"the model expects {expected[name].shape}")
+        raise error(f"{path}: the arrays do not match the layout the header implies: "
+                    f"missing {missing}, unexpected {extra}")
+    for name, shape in expected.items():
+        if directory[name] != shape:
+            raise error(f"{path}: the header implies array {name} of shape {shape}, "
+                        f"the array directory holds {directory[name]}")
+
+
+def _copy_arrays(directory: dict, body: bytes, tensors: dict[str, Tensor]) -> None:
+    """Copy each array of ``body`` into the tensor of its name."""
     offset = 0
     for name, shape in directory.items():
         count = math.prod(shape)
-        expected[name].values[...] = np.frombuffer(body, "<f8", count, offset).reshape(shape)
+        tensors[name].values[...] = np.frombuffer(body, "<f8", count, offset).reshape(shape)
         offset += 8 * count
 
 
 def save_checkpoint(path, encoder: Encoder, stack: AdapterStack | None = None) -> None:
     """Serialize the encoder (heads included) plus any attached adapter stack."""
+    slots = {kind: slot_config(stack.slot(kind))
+             for kind in SLOT_PREFIX if stack and stack.slot(kind)}
     manifest = {
         "kind": "checkpoint",
         "seed": encoder.seed,
         "encoder_config": dataclasses.asdict(encoder.config),
         "heads": dict(encoder.head_classes),
         # the slot kinds are the keys, so renaming a kind changes the file format
-        "adapters": {
-            kind: dataclasses.asdict(slot_config(stack.slot(kind)))
-            if stack and stack.slot(kind) else None
-            for kind in SLOT_PREFIX
-        },
+        "adapters": {kind: dataclasses.asdict(slots[kind]) if kind in slots else None
+                     for kind in SLOT_PREFIX},
     }
     check_registered(stack, encoder.params)  # else the file would not load
-    _write_container(path, manifest, list(encoder.params.items()))
+    arrays = list(encoder.params.items())
+    _check_layout(path, {name: t.shape for name, t in arrays},
+                  _layout(encoder.config, encoder.head_classes, slots), ConfigError)
+    _write_container(path, manifest, arrays)
 
 
 def load_checkpoint(path) -> tuple[Encoder, AdapterStack | None, dict]:
@@ -173,36 +187,27 @@ def load_checkpoint(path) -> tuple[Encoder, AdapterStack | None, dict]:
     _require(path, "header", manifest, "encoder_config", "seed", "heads", "adapters")
     adapters = _require(path, "adapters", manifest["adapters"], *SLOT_PREFIX)
     config = _build(path, EncoderConfig, manifest, "encoder_config")
-    seed = _integer(path, "seed", manifest["seed"], 0)
-    hidden, num_layers = config.hidden, config.num_layers
-    claims = [("embed.tok", (config.vocab, hidden)), ("embed.pos", (config.max_len, hidden))]
     heads = _require(path, "heads", manifest["heads"])
     for head, n in heads.items():
-        if head not in _HEAD_CLASSES:
-            raise MissingArtifactError(f"{path}: header entry heads names an unknown "
-                                       f"head {head!r}")
-        claims.append((_HEAD_CLASSES[head], (_integer(path, f"heads.{head}", n, 1),)))
+        if head not in HEAD_SEED_OFFSET:
+            raise MissingArtifactError(f"{path}: header entry heads names an unknown head {head!r}")
+        _integer(path, f"heads.{head}", n, 1)
     slots = {kind: _build(path, AdapterConfig, adapters, kind)
              for kind in SLOT_PREFIX if adapters[kind]}
     for kind, acfg in slots.items():
         if acfg.kind != kind:
             raise MissingArtifactError(f"{path}: header entry adapters.{kind} has kind {acfg.kind}")
-        claims.append((f"{SLOT_PREFIX[kind]}0.w_down", (hidden, acfg.dim)))
-    _check_claims(path, directory, claims)
-    # a generator, so a claimed layer count stops at the first layer the file lacks
-    _check_claims(path, directory, ((f"layer.{i}.ffn.w1", (hidden, config.ffn))
-                                    for i in range(num_layers)))
-    encoder = Encoder(config, seed=seed)
-    builders = {"cls": encoder.ensure_cls_head, "tag": encoder.ensure_tag_head}
+    _check_layout(path, directory, _layout(config, heads, slots))
+    encoder = Encoder(config, seed=_integer(path, "seed", manifest["seed"], 0))
     for head, n in heads.items():
-        builders[head](n)
-    stack = AdapterStack(num_layers) if slots else None
+        (encoder.ensure_cls_head if head == "cls" else encoder.ensure_tag_head)(n)
+    stack = AdapterStack(config.num_layers) if slots else None
     for kind, acfg in slots.items():
-        stack.fill(kind, zero_slot(acfg, hidden, num_layers))
+        stack.fill(kind, zero_slot(acfg, config.hidden, config.num_layers))
     if stack is not None:
         stack.register(encoder.params)
     built = dict(encoder.params.items())
-    _copy_arrays(path, directory, body, built)
+    _copy_arrays(directory, body, built)
     # declared in the file's order, so saving the loaded model writes the same bytes
     encoder.params = ParamSet()
     for name in directory:
@@ -229,8 +234,7 @@ def load_adapter(path) -> tuple[AdapterConfig, list[tuple[np.ndarray, np.ndarray
     config = _build(path, AdapterConfig, manifest, "adapter_config")
     num_layers = _integer(path, "num_layers", manifest["num_layers"], 1)
     hidden = (directory.get("0.w_down") or (0,))[0]  # the one every layer must share
-    _check_claims(path, directory, ((f"{i}.w_down", (hidden, config.dim))
-                                    for i in range(num_layers)))
+    _check_layout(path, directory, slot_layout(config, hidden, num_layers))
     slot = zero_slot(config, hidden, num_layers)
-    _copy_arrays(path, directory, body, dict(slot_arrays(slot)))
+    _copy_arrays(directory, body, dict(slot_arrays(slot)))
     return config, [(w.w_down.values, w.w_up.values) for w in slot], manifest

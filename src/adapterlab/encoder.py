@@ -13,6 +13,9 @@ layer norm. The occupied adapter slots apply there in the order of
 ``encode`` records, per layer, the values of the slot's input and the
 weights it applied, so the orthogonality loss can recompute the slot output
 from that input taken as a constant.
+
+``backbone_layout`` and ``head_layout`` state each weight's name and shape
+once: the encoder builds its weights by them, and ``checkpoint`` checks files.
 """
 
 from __future__ import annotations
@@ -65,9 +68,31 @@ class EncoderConfig:
             )
 
 
-def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=(fan_in, fan_out))
+def backbone_layout(config: EncoderConfig):
+    """(name, shape) of every backbone weight, in declaration order."""
+    c, h = config, config.hidden
+    yield from (("embed.tok", (c.vocab, h)), ("embed.pos", (c.max_len, h)))
+    for i in range(c.num_layers):
+        layer = [(f"attn.w{x}", (h, h)) for x in "qkvo"] + [(f"attn.b{x}", (h,)) for x in "qkvo"]
+        layer += [("ln1.gain", (h,)), ("ln1.bias", (h,)), ("ffn.w1", (h, c.ffn)),
+                  ("ffn.b1", (c.ffn,)), ("ffn.w2", (c.ffn, h)), ("ffn.b2", (h,)),
+                  ("ln2.gain", (h,)), ("ln2.bias", (h,))]
+        yield from ((f"layer.{i}.{name}", shape) for name, shape in layer)
+    yield "head.mlm.bias", (c.vocab,)
+    if not c.tie_mlm:
+        yield "head.mlm.proj", (h, c.vocab)
+
+
+# each head draws from the encoder's seed plus its offset, whatever order heads are built in
+HEAD_SEED_OFFSET = {"cls": 101, "tag": 202}
+
+
+def head_layout(head: str, hidden: int, n: int) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of an ``n``-class head's weights, in declaration order."""
+    if head == "tag":
+        return [("head.tag.w", (hidden, n)), ("head.tag.b", (n,))]
+    return [("head.cls.pool_w", (hidden, hidden)), ("head.cls.pool_b", (hidden,)),
+            ("head.cls.out_w", (hidden, n)), ("head.cls.out_b", (n,))]
 
 
 class Encoder:
@@ -82,57 +107,38 @@ class Encoder:
         self.config = config
         self.seed = require_int("seed", seed, 0)
         self.params = ParamSet()
-        rng = np.random.default_rng(seed)
-        c = config
-        p = self.params
-        p.add("embed.tok", Tensor(rng.normal(0.0, 0.05, size=(c.vocab, c.hidden))))
-        p.add("embed.pos", Tensor(rng.normal(0.0, 0.05, size=(c.max_len, c.hidden))))
-        for i in range(c.num_layers):
-            for name in ("wq", "wk", "wv", "wo"):
-                p.add(f"layer.{i}.attn.{name}", Tensor(_xavier(rng, c.hidden, c.hidden)))
-            for name in ("bq", "bk", "bv", "bo"):
-                p.add(f"layer.{i}.attn.{name}", Tensor(np.zeros(c.hidden)))
-            p.add(f"layer.{i}.ln1.gain", Tensor(np.ones(c.hidden)))
-            p.add(f"layer.{i}.ln1.bias", Tensor(np.zeros(c.hidden)))
-            p.add(f"layer.{i}.ffn.w1", Tensor(_xavier(rng, c.hidden, c.ffn)))
-            p.add(f"layer.{i}.ffn.b1", Tensor(np.zeros(c.ffn)))
-            p.add(f"layer.{i}.ffn.w2", Tensor(_xavier(rng, c.ffn, c.hidden)))
-            p.add(f"layer.{i}.ffn.b2", Tensor(np.zeros(c.hidden)))
-            p.add(f"layer.{i}.ln2.gain", Tensor(np.ones(c.hidden)))
-            p.add(f"layer.{i}.ln2.bias", Tensor(np.zeros(c.hidden)))
-        p.add("head.mlm.bias", Tensor(np.zeros(c.vocab)))
-        if not c.tie_mlm:
-            p.add("head.mlm.proj", Tensor(_xavier(rng, c.hidden, c.vocab)))
+        self._declare(np.random.default_rng(seed), backbone_layout(config))
         self.head_classes: dict[str, int] = {}
+
+    def _declare(self, rng: np.random.Generator, layout) -> None:
+        """Add each (name, shape) of ``layout`` as a tensor with its initial values."""
+        for name, shape in layout:
+            if name.startswith("embed."):
+                values = rng.normal(0.0, 0.05, size=shape)
+            elif len(shape) == 2:  # Xavier-uniform
+                bound = np.sqrt(6.0 / (shape[0] + shape[1]))
+                values = rng.uniform(-bound, bound, size=shape)
+            else:
+                values = np.ones(shape) if name.endswith(".gain") else np.zeros(shape)
+            self.params.add(name, Tensor(values))
 
     # --- heads, created on demand --------------------------------------------
 
     def ensure_cls_head(self, num_classes: int) -> None:
-        if self._head_built("cls", num_classes):
-            return
-        rng = np.random.default_rng(self.seed + 101)
-        h = self.config.hidden
-        self.params.add("head.cls.pool_w", Tensor(_xavier(rng, h, h)))
-        self.params.add("head.cls.pool_b", Tensor(np.zeros(h)))
-        self.params.add("head.cls.out_w", Tensor(_xavier(rng, h, num_classes)))
-        self.params.add("head.cls.out_b", Tensor(np.zeros(num_classes)))
-        self.head_classes["cls"] = num_classes
+        self._ensure_head("cls", num_classes)
 
     def ensure_tag_head(self, num_tags: int) -> None:
-        if self._head_built("tag", num_tags):
-            return
-        rng = np.random.default_rng(self.seed + 202)
-        h = self.config.hidden
-        self.params.add("head.tag.w", Tensor(_xavier(rng, h, num_tags)))
-        self.params.add("head.tag.b", Tensor(np.zeros(num_tags)))
-        self.head_classes["tag"] = num_tags
+        self._ensure_head("tag", num_tags)
 
-    def _head_built(self, head: str, num_classes: int) -> bool:
-        """Whether the head is built; refuses a class count below 1, or not an int, or changed."""
+    def _ensure_head(self, head: str, num_classes: int) -> None:
+        """Build the head once; refuses a class count below 1, or not an int, or changed."""
         require_int(f"{head} head classes", num_classes, 1)
         if self.head_classes.get(head, num_classes) != num_classes:
             raise ConfigError(f"{head} head already built for {self.head_classes[head]} classes")
-        return head in self.head_classes
+        if head not in self.head_classes:
+            rng = np.random.default_rng(self.seed + HEAD_SEED_OFFSET[head])
+            self._declare(rng, head_layout(head, self.config.hidden, num_classes))
+            self.head_classes[head] = num_classes
 
     # --- forward ---------------------------------------------------------------
 

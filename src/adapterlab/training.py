@@ -333,10 +333,12 @@ def model_selection(candidates: list[tuple[str, float]]) -> str:
     """Pick the config hash with the best source-language dev metric.
 
     Ties break toward the lexicographically lowest hash, which keeps the
-    choice deterministic.
+    choice deterministic. A NaN or infinite metric, which no order ranks, is refused.
     """
     if not candidates:
         raise ConfigError("model selection over an empty candidate set")
+    if not all(math.isfinite(metric) for _, metric in candidates):
+        raise NumericError(f"model selection over a non-finite metric: {candidates}")
     return min(candidates, key=lambda item: (-item[1], item[0]))[0]
 
 

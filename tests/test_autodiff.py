@@ -532,6 +532,13 @@ def test_cross_entropy_label_out_of_range_raises():
             cross_entropy(Tensor(np.zeros((2, 3))), labels)
 
 
+def test_cross_entropy_refuses_labels_that_are_not_integers():
+    # an int64 cast would score 0.9 as class 0 and 2.5 as class 2
+    for labels in (np.array([0.9, 2.5]), np.array([True, False])):
+        with pytest.raises(ContractError, match="labels must be integers"):
+            cross_entropy(Tensor(np.zeros((2, 3))), labels)
+
+
 def test_cross_entropy_gradcheck():
     logits = Tensor(rng(15).normal(size=(5, 4)))
     labels = [0, 3, 2, 1, 2]
@@ -568,6 +575,17 @@ def test_embedding_lookup_backward_matches_add_at():
     expected = np.zeros((7, 5))
     np.add.at(expected, ids, g)
     assert table.grad.tobytes() == expected.tobytes()
+
+
+def test_embedding_lookup_refuses_ids_outside_the_table_or_not_integers():
+    # numpy would read -1 as the last row, truncate 1.7 to row 1 and raise its
+    # own IndexError for 3
+    table = Tensor(np.arange(6.0).reshape(3, 2))
+    for ids, match in (([-1], r"ids must lie in \[0, 3\)"), ([3], r"ids must lie in \[0, 3\)"),
+                       ([1.7], "ids must be integers"), ([True], "ids must be integers")):
+        with pytest.raises(ContractError, match=match):
+            embedding_lookup(table, np.array(ids))
+    assert embedding_lookup(table, np.array([], dtype=np.int64)).shape == (0, 2)
 
 
 def test_tanh_select_token_mean_gradcheck():

@@ -1,10 +1,11 @@
 import functools
 import json
+import math
 import operator
 import re
 import tempfile
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -549,6 +550,49 @@ def test_a_count_the_file_does_not_hold_is_refused_before_allocating(tmp_path, k
     finally:
         tracemalloc.stop()
     assert peak < 2**20  # the file itself is about 16 KB
+
+
+def test_a_file_without_its_square_weights_is_refused_before_allocating(tmp_path):
+    # every count of the header is borne out by some array (embed.tok, embed.pos,
+    # layer.0.ffn.w1, head.cls.out_b), but none of the [H, H] weights the header
+    # implies is there; building the model to find that out takes about 40 MB
+    config = EncoderConfig(vocab=2, num_layers=1, hidden=1000, num_heads=1, ffn=1, max_len=1)
+    arrays = {"embed.tok": [2, 1000], "embed.pos": [1, 1000], "layer.0.ffn.w1": [1000, 1],
+              "head.cls.out_b": [1]}
+    manifest = {"format_version": 2, "kind": "checkpoint", "seed": 0,
+                "encoder_config": asdict(config), "heads": {"cls": 1},
+                "adapters": {LANGUAGE: None, TASK: None},
+                "arrays": [{"name": name, "shape": shape} for name, shape in arrays.items()]}
+    body = bytes(8 * sum(math.prod(shape) for shape in arrays.values()))
+    path = tmp_path / "forged.ckpt"
+    path.write_bytes(json.dumps(manifest).encode() + b"\x00" + body)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MissingArtifactError, match="layer.0.attn.wq"):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # the file itself is about 32 KB
+
+
+def test_a_stack_that_does_not_fit_the_encoder_is_never_written(tmp_path):
+    # the stack is the registered one, but the header's encoder config implies
+    # other slot arrays, so the loader would refuse the file
+    config = EncoderConfig(vocab=30, num_layers=2, hidden=8, num_heads=2, ffn=12, max_len=10)
+    deep, narrow = Encoder(config), Encoder(config)
+    three_layers, hidden_six = AdapterStack(3), AdapterStack(2)
+    three_layers.fill(LANGUAGE, init_adapter_stack_slot(AdapterConfig(2, LANGUAGE), 8, 3, 0))
+    hidden_six.fill(LANGUAGE, init_adapter_stack_slot(AdapterConfig(2, LANGUAGE), 6, 2, 0))
+    three_layers.register(deep.params)
+    hidden_six.register(narrow.params)
+    for enc, stack, message in (
+            (deep, three_layers, "unexpected ['adapter.lang.2.w_down', 'adapter.lang.2.w_up']"),
+            (narrow, hidden_six, "implies array adapter.lang.0.w_down of shape (8, 2), "
+                                 "the array directory holds (6, 2)")):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            save_checkpoint(tmp_path / "model.ckpt", enc, stack)
+    assert list(tmp_path.iterdir()) == []
 
 
 # values of each JSON type but an integer, which the fuzz below writes into a header

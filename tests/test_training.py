@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -606,6 +607,14 @@ def test_model_selection_rules():
     assert model_selection([("bbb", 0.9), ("aaa", 0.9)]) == "aaa"
     with pytest.raises(ConfigError):
         model_selection([])
+
+
+def test_model_selection_refuses_a_metric_no_order_ranks():
+    # min over a NaN key depends on where the NaN stands in the list
+    for candidates in ([("a", math.nan), ("b", 0.5)], [("b", 0.5), ("a", math.nan)],
+                       [("a", math.inf), ("b", 0.5)]):
+        with pytest.raises(NumericError, match="non-finite"):
+            model_selection(candidates)
 
 
 def test_run_manifest_roundtrip(tmp_path):
