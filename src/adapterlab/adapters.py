@@ -72,8 +72,7 @@ def adapter_forward(x: Tensor, w_down: Tensor, w_up: Tensor,
 
 
 def slot_layout(config: AdapterConfig, hidden: int, num_layers: int, prefix: str = ""):
-    """(name, shape) of a slot's tensors in file order: ``{prefix}{layer}.w_down``
-    [H, dim], then ``.w_up`` [dim, H]."""
+    """(name, shape) of a slot's tensors in file order: per layer ``w_down``, then ``w_up``."""
     for i in range(num_layers):
         yield f"{prefix}{i}.w_down", (hidden, config.dim)
         yield f"{prefix}{i}.w_up", (config.dim, hidden)
