@@ -9,7 +9,8 @@ The up-projection starts at zero, so a fresh adapter is the identity map and
 inserting one changes nothing until training moves it.
 
 A slot's shape and layout live here alone: ``slot_layout`` names and shapes
-a slot's ``[H, dim]`` / ``[dim, H]`` tensors, ``zero_slot`` builds them,
+a slot's ``[H, dim]`` / ``[dim, H]`` tensors and refuses ``dim >= H``, so
+every path that builds, saves or loads a slot does; ``zero_slot`` builds them,
 ``slot_config`` checks that they fit one config and one H, ``slot_arrays``
 names them by the layout, in a ParamSet and in files, and ``check_registered``
 requires a stack a phase runs or a checkpoint saves to be, slot for slot, the
@@ -41,8 +42,9 @@ PHASE_FULL = "full_finetune"
 class AdapterConfig:
     """Shape and behavior of one adapter slot.
 
-    ``dim`` is the bottleneck width (must stay below the hidden size);
-    ``orthogonal`` marks the slot as a target of the orthogonality loss.
+    ``dim`` is the bottleneck width, which ``slot_layout`` requires to be below
+    the hidden size. ``orthogonal`` is saved with the slot; whether a phase
+    runs the orthogonality loss is ``PhaseConfig.ortho``'s to decide.
     """
 
     dim: int
@@ -72,10 +74,16 @@ def adapter_forward(x: Tensor, w_down: Tensor, w_up: Tensor,
 
 
 def slot_layout(config: AdapterConfig, hidden: int, num_layers: int, prefix: str = ""):
-    """(name, shape) of a slot's tensors in file order: per layer ``w_down``, then ``w_up``."""
-    for i in range(num_layers):
-        yield f"{prefix}{i}.w_down", (hidden, config.dim)
-        yield f"{prefix}{i}.w_up", (config.dim, hidden)
+    """(name, shape) of a slot's tensors in file order: per layer ``w_down``, then ``w_up``.
+
+    A slot is a bottleneck: unless ``config.dim < hidden`` the call raises
+    ``ConfigError``. The entries themselves are generated as they are read.
+    """
+    dim = config.dim
+    if dim >= hidden:
+        raise ConfigError(f"adapter dim {dim} must be smaller than hidden size {hidden}")
+    return ((f"{prefix}{i}.{name}", shape) for i in range(num_layers)
+            for name, shape in (("w_down", (hidden, dim)), ("w_up", (dim, hidden))))
 
 
 def zero_slot(config: AdapterConfig, hidden: int, num_layers: int) -> list[AdapterWeights]:
@@ -85,8 +93,10 @@ def zero_slot(config: AdapterConfig, hidden: int, num_layers: int) -> list[Adapt
 
 
 def slot_arrays(weights: list[AdapterWeights], prefix: str = "") -> list[tuple[str, Tensor]]:
-    """A slot's tensors, named and ordered by ``slot_layout`` (whose shapes are not read)."""
-    layout = slot_layout(weights[0].config, 0, len(weights), prefix) if weights else ()
+    """A slot's tensors, named and ordered by ``slot_layout`` with layer 0's hidden size
+    (the shapes it gives are not read)."""
+    layout = (slot_layout(weights[0].config, weights[0].w_down.shape[0], len(weights), prefix)
+              if weights else ())
     tensors = (t for w in weights for t in (w.w_down, w.w_up))
     return [(name, t) for (name, _), t in zip(layout, tensors)]
 
@@ -108,8 +118,6 @@ def slot_config(weights: list[AdapterWeights]) -> AdapterConfig:
 def init_adapter_stack_slot(config: AdapterConfig, hidden: int, num_layers: int,
                             seed: int) -> list[AdapterWeights]:
     """A fresh slot: layer i's w_down uniform from seed ``seed + 7919 * i``, each w_up zero."""
-    if config.dim >= hidden:
-        raise ConfigError(f"adapter dim {config.dim} must be smaller than hidden size {hidden}")
     slot = zero_slot(config, hidden, num_layers)
     bound = 1.0 / np.sqrt(hidden)
     for i, w in enumerate(slot):

@@ -17,7 +17,8 @@ that does not hold exactly the bytes its array directory lists. Next,
 before building anything, ``_check_layout`` compares the array directory in
 one pass with the layout the header implies (``encoder.backbone_layout`` and
 ``head_layout``, ``adapters.slot_layout``; an adapter file's hidden size is
-that of ``0.w_down``) and refuses a missing, unexpected or misshapen array.
+that of ``0.w_down``) and refuses a missing, unexpected or misshapen array,
+or a slot whose dim is not below its hidden size.
 It reads at most one layout entry past the directory's length, so a load
 allocates no more than the file holds; a save refuses, unwritten, a model its
 header would not reload. A checkpoint loads by array name, so any
@@ -133,9 +134,13 @@ def _layout(config: EncoderConfig, heads: dict, slots: dict):
 
 
 def _check_layout(path, directory: dict, layout, error=MissingArtifactError) -> None:
-    """Refuse an array directory (name -> shape) that is not exactly ``layout``; reads at
-    most one layout entry past the directory's length, so a count no array bears out is cheap."""
-    expected = dict(itertools.islice(layout, len(directory) + 1))
+    """Refuse configs ``layout()`` refuses, or an array directory (name -> shape) that is
+    not exactly ``layout()``; reads at most one layout entry past the directory's length,
+    so a count no array bears out is cheap."""
+    try:
+        expected = dict(itertools.islice(layout(), len(directory) + 1))
+    except ConfigError as exc:  # a slot not narrower than its hidden size
+        raise error(f"{path}: {exc}") from None
     missing = [name for name in expected if name not in directory]
     if len(expected) > len(directory):  # the rest of the layout is never read
         raise error(f"{path}: the header implies more arrays than the {len(directory)} of its "
@@ -175,7 +180,7 @@ def save_checkpoint(path, encoder: Encoder, stack: AdapterStack | None = None) -
     check_registered(stack, encoder.params)  # else the file would not load
     arrays = list(encoder.params.items())
     _check_layout(path, {name: t.shape for name, t in arrays},
-                  _layout(encoder.config, encoder.head_classes, slots), ConfigError)
+                  lambda: _layout(encoder.config, encoder.head_classes, slots), ConfigError)
     _write_container(path, manifest, arrays)
 
 
@@ -197,7 +202,7 @@ def load_checkpoint(path) -> tuple[Encoder, AdapterStack | None, dict]:
     for kind, acfg in slots.items():
         if acfg.kind != kind:
             raise MissingArtifactError(f"{path}: header entry adapters.{kind} has kind {acfg.kind}")
-    _check_layout(path, directory, _layout(config, heads, slots))
+    _check_layout(path, directory, lambda: _layout(config, heads, slots))
     encoder = Encoder(config, seed=_integer(path, "seed", manifest["seed"], 0))
     for head, n in heads.items():
         (encoder.ensure_cls_head if head == "cls" else encoder.ensure_tag_head)(n)
@@ -234,7 +239,7 @@ def load_adapter(path) -> tuple[AdapterConfig, list[tuple[np.ndarray, np.ndarray
     config = _build(path, AdapterConfig, manifest, "adapter_config")
     num_layers = _integer(path, "num_layers", manifest["num_layers"], 1)
     hidden = (directory.get("0.w_down") or (0,))[0]  # the one every layer must share
-    _check_layout(path, directory, slot_layout(config, hidden, num_layers))
+    _check_layout(path, directory, lambda: slot_layout(config, hidden, num_layers))
     slot = zero_slot(config, hidden, num_layers)
     _copy_arrays(directory, body, dict(slot_arrays(slot)))
     return config, [(w.w_down.values, w.w_up.values) for w in slot], manifest

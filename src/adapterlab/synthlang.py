@@ -15,20 +15,17 @@ Everything here is built array-wide, not token by token: the generator
 steps every sentence's class chain at once, and a corpus or dataset is
 re-lexified as one ``PAD``-separated id array, with its cipher built once.
 The bytes are those of the token-by-token definitions the docstrings give.
-
-A task dataset file is one JSON object of ids, with no vocabulary.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, MissingArtifactError, require_fraction, require_int
+from .errors import ConfigError, ContractError, require_fraction, require_int
 
 PAD, UNK, CLS, MASK, SEP = 0, 1, 2, 3, 4
 RESERVED_TOKENS = ("[PAD]", "[UNK]", "[CLS]", "[MASK]", "[SEP]")
@@ -418,65 +415,3 @@ def gen_tag_task(
     ids = _relexify(spec, cipher, [base_ids[int(i)] for i in picks])
     examples = [(out, tag_of[out]) for out in ids]
     return TaskDataset(TAGGING, spec.code, split, examples, n_tags)
-
-
-# --- on-disk format ---------------------------------------------------------------
-
-
-def save_task_dataset(dataset: TaskDataset, path) -> None:
-    """Write a dataset as one JSON object of its fields, each example lists of ints.
-
-    The loader's check runs before the file is opened, so a dataset the
-    loader would refuse raises ``ContractError`` and writes nothing.
-    """
-    try:
-        plain = replace(dataset, examples=[[np.asarray(part).tolist() for part in ex]
-                                           for ex in dataset.examples])
-        _checked(plain)
-    except (TypeError, ValueError) as exc:  # TypeError: an example that is not a sequence
-        raise ContractError(f"cannot save {path}: {exc}") from None
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(vars(plain), fh)
-
-
-def load_task_dataset(path) -> TaskDataset:
-    """Read a dataset file; any flaw raises ``MissingArtifactError`` naming the path."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return _checked(TaskDataset(**json.load(fh)))
-    except (OSError, TypeError, ValueError) as exc:  # TypeError: not an object of the fields
-        raise MissingArtifactError(f"{path}: not a task dataset file: {exc}") from exc
-
-
-def _checked(dataset: TaskDataset) -> TaskDataset:
-    """A dataset read from JSON, with int64 arrays, if it is as ``TaskDataset`` describes.
-
-    Bools and floats are refused; the first flaw raises ``ValueError``.
-    """
-    kind, n = dataset.kind, dataset.num_classes
-    if kind not in (SEQ_CLS, TAGGING):
-        raise ValueError(f"unknown dataset kind {kind!r}")
-    if type(dataset.language) is not str or type(dataset.split) is not str:
-        raise ValueError("language and split must be strings")
-    require_int("num_classes", n, 1, ValueError)
-    if type(dataset.examples) is not list:
-        raise ValueError("examples must be a list")
-    examples = []
-    for i, ex in enumerate(dataset.examples):
-        if type(ex) is not list or len(ex) != (3 if kind == SEQ_CLS else 2):
-            raise ValueError(f"example {i} is not [ids, ids, label] or [ids, tags] as {kind} needs")
-        if kind == SEQ_CLS:
-            examples.append((_ints(i, ex[0]), _ints(i, ex[1]), int(_ints(i, ex[2:], n)[0])))
-        else:
-            ids, tags = _ints(i, ex[0]), _ints(i, ex[1], n)
-            if ids.size != tags.size:
-                raise ValueError(f"example {i} has {ids.size} tokens and {tags.size} tags")
-            examples.append((ids, tags))
-    return replace(dataset, examples=examples)
-
-
-def _ints(i: int, values, high: int = 2**63) -> np.ndarray:
-    """``values`` as int64 if it is a list of integers in [0, high), else ``ValueError``."""
-    if type(values) is not list or any(type(v) is not int or not 0 <= v < high for v in values):
-        raise ValueError(f"example {i}: {str(values)[:40]} is not a list of ints in [0, {high})")
-    return np.array(values, dtype=np.int64)

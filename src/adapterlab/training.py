@@ -117,11 +117,6 @@ class TrainStats:
     ortho_totals: list[float] = field(default_factory=list)
     skipped_sequences: int = 0
 
-    def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for line in self.log_lines:
-                fh.write(line + "\n")
-
 
 def pad_sequences(seqs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Stack variable-length id sequences into [B, T] ids + 0/1 mask."""

@@ -18,6 +18,7 @@ from adapterlab.adapters import (
     TASK,
     AdapterConfig,
     AdapterStack,
+    AdapterWeights,
     init_adapter_stack_slot,
     swap_language_adapter,
     zero_slot,
@@ -593,6 +594,65 @@ def test_a_stack_that_does_not_fit_the_encoder_is_never_written(tmp_path):
         with pytest.raises(ConfigError, match=re.escape(message)):
             save_checkpoint(tmp_path / "model.ckpt", enc, stack)
     assert list(tmp_path.iterdir()) == []
+
+
+def forge(path, manifest: dict, arrays: dict) -> None:
+    """Write a container of header ``manifest`` and zero arrays of the given shapes."""
+    directory = [{"name": name, "shape": list(shape)} for name, shape in arrays.items()]
+    body = bytes(8 * sum(math.prod(shape) for shape in arrays.values()))
+    path.write_bytes(json.dumps({**manifest, "format_version": 2, "arrays": directory}).encode()
+                     + b"\x00" + body)
+
+
+def unchecked_slot(config, hidden, num_layers):
+    """A slot of [hidden, dim] / [dim, hidden] zeros built past ``zero_slot``'s check."""
+    return [AdapterWeights(config, Tensor(np.zeros((hidden, config.dim))),
+                           Tensor(np.zeros((config.dim, hidden)))) for _ in range(num_layers)]
+
+
+@pytest.mark.parametrize("hidden", [0, 1, 2])
+def test_an_adapter_file_whose_slot_is_not_narrower_than_its_hidden_size_is_refused(
+        tmp_path, hidden):
+    path = tmp_path / "lang.adapter"
+    forge(path, {"kind": "adapter", "language": "tgt", "num_layers": 1,
+                 "adapter_config": asdict(AdapterConfig(2, LANGUAGE))},
+          {"0.w_down": (hidden, 2), "0.w_up": (2, hidden)})
+    message = f"{path}: adapter dim 2 must be smaller than hidden size {hidden}"
+    with pytest.raises(MissingArtifactError, match=re.escape(message)):
+        load_adapter(path)
+
+
+def test_a_slot_not_narrower_than_its_hidden_size_is_neither_built_nor_saved(tmp_path):
+    config = AdapterConfig(4, LANGUAGE)
+    path = tmp_path / "lang.adapter"
+    for build in (zero_slot, lambda *args: save_adapter(path, unchecked_slot(*args))):
+        with pytest.raises(ConfigError, match="adapter dim 4 must be smaller than hidden size 4"):
+            build(config, 4, 2)
+    assert not path.exists()
+
+
+def test_a_checkpoint_whose_slot_is_wider_than_the_encoder_is_neither_saved_nor_loaded(
+        tmp_path):
+    enc = Encoder(EncoderConfig(vocab=30, num_layers=2, hidden=8, num_heads=2, ffn=12,
+                                max_len=10))
+    config = AdapterConfig(12, LANGUAGE)
+    stack = AdapterStack(2)
+    stack.fill(LANGUAGE, unchecked_slot(config, 8, 2))
+    message = "adapter dim 12 must be smaller than hidden size 8"
+    with pytest.raises(ConfigError, match=message):
+        stack.register(enc.params)
+    for i, w in enumerate(stack.lang):  # registered by hand, past ``register``'s check
+        enc.params.add(f"adapter.lang.{i}.w_down", w.w_down)
+        enc.params.add(f"adapter.lang.{i}.w_up", w.w_up)
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(ConfigError, match=message):
+        save_checkpoint(path, enc, stack)
+    assert not path.exists()
+    forge(path, {"kind": "checkpoint", "seed": 0, "encoder_config": asdict(enc.config),
+                 "heads": {}, "adapters": {LANGUAGE: asdict(config), TASK: None}},
+          {name: t.shape for name, t in enc.params.items()})
+    with pytest.raises(MissingArtifactError, match=re.escape(f"{path}: {message}")):
+        load_checkpoint(path)
 
 
 # values of each JSON type but an integer, which the fuzz below writes into a header

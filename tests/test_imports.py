@@ -10,9 +10,12 @@ loaded outside its own definition: a private name (``_helper``) in its own
 module, a public one anywhere under ``src``, ``tests`` or ``perfbench``. A
 method or dataclass field of a top-level class counts as read when an
 attribute of its name is loaded, or a keyword of its name passed, anywhere
-there outside its own definition; dunder methods are exempt. A ``global``
-statement anywhere in a module is refused: state a function rebinds at
-module level is shared by every caller.
+there outside its own definition; dunder methods are exempt. A second pass
+counts only the reads under ``src`` and ``perfbench``: a public name or
+member that only tests read must be in ``KEPT``, with the direction of
+ROADMAP.md that will call it, and leaves ``KEPT`` once code reads it. A
+``global`` statement anywhere in a module is refused: state a function
+rebinds at module level is shared by every caller.
 """
 
 import ast
@@ -25,8 +28,8 @@ import pytest
 import adapterlab
 
 PACKAGE = Path(adapterlab.__file__).parent
-READERS = sorted(p for d in ("src", "tests", "perfbench")
-                 for p in (PACKAGE.parents[1] / d).rglob("*.py"))
+ROOT = PACKAGE.parents[1]
+READERS = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -188,6 +191,67 @@ def test_package_module_has_no_orphaned_member(module):
     path = PACKAGE / module
     elsewhere = set().union(*(member_reads_of(p) for p in READERS if p != path))
     assert orphaned_members(path.read_text(encoding="utf-8"), elsewhere) == []
+
+
+# ``module.name`` or ``module.Class.member`` -> why it stays while only tests read it
+KEPT = {
+    "autodiff.softmax_rows": "perfbench/tracing._OP_NAMES names it by string (Direction 10)",
+    "autodiff.grad_check": "the reference every op's test compares against (Aim 3)",
+    "optim.Adam.state_checksum": "shows the second optimizer's state stays its own "
+                                 "(Direction 4)",
+    "synthlang.apply_language": "the per-sentence definition the batch relexifier is "
+                                "tested against (Aim 3)",
+    "synthlang.gen_seq_task": "the sentence-pair task Direction 7 replaces",
+    "synthlang.invert_language": "the translate-test arm (Direction 2)",
+    "synthlang.Vocab.content_hash": "the run manifest's vocab hash (Direction 2)",
+    "synthlang.TaskDataset.content_hash": "the run manifest's dataset hash (Direction 2)",
+    "synthlang.TaskDataset.label_counts": "the majority-class share beside each score "
+                                          "(Direction 2)",
+    "training.model_selection": "the grid's choice by source dev metric (Direction 2)",
+    "training.write_run_manifest": "each run directory's manifest (Direction 2)",
+    "training.read_run_manifest": "the report reads the cell records (Direction 2)",
+    "training.config_hash": "keys each stage's output in the grid (Direction 2)",
+    "training.TrainStats.skipped_sequences": "a field of the per-step record (Direction 8)",
+}
+
+
+def read_only_by_tests(path: Path, root: Path) -> list[str]:
+    """``module.name`` / ``module.Class.member`` for each name or member of the module at
+    ``path`` that no file under ``root``'s ``src`` or ``perfbench`` reads; ``tests`` do not count."""
+    shipped = [p for d in ("src", "perfbench") for p in (root / d).rglob("*.py") if p != path]
+    source = path.read_text(encoding="utf-8")
+    orphans = (orphaned_names(source, set().union(*map(reads_of, shipped)))
+               + orphaned_members(source, set().union(*map(member_reads_of, shipped))))
+    return [f"{path.stem}.{name}" for name in orphans]
+
+
+def test_checker_finds_a_name_only_tests_read(tmp_path):
+    files = {"src/pkg/mod.py": ("def benched():\n"
+                                "    return 1\n"
+                                "def tested():\n"
+                                "    return 2\n"
+                                "class Box:\n"
+                                "    def size(self):\n"
+                                "        return 3\n"
+                                "    def peek(self):\n"
+                                "        return 4\n"),
+             "perfbench/bench.py": "import mod\nmod.benched()\nmod.Box().size()\n",
+             "tests/test_mod.py": "from pkg import mod\nmod.tested()\nmod.Box().peek()\n"}
+    for name, source in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(source, encoding="utf-8")
+    assert read_only_by_tests(tmp_path / "src/pkg/mod.py", tmp_path) == ["mod.tested",
+                                                                          "mod.Box.peek"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_package_module_has_no_name_only_tests_read(module):
+    assert [e for e in read_only_by_tests(PACKAGE / module, ROOT) if e not in KEPT] == []
+
+
+def test_every_kept_name_exists_and_is_still_read_only_by_tests():
+    found = {e for p in PACKAGE.glob("*.py") for e in read_only_by_tests(p, ROOT)}
+    assert sorted(set(KEPT) - found) == []  # gone from its module, or code reads it now
 
 
 def global_statements(source: str) -> list[str]:

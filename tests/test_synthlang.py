@@ -1,14 +1,7 @@
-import json
-import re
-import tempfile
-from pathlib import Path
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from adapterlab.errors import ConfigError, ContractError, MissingArtifactError
+from adapterlab.errors import ConfigError, ContractError
 from adapterlab.synthlang import (
     CLS,
     EQUAL,
@@ -23,7 +16,6 @@ from adapterlab.synthlang import (
     TAGGING,
     UNK,
     SyntheticLanguageSpec,
-    TaskDataset,
     Vocab,
     apply_language,
     build_vocab,
@@ -33,9 +25,7 @@ from adapterlab.synthlang import (
     generate_corpus,
     invert_language,
     language_corpus,
-    load_task_dataset,
     make_word_list,
-    save_task_dataset,
     stable_bucket,
     tag_table,
 )
@@ -424,150 +414,3 @@ def test_splits_disjoint_and_hash_stable():
     train_sents = {tuple(map(int, ex[0])) for ex in sets["train"].examples}
     test_sents = {tuple(map(int, ex[0])) for ex in sets["test"].examples}
     assert not train_sents & test_sents
-
-
-# --- on-disk format --------------------------------------------------------------------
-
-
-def test_seq_dataset_file_roundtrip(tmp_path):
-    _, vocab, ids = toy_setup()
-    ds = gen_seq_task(ids, SyntheticLanguageSpec("src"), vocab, 60, "dev", seed=5)
-    path = tmp_path / "seq.json"
-    save_task_dataset(ds, path)
-    loaded = load_task_dataset(path)
-    assert loaded.content_hash() == ds.content_hash()
-    assert (loaded.kind, loaded.language, loaded.split, loaded.num_classes) == \
-        (SEQ_CLS, "src", "dev", 3)
-    assert set(json.loads(path.read_text())) == \
-        {"kind", "language", "split", "num_classes", "examples"}
-
-
-def test_tag_dataset_file_roundtrip(tmp_path):
-    _, vocab, ids = toy_setup()
-    ds = gen_tag_task(ids, SyntheticLanguageSpec("src"), vocab, 40, "dev", seed=6)
-    path = tmp_path / "tag.json"
-    save_task_dataset(ds, path)
-    loaded = load_task_dataset(path)
-    assert loaded.content_hash() == ds.content_hash()
-    assert (loaded.kind, loaded.language, loaded.split, loaded.num_classes) == \
-        (TAGGING, "src", "dev", 6)
-    assert all(part.dtype == np.int64 for ex in loaded.examples for part in ex)
-
-
-@settings(max_examples=60)
-@given(st.sampled_from([SEQ_CLS, TAGGING]), st.integers(1, 4), st.text(max_size=4),
-       st.text(max_size=4), st.data())
-def test_any_saved_dataset_loads_the_same_ids_and_labels(kind, num_classes, language, split,
-                                                         data):
-    ids = st.lists(st.integers(0, 10**6), max_size=5)  # no vocabulary bounds an id
-    label = st.integers(0, num_classes - 1)
-    if kind == SEQ_CLS:
-        example = st.tuples(ids, ids, label)
-    else:
-        example = ids.flatmap(lambda s: st.tuples(st.just(s), st.lists(label, min_size=len(s),
-                                                                      max_size=len(s))))
-    examples = data.draw(st.lists(example, max_size=4))
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "dataset.json"
-        save_task_dataset(TaskDataset(kind, language, split, examples, num_classes), path)
-        loaded = load_task_dataset(path)
-    assert (loaded.kind, loaded.language, loaded.split, loaded.num_classes) == \
-        (kind, language, split, num_classes)
-    assert [[np.asarray(part).tolist() for part in ex] for ex in loaded.examples] == \
-        [[np.asarray(part).tolist() for part in ex] for ex in examples]
-
-
-@pytest.mark.parametrize("examples", [
-    [([5], [0]), ([], [1]), ([6], [1])],  # an empty sentence still needs no tag
-    [([5, 6, 7], [0, 1])],  # a tag short
-    [([5, 6], [0, 1, 2])],
-])
-def test_tagging_examples_that_would_not_load_back_are_refused(tmp_path, examples):
-    path = tmp_path / "tag.json"
-    with pytest.raises(ContractError, match="tokens and .* tags"):
-        save_task_dataset(TaskDataset(TAGGING, "x", "dev", examples, 3), path)
-    assert not path.exists()
-
-
-@pytest.mark.parametrize("dataset", [
-    TaskDataset(TAGGING, "x", "dev", [([5, 6], [0, 1]), ([5, -1], [0, 1])], 3),
-    TaskDataset(SEQ_CLS, "x", "dev", [([5], np.array([6.0]), 0)], 3),
-    TaskDataset(SEQ_CLS, "x", "dev", [([5], [True], 0)], 3),
-    TaskDataset(SEQ_CLS, "x", "dev", [([5], [6], 3)], 3),
-    TaskDataset(TAGGING, "x", "dev", [([5], [-1])], 3),
-    TaskDataset(SEQ_CLS, "x", "dev", [([5], [6])], 3),
-    TaskDataset(TAGGING, "x", "dev", [5], 3),
-    TaskDataset("nli", "x", "dev", [], 3),
-    TaskDataset(TAGGING, None, "dev", [], 3),
-    TaskDataset(TAGGING, "x", "dev", [], 0),
-], ids=["negative id", "float id", "bool id", "label past the classes", "negative tag",
-        "seq_cls pair without label", "example not a sequence", "unknown kind",
-        "language not a string", "no classes"])
-def test_datasets_the_loader_would_refuse_are_not_saved(tmp_path, dataset):
-    path = tmp_path / "dataset.json"
-    with pytest.raises(ContractError, match=re.escape(str(path))):
-        save_task_dataset(dataset, path)
-    assert not path.exists()
-
-
-def _record(kind=TAGGING, **changes) -> bytes:
-    examples = [[[5, 6], [0, 2]]] if kind == TAGGING else [[[5, 6], [7], 2]]
-    record = {"kind": kind, "language": "xx", "split": "dev", "num_classes": 3,
-              "examples": examples}
-    return json.dumps({**record, **changes}).encode()
-
-
-def test_the_record_helper_writes_a_loadable_file(tmp_path):
-    for kind in (SEQ_CLS, TAGGING):
-        (tmp_path / "ok.json").write_bytes(_record(kind))
-        assert load_task_dataset(tmp_path / "ok.json").kind == kind
-
-
-def test_labels_outside_the_classes_are_refused_on_load(tmp_path):
-    path = tmp_path / "dataset.json"
-    for content in (_record(examples=[[[5, 6], [0, 3]]]), _record(examples=[[[5], [-1]]]),
-                    _record(SEQ_CLS, examples=[[[5], [6], 0], [[5, 6], [7], 3]]),
-                    _record(SEQ_CLS, examples=[[[5], [6], -1]]),
-                    _record(SEQ_CLS, examples=[[[5], [6], True]])):
-        path.write_bytes(content)
-        with pytest.raises(MissingArtifactError, match=re.escape(str(path)) + ".* in \\[0, 3\\)"):
-            load_task_dataset(path)
-
-
-@pytest.mark.parametrize("content", [
-    None,
-    b'{"kind": "tagging", "language": "\xff"}',
-    b"0\tfi ka\tlo\n",
-    b"[]",
-    json.dumps({"kind": TAGGING, "language": "xx", "split": "dev", "examples": []}).encode(),
-    _record(kind="nli"),
-    _record(kind="nli", examples=[]),
-    _record(language=5),
-    _record(split=None),
-    _record(examples={}),
-    _record(examples=[5]),
-    _record(num_classes=True),
-    _record(num_classes=0),
-    _record(num_classes=2.0),
-    _record(examples=[[[5, -1], [0, 1]]]),
-    _record(SEQ_CLS, examples=[[[5, 6.0], [7], 2]]),
-    _record(SEQ_CLS, examples=[[[5], [False], 2]]),
-    _record(SEQ_CLS, examples=[[[5], 6, 2]]),
-    _record(SEQ_CLS, examples=[[[5], [6]]]),
-    _record(SEQ_CLS, examples=[[[5], [6], [2]]]),
-    _record(SEQ_CLS, examples=[[[5], [6], 2, 0]]),
-    _record(examples=[[[5, 6], [0]]]),
-    _record(examples=[[[5], [0, 1]]]),
-    _record(examples=[[[5], [0], []]]),
-], ids=["absent", "not UTF-8", "not JSON", "not an object", "no class count", "unknown kind",
-        "unknown kind, no examples", "language not a string", "split not a string",
-        "examples not a list", "example not a list", "bool class count", "no classes",
-        "float class count", "negative id", "float id", "bool id", "ids not a list",
-        "seq_cls pair without label", "seq_cls label a list", "seq_cls of four parts",
-        "a tag short", "a tag over", "tagging of three parts"])
-def test_a_flawed_dataset_file_is_refused_naming_the_path(tmp_path, content):
-    path = tmp_path / "dataset.json"
-    if content is not None:
-        path.write_bytes(content)
-    with pytest.raises(MissingArtifactError, match=re.escape(str(path))):
-        load_task_dataset(path)

@@ -660,14 +660,12 @@ def test_unreadable_run_manifest_is_refused(tmp_path, content):
         read_run_manifest(path)
 
 
-def test_metrics_log_format(tmp_path):
+def test_metrics_log_format():
     vocab, corpus = setup_bed()
     enc, stack = fresh_model(vocab, task=False)
     cfg = PhaseConfig(phase=PHASE_LANG, main_loss="mlm", ortho=True,
                       steps=3, batch_size=4, seed=1)
-    log_path = tmp_path / "metrics.tsv"
-    train_language_adapter(enc, stack, corpus, cfg).write(log_path)
-    lines = log_path.read_text().splitlines()
+    lines = train_language_adapter(enc, stack, corpus, cfg).log_lines
     assert len(lines) == 6  # one mlm + one ort line per step
     for line in lines:
         fields = line.split("\t")
