@@ -10,12 +10,12 @@ inserting one changes nothing until training moves it.
 
 A slot's shape and layout live here alone: ``slot_layout`` names and shapes
 a slot's ``[H, dim]`` / ``[dim, H]`` tensors and refuses ``dim >= H``, so
-every path that builds, saves or loads a slot does; ``zero_slot`` builds them,
-``slot_config`` checks that they fit one config and one H, ``slot_arrays``
-names them by the layout, in a ParamSet and in files, and ``check_registered``
-requires a stack a phase runs or a checkpoint saves to be, slot for slot, the
-one registered. The training phase ids are named here too; which weights each
-phase trains is decided by ``training.trainable_names``.
+every path that builds, fills, saves or loads a slot does; ``zero_slot`` builds
+them, ``slot_config`` checks a slot against it for one config and layer 0's H,
+``slot_arrays`` names them by it, in a ParamSet and in files, and
+``check_registered`` requires a stack a phase runs or a checkpoint saves to be,
+slot for slot, the one registered. The training phase ids are named here too;
+which weights each phase trains is decided by ``training.trainable_names``.
 """
 
 from __future__ import annotations
@@ -102,16 +102,18 @@ def slot_arrays(weights: list[AdapterWeights], prefix: str = "") -> list[tuple[s
 
 
 def slot_config(weights: list[AdapterWeights]) -> AdapterConfig:
-    """The config a slot's layers share, with [H, dim] / [dim, H] tensors; else ContractError."""
+    """The config a slot's layers share, each tensor shaped by ``slot_layout`` for layer 0's
+    hidden size (0 if its ``w_down`` is 0-d); else ContractError, or slot_layout's ConfigError."""
     configs = [w.config for w in weights]
     if not configs or any(c != configs[0] for c in configs):
         raise ContractError(f"a slot needs at least one layer, and its layers must "
                             f"share one config; got {configs}")
-    dim, hidden = configs[0].dim, weights[0].w_down.shape[:1]  # layer 0's H; () if 0-d
-    for i, w in enumerate(weights):
-        if w.w_down.shape != (*hidden, dim) or w.w_up.shape != (dim, *hidden):
+    hidden = (weights[0].w_down.shape or (0,))[0]
+    shapes = (shape for _, shape in slot_layout(configs[0], hidden, len(weights)))
+    for i, (w, down, up) in enumerate(zip(weights, shapes, shapes)):  # two shapes a layer
+        if (w.w_down.shape, w.w_up.shape) != (down, up):
             raise ContractError(f"layer {i} of the slot holds {w.w_down.shape}/"
-                                f"{w.w_up.shape}, not [H, {dim}]/[{dim}, H] for one H")
+                                f"{w.w_up.shape}, not {down}/{up}")
     return configs[0]
 
 

@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ContractError, EmptyLossError, NumericError, ShapeError
+from .errors import ContractError, EmptyLossError, NumericError, ShapeError, VocabError
 
 Array = np.ndarray
 COSINE_EPS = 1e-12  # added to each squared norm in ``cosine_sq_rows``
@@ -274,13 +274,15 @@ def select_token(x: Tensor, position: int) -> Tensor:
 
 
 def _ids(ids, size: int, name: str) -> Array:
-    """``ids`` as int64, or ``ContractError`` unless they are of an integer dtype and each in
-    [0, size): the cast would truncate a float id, and an index would wrap a negative one."""
+    """``ids`` as int64. ``ContractError`` unless they are of an integer dtype, since the cast
+    would truncate a float id; ``VocabError`` naming the negative id, else the largest, unless
+    each lies in [0, size), since an index would wrap a negative one."""
     ids = np.asarray(ids)
     if ids.size and ids.dtype.kind not in "iu":
         raise ContractError(f"{name} must be integers, of an integer dtype, got {ids.dtype}")
     if ids.size and (ids.min() < 0 or ids.max() >= size):
-        raise ContractError(f"{name} must lie in [0, {size})")
+        bad = ids.min() if ids.min() < 0 else ids.max()
+        raise VocabError(f"{name} must lie in [0, {size}), got {bad}")
     return ids.astype(np.int64, copy=False)
 
 
@@ -491,8 +493,8 @@ def cross_entropy(logits: Tensor, labels: Array) -> Tensor:
         raise EmptyLossError("cross_entropy over zero rows")
     labels = _ids(labels, n_classes, "labels")
     rows = np.arange(n)
-    shifted = logits.values - logits.values.max(axis=-1, keepdims=True)
-    logsumexp = np.log(np.exp(shifted).sum(axis=-1)) + logits.values.max(axis=-1)
+    row_max = logits.values.max(axis=-1, keepdims=True)
+    logsumexp = np.log(np.exp(logits.values - row_max).sum(axis=-1)) + row_max[:, 0]
     values = np.asarray((logsumexp - logits.values[rows, labels]).sum() / n)
 
     def backward(g):

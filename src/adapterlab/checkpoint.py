@@ -232,6 +232,7 @@ def save_adapter(path, weights: list, language: str | None = None) -> None:
 
 
 def load_adapter(path) -> tuple[AdapterConfig, list[tuple[np.ndarray, np.ndarray]], dict]:
+    """(slot config, one (w_down, w_up) array pair per layer, header) of an adapter file."""
     manifest, directory, body = _read_container(path)
     if manifest.get("kind") != "adapter":
         raise MissingArtifactError(f"{path} is not an adapter container")

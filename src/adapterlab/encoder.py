@@ -38,7 +38,7 @@ from .autodiff import (
     swap_last,
     tanh,
 )
-from .errors import ConfigError, SequenceLengthError, VocabError, require_fraction, require_int
+from .errors import ConfigError, SequenceLengthError, require_fraction, require_int
 from .optim import ParamSet
 
 MASK_BIAS = -1e9
@@ -152,7 +152,8 @@ class Encoder:
         """Run the backbone over a [B, T] id batch.
 
         ``mask`` is 1 on real tokens and 0 on padding; padded positions are
-        never attended to. Dropout at the configured rate applies when an
+        never attended to. The token embedding lookup range-checks the ids
+        (``VocabError``). Dropout at the configured rate applies when an
         ``rng`` is given and never otherwise. Returns final states [B, T, H]
         and, per occupied slot kind, one (input values, weights) pair per
         layer; empty kinds are absent.
@@ -168,11 +169,6 @@ class Encoder:
             raise ConfigError(f"token ids must be integers, got dtype {ids.dtype}")
         if not ((mask == 0) | (mask == 1)).all():
             raise ConfigError(f"mask entries must be 0 or 1, got {np.unique(mask)}")
-        lo, hi = int(ids.min()), int(ids.max())
-        if lo < 0 or hi >= c.vocab:
-            raise VocabError(
-                f"token id {lo if lo < 0 else hi} outside vocabulary of size {c.vocab}"
-            )
         if ids.shape[1] > c.max_len:
             raise SequenceLengthError(
                 f"sequence length {ids.shape[1]} exceeds max_len {c.max_len}"

@@ -11,10 +11,6 @@ class ShapeError(AdapterLabError):
     """Tensor shapes do not conform for the requested operation."""
 
 
-class VocabError(AdapterLabError):
-    """A token id falls outside the model's vocabulary."""
-
-
 class SequenceLengthError(AdapterLabError):
     """An input sequence exceeds the configured maximum length."""
 
@@ -25,6 +21,10 @@ class ConfigError(AdapterLabError):
 
 class ContractError(AdapterLabError):
     """A caller violated an operation's precondition."""
+
+
+class VocabError(ContractError):
+    """An id outside the table or class range it indexes: a token id, or a class label."""
 
 
 class NumericError(AdapterLabError):

@@ -114,7 +114,6 @@ class TrainStats:
 
     log_lines: list[str] = field(default_factory=list)
     main_losses: list[float] = field(default_factory=list)
-    ortho_totals: list[float] = field(default_factory=list)
     skipped_sequences: int = 0
 
 
@@ -291,7 +290,6 @@ def run_phase(
                 encoder.params.set_trainable(trainable)
                 report = ortho_loss(acts, cfg.slot(), mask)
                 total, norm = _descend(report.loss, opt_ortho, "ortho", step)
-                stats.ortho_totals.append(total)
                 cos2 = ",".join(repr(v) for v in report.per_layer)
                 stats.log_lines.append(
                     f"{step}\t{cfg.phase}\tort\t{total!r}\t{cos2}\t{norm!r}")

@@ -154,6 +154,18 @@ def test_fill_refuses_weights_that_do_not_fit_the_slot():
     assert stack.lang is None and stack.task is None
 
 
+def test_fill_refuses_a_hand_built_slot_not_narrower_than_the_hidden_size():
+    # a dim-12 slot on a hidden-8 encoder, built past ``zero_slot``'s check
+    lang = init_adapter_stack_slot(AdapterConfig(dim=3, kind=LANGUAGE), 8, 2, 0)
+    wide = [AdapterWeights(AdapterConfig(dim=12, kind=LANGUAGE), Tensor(np.zeros((8, 12))),
+                           Tensor(np.zeros((12, 8)))) for _ in range(2)]
+    stack = AdapterStack(2)
+    stack.fill(LANGUAGE, lang)
+    with pytest.raises(ConfigError, match="adapter dim 12 must be smaller than hidden size 8"):
+        stack.fill(LANGUAGE, wide)
+    assert stack.lang is lang and stack.task is None
+
+
 def test_fill_order_does_not_change_the_stacking_order():
     enc = small_encoder()
     ids = np.array([[2, 5, 6, 7], [2, 8, 9, 0]])

@@ -28,7 +28,7 @@ from adapterlab.autodiff import (
     transpose,
     tsum,
 )
-from adapterlab.errors import ContractError, EmptyLossError, ShapeError
+from adapterlab.errors import ContractError, EmptyLossError, ShapeError, VocabError
 
 
 def rng(seed=0):
@@ -527,8 +527,9 @@ def test_cross_entropy_zero_rows_raises():
 def test_cross_entropy_label_out_of_range_raises():
     # e.g. a 6-tag dataset on a 4-class tag head; the ignore label is out of
     # range too, since ``labelled_rows`` drops those rows before the head
-    for labels in ([0, 5], [-2, 1], [-1, 1]):
-        with pytest.raises(ContractError, match=r"labels must lie in \[0, 3\)"):
+    # the error names the negative label, else the largest
+    for labels, bad in (([0, 5], 5), ([-2, 1], -2), ([-1, 1], -1), ([4, 5], 5), ([-1, 5], -1)):
+        with pytest.raises(VocabError, match=rf"labels must lie in \[0, 3\), got {bad}"):
             cross_entropy(Tensor(np.zeros((2, 3))), labels)
 
 
@@ -581,9 +582,11 @@ def test_embedding_lookup_refuses_ids_outside_the_table_or_not_integers():
     # numpy would read -1 as the last row, truncate 1.7 to row 1 and raise its
     # own IndexError for 3
     table = Tensor(np.arange(6.0).reshape(3, 2))
-    for ids, match in (([-1], r"ids must lie in \[0, 3\)"), ([3], r"ids must lie in \[0, 3\)"),
-                       ([1.7], "ids must be integers"), ([True], "ids must be integers")):
-        with pytest.raises(ContractError, match=match):
+    for ids, error, match in (([-1], VocabError, r"ids must lie in \[0, 3\), got -1"),
+                              ([3], VocabError, r"ids must lie in \[0, 3\), got 3"),
+                              ([1.7], ContractError, "ids must be integers"),
+                              ([True], ContractError, "ids must be integers")):
+        with pytest.raises(error, match=match):
             embedding_lookup(table, np.array(ids))
     assert embedding_lookup(table, np.array([], dtype=np.int64)).shape == (0, 2)
 

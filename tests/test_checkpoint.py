@@ -636,9 +636,12 @@ def test_a_checkpoint_whose_slot_is_wider_than_the_encoder_is_neither_saved_nor_
     enc = Encoder(EncoderConfig(vocab=30, num_layers=2, hidden=8, num_heads=2, ffn=12,
                                 max_len=10))
     config = AdapterConfig(12, LANGUAGE)
-    stack = AdapterStack(2)
-    stack.fill(LANGUAGE, unchecked_slot(config, 8, 2))
+    stack, wide = AdapterStack(2), unchecked_slot(config, 8, 2)
     message = "adapter dim 12 must be smaller than hidden size 8"
+    with pytest.raises(ConfigError, match=message):
+        stack.fill(LANGUAGE, wide)
+    assert stack.lang is None
+    stack.lang = wide  # set directly, since fill refuses it
     with pytest.raises(ConfigError, match=message):
         stack.register(enc.params)
     for i, w in enumerate(stack.lang):  # registered by hand, past ``register``'s check

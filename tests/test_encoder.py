@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from adapterlab import autodiff
 from adapterlab.adapters import LANGUAGE, AdapterConfig, AdapterStack, init_adapter_stack_slot
 from adapterlab.autodiff import Tensor, grad_check, mul, tsum
 from adapterlab.encoder import Encoder, EncoderConfig
-from adapterlab.errors import ConfigError, SequenceLengthError, VocabError
+from adapterlab.errors import ConfigError, ContractError, SequenceLengthError, VocabError
 from adapterlab.objectives import labelled_rows, mlm_loss
 
 
@@ -57,11 +59,13 @@ def test_defaults_match_toy_scale():
 
 
 def test_vocab_and_length_errors():
-    enc = encoder()
-    with pytest.raises(VocabError):
+    enc = encoder(vocab=10)
+    # the token embedding lookup is the one range check of the ids
+    with pytest.raises(VocabError, match=re.escape("ids must lie in [0, 10), got 99")) as refused:
         enc.encode(np.array([[2, 99]]), np.ones((1, 2)))
-    with pytest.raises(VocabError, match="-1"):  # the negative id, not the largest one
-        enc.encode(np.array([[-1, 5]]), np.ones((1, 2)))
+    assert isinstance(refused.value, ContractError)
+    with pytest.raises(VocabError, match="got -1"):  # the negative id, not the largest one
+        enc.encode(np.array([[-1, 99]]), np.ones((1, 2)))
     with pytest.raises(SequenceLengthError):
         enc.encode(np.full((1, 9), 2), np.ones((1, 9)))
     with pytest.raises(ConfigError):  # an empty batch, before any reduction over it

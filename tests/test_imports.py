@@ -126,10 +126,17 @@ def test_package_module_has_no_orphaned_name(module):
 
 
 def member_reads(node: ast.AST) -> Counter:
-    """How often each attribute name is loaded, or passed as a keyword, in ``node``."""
+    """How often each attribute name is loaded, or passed as a keyword, in ``node``.
+
+    The receiver of an ``.append(...)`` or ``.extend(...)`` call is written, not read.
+    """
+    written = {id(sub.func.value) for sub in ast.walk(node)
+               if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)
+               and sub.func.attr in ("append", "extend")}
     return Counter(sub.attr if isinstance(sub, ast.Attribute) else sub.arg
                    for sub in ast.walk(node)
                    if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+                   and id(sub) not in written
                    or isinstance(sub, ast.keyword) and sub.arg)
 
 
@@ -137,7 +144,7 @@ def orphaned_members(source: str, read_elsewhere: set[str]) -> list[str]:
     """``Class.member`` for each method or dataclass field that nothing reads.
 
     A member is read in ``source`` outside its own definition, or in
-    ``read_elsewhere``. A store (``self.count += 1``) is not a read.
+    ``read_elsewhere``. A store (``self.count += 1``) or an append to it is not a read.
     """
     tree = ast.parse(source)
     reads = member_reads(tree)
@@ -172,8 +179,11 @@ def test_checker_finds_an_orphaned_member():
               "    steps: int = 0\n"
               "    skipped: int = 0\n"
               "    losses: list = None\n"
+              "    totals: list = None\n"
               "    def __post_init__(self):\n"
               "        self.skipped += 1\n"  # a store, not a read
+              "        self.totals.append(1)\n"  # a write too
+              "        self.totals.extend([2])\n"
               "    def total(self):\n"
               "        return self.total() if self.steps else 0\n"  # only its own body reads it
               "    def mean(self):\n"
@@ -182,8 +192,8 @@ def test_checker_finds_an_orphaned_member():
               "    limit: int = 3\n"  # not a dataclass, so no field
               "    def run(self):\n"
               "        return Stats(steps=1).mean()\n")
-    assert orphaned_members(source, {"run"}) == ["Stats.skipped", "Stats.total"]
-    assert orphaned_members(source, {"total"}) == ["Stats.skipped", "Plain.run"]
+    assert orphaned_members(source, {"run"}) == ["Stats.skipped", "Stats.totals", "Stats.total"]
+    assert orphaned_members(source, {"total", "totals"}) == ["Stats.skipped", "Plain.run"]
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
