@@ -6,7 +6,8 @@ up-projection, then adds its input back:
     out = relu(x @ w_down) @ w_up + x
 
 The up-projection starts at zero, so a fresh adapter is the identity map and
-inserting one changes nothing until training moves it.
+inserting one changes nothing until training moves it. Each layer of a slot
+is one graph node, ``autodiff.adapter``.
 
 A slot's shape and layout live here alone: ``slot_layout`` names and shapes
 a slot's ``[H, dim]`` / ``[dim, H]`` tensors and refuses ``dim >= H``, so
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, add, matmul, relu
+from .autodiff import Tensor, adapter
 from .errors import ConfigError, ContractError, SwapError, require_int
 from .optim import ParamSet
 
@@ -68,9 +69,9 @@ class AdapterWeights:
 
 def adapter_forward(x: Tensor, w_down: Tensor, w_up: Tensor,
                     residual: bool = True) -> Tensor:
-    """Bottleneck adapter transform; differentiable in all three inputs."""
-    core = matmul(relu(matmul(x, w_down)), w_up)
-    return add(core, x) if residual else core
+    """Bottleneck adapter transform, one ``autodiff.adapter`` node; differentiable in all
+    three inputs."""
+    return adapter(x, w_down, w_up, residual)
 
 
 def slot_layout(config: AdapterConfig, hidden: int, num_layers: int, prefix: str = ""):
@@ -92,24 +93,28 @@ def zero_slot(config: AdapterConfig, hidden: int, num_layers: int) -> list[Adapt
     return [AdapterWeights(config, w_down, w_up) for w_down, w_up in zip(t[::2], t[1::2])]
 
 
+def _hidden(weights: list[AdapterWeights]) -> int:
+    """A slot's hidden size: its layer 0 ``w_down``'s first axis, 0 if that tensor is 0-d."""
+    return (weights[0].w_down.shape or (0,))[0]
+
+
 def slot_arrays(weights: list[AdapterWeights], prefix: str = "") -> list[tuple[str, Tensor]]:
-    """A slot's tensors, named and ordered by ``slot_layout`` with layer 0's hidden size
+    """A slot's tensors, named and ordered by ``slot_layout`` with the slot's ``_hidden`` size
     (the shapes it gives are not read)."""
-    layout = (slot_layout(weights[0].config, weights[0].w_down.shape[0], len(weights), prefix)
+    layout = (slot_layout(weights[0].config, _hidden(weights), len(weights), prefix)
               if weights else ())
     tensors = (t for w in weights for t in (w.w_down, w.w_up))
     return [(name, t) for (name, _), t in zip(layout, tensors)]
 
 
 def slot_config(weights: list[AdapterWeights]) -> AdapterConfig:
-    """The config a slot's layers share, each tensor shaped by ``slot_layout`` for layer 0's
-    hidden size (0 if its ``w_down`` is 0-d); else ContractError, or slot_layout's ConfigError."""
+    """The config a slot's layers share, each tensor shaped by ``slot_layout`` for the slot's
+    ``_hidden`` size; else ContractError, or slot_layout's ConfigError."""
     configs = [w.config for w in weights]
     if not configs or any(c != configs[0] for c in configs):
         raise ContractError(f"a slot needs at least one layer, and its layers must "
                             f"share one config; got {configs}")
-    hidden = (weights[0].w_down.shape or (0,))[0]
-    shapes = (shape for _, shape in slot_layout(configs[0], hidden, len(weights)))
+    shapes = (shape for _, shape in slot_layout(configs[0], _hidden(weights), len(weights)))
     for i, (w, down, up) in enumerate(zip(weights, shapes, shapes)):  # two shapes a layer
         if (w.w_down.shape, w.w_up.shape) != (down, up):
             raise ContractError(f"layer {i} of the slot holds {w.w_down.shape}/"

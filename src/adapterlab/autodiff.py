@@ -15,14 +15,22 @@ perturbed evaluations run frozen.
 Ops that the encoder would otherwise chain are fused into one node each,
 with the chain's arithmetic in its order: ``linear`` is ``x @ w + b`` (and
 ``matmul`` is ``linear`` without a bias), ``layer_norm`` normalises the
-residual sum ``x + y`` (adding ``LN_EPS`` to each row's variance), and
-``attention`` is multi-head scaled dot-product attention. One ``_softmax``
-serves ``softmax_rows``, ``attention`` and ``cross_entropy``'s gradient.
+residual sum ``x + y`` (adding ``LN_EPS`` to each row's variance),
+``attention`` is multi-head scaled dot-product attention, and ``adapter`` is
+the bottleneck ``relu(x @ w_down) @ w_up``, plus ``x`` with its residual.
+One ``_softmax`` serves ``softmax_rows``, ``attention`` and
+``cross_entropy``'s gradient, and one ``_minus_row_max`` subtracts each
+row's max for it and for ``cross_entropy``'s forward.
 
 An op writes in place only into an array it allocated in the same call,
 never into an input, a gradient handed to it or an array it returned
 earlier. Each element still goes through the same ufuncs in the same order,
-so values and gradients are bit for bit those of the out-of-place chain.
+so values and gradients are bit for bit those of the out-of-place chain. A
+sum's order is part of that arithmetic, as rounding depends on it; a max's
+is not, since a max rounds nothing, so ``_minus_row_max`` may reduce a row
+in any order. (Of two tied values only +0 and -0 differ in their bits, and
+each use of a row max gives both the same result: ``exp`` of ``x - m``, and
+``cross_entropy``'s ``+ m`` to a log that is at least 0.)
 """
 
 from __future__ import annotations
@@ -201,6 +209,48 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return linear(a, b)
 
 
+def adapter(x: Tensor, w_down: Tensor, w_up: Tensor, residual: bool = True) -> Tensor:
+    """``relu(x @ w_down) @ w_up``, plus ``x`` when ``residual``, as one node.
+
+    ``w_down`` is [H, d] and ``w_up`` [d, H] for an ``x`` of width H with at
+    least two axes. Forward and backward do the arithmetic of the chain
+    ``matmul``, ``relu``, ``matmul`` (and ``add``) in its order, so values and
+    gradients are bit for bit the same. A gradient is computed only for an
+    input that requires one.
+    """
+    x, w_down, w_up = _wrap(x), _wrap(w_down), _wrap(w_up)
+    if (x.ndim < 2 or w_down.ndim != 2 or w_down.shape[0] != x.shape[-1]
+            or w_up.shape != w_down.shape[::-1]):
+        raise ShapeError(f"adapter needs a >=2-d x of width H, an [H, d] w_down and a "
+                         f"[d, H] w_up, got {x.shape}, {w_down.shape}, {w_up.shape}")
+    h = x.shape[-1]
+    x2 = x.values.reshape(-1, h)  # a view when ``x`` is contiguous
+    inner = x2 @ w_down.values
+    np.maximum(inner, 0.0, out=inner)
+    values = inner @ w_up.values
+    if residual:
+        values += x2
+
+    def backward(g):
+        g2 = g.reshape(-1, h)
+        grads = []
+        if x.requires_grad or w_down.requires_grad:
+            g_inner = g2 @ w_up.values.T
+            g_inner *= inner > 0.0  # relu passes a gradient where its input was positive
+            if x.requires_grad:
+                gx = g_inner @ w_down.values.T
+                if residual:
+                    gx += g2
+                grads.append((x, gx.reshape(x.shape)))
+            if w_down.requires_grad:
+                grads.append((w_down, x2.T @ g_inner))
+        if w_up.requires_grad:
+            grads.append((w_up, inner.T @ g2))
+        return grads
+
+    return _node(values.reshape(x.shape), (x, w_down, w_up), backward)
+
+
 def relu(x: Tensor) -> Tensor:
     x = _wrap(x)
     values = np.maximum(x.values, 0.0)
@@ -305,9 +355,34 @@ def embedding_lookup(table: Tensor, ids: Array) -> Tensor:
     return _node(values, (table,), backward)
 
 
+# rows up to this long take their max across a copy with the row axis first: numpy's max
+# over a short last axis costs several times an elementwise max across contiguous rows.
+# Measured with numpy 2.4 on a 2-CPU Xeon, float64 arrays of 0.2-4 MB: the copy takes
+# 0.2-0.8x the time for rows of 5 to 28; at 32 it loses past ~1.5 MB (up to 2.5x), at 64
+# and 128 at every size (1.4-6x)
+SHORT_ROW = 28
+
+
+def _minus_row_max(x: Array) -> tuple[Array, Array]:
+    """``x - m`` in a fresh array, and ``m = x.max(axis=-1, keepdims=True)``, bit for bit.
+
+    A max may take its inputs in any order, so a row of at most ``SHORT_ROW``
+    is reduced across a copy with the row axis first, made in the buffer that
+    then takes ``x - m``.
+    """
+    if x.shape[-1] > SHORT_ROW:
+        m = x.max(axis=-1, keepdims=True)
+        return x - m, m
+    buf = np.empty(x.size)
+    rows = buf.reshape(x.shape[-1:] + x.shape[:-1])
+    np.copyto(rows, np.moveaxis(x, -1, 0))
+    m = rows.max(axis=0)[..., None]
+    return np.subtract(x, m, out=buf.reshape(x.shape)), m
+
+
 def _softmax(x: Array) -> Array:
     """Softmax over the last axis, computed with max-subtraction for stability."""
-    e = x - x.max(axis=-1, keepdims=True)
+    e, _ = _minus_row_max(x)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
@@ -493,8 +568,8 @@ def cross_entropy(logits: Tensor, labels: Array) -> Tensor:
         raise EmptyLossError("cross_entropy over zero rows")
     labels = _ids(labels, n_classes, "labels")
     rows = np.arange(n)
-    row_max = logits.values.max(axis=-1, keepdims=True)
-    logsumexp = np.log(np.exp(logits.values - row_max).sum(axis=-1)) + row_max[:, 0]
+    shifted, row_max = _minus_row_max(logits.values)
+    logsumexp = np.log(np.exp(shifted, out=shifted).sum(axis=-1)) + row_max[:, 0]
     values = np.asarray((logsumexp - logits.values[rows, labels]).sum() / n)
 
     def backward(g):

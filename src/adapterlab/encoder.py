@@ -9,7 +9,8 @@ node over the residual sum follow. The feed-forward sublayer and the heads
 use ``linear`` too, so every weight GEMM and its bias is one node. The
 adapter injection point sits after the feed-forward sublayer's residual
 layer norm. The occupied adapter slots apply there in the order of
-``adapters.SLOT_PREFIX``: language first, then task. For each occupied slot
+``adapters.SLOT_PREFIX``: language first, then task, each one
+``autodiff.adapter`` node per layer. For each occupied slot
 ``encode`` records, per layer, the values of the slot's input and the
 weights it applied, so the orthogonality loss can recompute the slot output
 from that input taken as a constant.

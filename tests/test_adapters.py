@@ -10,13 +10,14 @@ from adapterlab.adapters import (
     AdapterStack,
     AdapterWeights,
     adapter_forward,
+    check_registered,
     init_adapter_stack_slot,
     swap_language_adapter,
 )
 from adapterlab.autodiff import Tensor, grad_check, mul, tsum
 from adapterlab.encoder import Encoder, EncoderConfig
 from adapterlab.errors import ConfigError, ContractError, SwapError
-from adapterlab.optim import Adam
+from adapterlab.optim import Adam, ParamSet
 from adapterlab.training import (
     PHASE_FULL,
     PHASE_LANG,
@@ -164,6 +165,18 @@ def test_fill_refuses_a_hand_built_slot_not_narrower_than_the_hidden_size():
     with pytest.raises(ConfigError, match="adapter dim 12 must be smaller than hidden size 8"):
         stack.fill(LANGUAGE, wide)
     assert stack.lang is lang and stack.task is None
+
+
+def test_a_hand_set_slot_with_a_0d_w_down_is_refused_alike_by_every_slot_reader():
+    # layer 0's hidden size reads as 0, so a dim-2 slot is not narrower than it
+    stack = AdapterStack(1)
+    stack.lang = [AdapterWeights(AdapterConfig(2, LANGUAGE), Tensor(0.0),
+                                 Tensor(np.zeros((2, 1))))]
+    message = "adapter dim 2 must be smaller than hidden size 0"
+    for read in (lambda: stack.fill(LANGUAGE, stack.lang), lambda: stack.register(ParamSet()),
+                 lambda: check_registered(stack, ParamSet())):
+        with pytest.raises(ConfigError, match=message):
+            read()
 
 
 def test_fill_order_does_not_change_the_stacking_order():

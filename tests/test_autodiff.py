@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from adapterlab.autodiff import (
     LN_EPS,
+    SHORT_ROW,
     Tensor,
+    adapter,
     add,
     attention,
     cosine_sq_rows,
@@ -187,19 +189,32 @@ def test_attention_gradcheck_every_input_subset(heads, t):
         assert all(x.grad is None for x in ts if x not in picked)
 
 
+# (B, T, H, heads, padded keys per sequence), keyed by the heads of the two T = 3 cases;
+# "bench" is the benchmark's evaluation batch, "long" has rows past ``SHORT_ROW``, so its
+# softmax takes numpy's row max where the others take the transposed copy's
+ATTENTION_BYTES_CASES = {
+    "1": (2, 3, 4, 1, (1, 2)),
+    "2": (2, 3, 4, 2, (1, 2)),
+    "bench": (16, 13, 32, 4, tuple(i % 13 for i in range(16))),
+    "long": (2, SHORT_ROW + 3, 8, 2, (0, 9)),
+}
+
+
 @pytest.mark.parametrize("storage", ["contiguous", "transposed"])
-@pytest.mark.parametrize("heads", [1, 2])
-def test_attention_matches_numpy_composition_bytes(heads, storage):
+@pytest.mark.parametrize("case", sorted(ATTENTION_BYTES_CASES))
+def test_attention_matches_numpy_composition_bytes(case, storage):
+    b, t, h, heads, padded = ATTENTION_BYTES_CASES[case]
+    bias = key_bias(b, t, padded)
     r = rng(42)
-    qkv = [r.normal(size=(2, 3, 4)) for _ in range(3)]
+    qkv = [r.normal(size=(b, t, h)) for _ in range(3)]
     if storage == "transposed":  # equal values, stored transposed in the last two axes
         qkv = [np.swapaxes(np.swapaxes(x, -1, -2).copy(), -1, -2) for x in qkv]
-    g = r.normal(size=(2, 3, 4))
+    g = r.normal(size=(b, t, h))
     ts = [Tensor(x, requires_grad=True) for x in qkv]
-    out = attention(*ts, KEY_BIAS, heads)
+    out = attention(*ts, bias, heads)
     grads = dict((id(t), pg) for t, pg in out._backward(g))
     got = [out.values] + [grads[id(t)] for t in ts]
-    want = reference_attention(*qkv, KEY_BIAS, heads, g)
+    want = reference_attention(*qkv, bias, heads, g)
     assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
 
 
@@ -332,14 +347,71 @@ def test_softmax_gradcheck():
 def test_softmax_rows_matches_the_out_of_place_expressions_bytes(storage):
     r = rng(62)
     x, g = r.normal(scale=4.0, size=(2, 3, 7)), r.normal(size=(2, 3, 7))
+    masked = x.copy()  # -1e9 on some keys as the encoder masks them, and on every key of a row
+    masked[..., 4:] = masked[1, 2] = -1e9
+    for x, g in ((x, g), (masked, g), (x[..., :1], g[..., :1])):  # the last: one-element rows
+        if storage == "transposed":  # equal values, stored transposed in the last two axes
+            x = np.swapaxes(np.swapaxes(x, -1, -2).copy(), -1, -2)
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        probs = e / e.sum(axis=-1, keepdims=True)
+        want = [probs, probs * (g - (g * probs).sum(axis=-1, keepdims=True))]
+        out = softmax_rows(Tensor(x, requires_grad=True))
+        got = [out.values] + [pg for _, pg in out._backward(g)]
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+
+
+# --- adapter -------------------------------------------------------------------
+
+
+def adapter_inputs(seed=44):
+    """x [2, 3, 5], w_down [5, 2] and w_up [2, 5], and an output weighting, all nonzero."""
+    r = rng(seed)
+    return [r.normal(size=s) for s in ((2, 3, 5), (5, 2), (2, 5), (2, 3, 5))]
+
+
+@pytest.mark.parametrize("residual", [True, False])
+def test_adapter_gradcheck_every_input_subset(residual):
+    *arrays, w = adapter_inputs()
+    for mask in range(1, 8):  # each non-empty subset of {x, w_down, w_up}
+        ts = [Tensor(a.copy()) for a in arrays]
+        picked = [ts[i] for i in range(3) if mask >> i & 1]
+        f = lambda _: tsum(mul(adapter(*ts, residual), Tensor(w)))
+        assert grad_check(f, picked) < 1e-6, mask
+        assert all(t.grad is None for t in ts if t not in picked)
+
+
+@pytest.mark.parametrize("storage", ["contiguous", "transposed"])
+@pytest.mark.parametrize("residual", [True, False])
+def test_adapter_matches_the_chain_it_fuses_bytes(residual, storage):
+    *arrays, w = adapter_inputs(45)
     if storage == "transposed":  # equal values, stored transposed in the last two axes
-        x = np.swapaxes(np.swapaxes(x, -1, -2).copy(), -1, -2)
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    probs = e / e.sum(axis=-1, keepdims=True)
-    want = [probs, probs * (g - (g * probs).sum(axis=-1, keepdims=True))]
-    out = softmax_rows(Tensor(x, requires_grad=True))
-    got = [out.values] + [pg for _, pg in out._backward(g)]
-    assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+        arrays[0] = np.swapaxes(np.swapaxes(arrays[0], -1, -2).copy(), -1, -2)
+
+    def chain(x, w_down, w_up, residual):
+        core = matmul(relu(matmul(x, w_down)), w_up)
+        return add(core, x) if residual else core
+
+    def grads(ts):  # None for an input that requires no gradient
+        return [t.grad.tobytes() if t.requires_grad else t.grad for t in ts]
+
+    for mask in range(1, 8):  # each non-empty subset of {x, w_down, w_up} requires a gradient
+        got, want = ([Tensor(a.copy(), requires_grad=bool(mask >> i & 1))
+                      for i, a in enumerate(arrays)] for _ in range(2))
+        out, ref = adapter(*got, residual), chain(*want, residual)
+        assert out.values.tobytes() == ref.values.tobytes()
+        tsum(mul(out, Tensor(w))).backward()
+        tsum(mul(ref, Tensor(w))).backward()
+        assert grads(got) == grads(want), mask
+
+
+def test_adapter_refuses_mismatched_shapes():
+    x = Tensor(np.zeros((2, 3, 5)))
+    for w_down, w_up in (((5, 2), (2, 4)), ((4, 2), (2, 5)), ((5, 2), (3, 5)), ((5,), (2, 5))):
+        with pytest.raises(ShapeError, match="adapter"):
+            adapter(x, Tensor(np.zeros(w_down)), Tensor(np.zeros(w_up)))
+    for x in (Tensor(np.zeros(5)), Tensor(0.0)):
+        with pytest.raises(ShapeError, match="adapter"):
+            adapter(x, Tensor(np.zeros((5, 2))), Tensor(np.zeros((2, 5))))
 
 
 # --- layer_norm ----------------------------------------------------------------
@@ -705,6 +777,7 @@ def test_forward_values_stay_finite():
 # each op whose arithmetic runs in buffers, and its constant (non-tensor) inputs
 IN_PLACE_CASES = {
     "linear": (linear, [(2, 3, 4), (4, 5), (5,)], ()),
+    "adapter": (adapter, [(2, 3, 4), (4, 2), (2, 4)], ()),
     "attention": (lambda q, k, v, bias: attention(q, k, v, bias, 2), [(2, 3, 4)] * 3,
                   (KEY_BIAS,)),
     "layer_norm": (layer_norm, [(2, 3, 4), (2, 3, 4), (4,), (4,)], ()),

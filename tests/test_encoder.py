@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from adapterlab import autodiff
-from adapterlab.adapters import LANGUAGE, AdapterConfig, AdapterStack, init_adapter_stack_slot
+from adapterlab.adapters import (
+    LANGUAGE,
+    TASK,
+    AdapterConfig,
+    AdapterStack,
+    init_adapter_stack_slot,
+)
 from adapterlab.autodiff import Tensor, grad_check, mul, tsum
 from adapterlab.encoder import Encoder, EncoderConfig
 from adapterlab.errors import ConfigError, ContractError, SequenceLengthError, VocabError
@@ -104,9 +110,10 @@ def test_integer_ids_of_any_width_encode_alike(monkeypatch):
 
 
 def test_encode_node_count_is_pinned(monkeypatch):
-    # attention, each biased GEMM (linear) and each residual layer norm is one
-    # node; the benchmark's tracer does not wrap ``attention`` or ``linear``,
-    # so this count is what keeps them from splitting
+    # attention, each biased GEMM (linear), each residual layer norm and each
+    # adapter slot's layer is one node; the benchmark's tracer does not wrap
+    # ``attention``, ``linear`` or ``adapter``, so this count is what keeps
+    # them from splitting
     created = []
     real = autodiff._node
 
@@ -117,9 +124,13 @@ def test_encode_node_count_is_pinned(monkeypatch):
     monkeypatch.setattr(autodiff, "_node", counting)
     enc = Encoder(EncoderConfig(vocab=13), seed=0)
     ids = np.array([[2, 5, 6, 7]])
-    for rng, nodes in ((np.random.default_rng(0), 28), (None, 23)):
+    stack = AdapterStack(2)
+    for kind, seed in ((LANGUAGE, 1), (TASK, 2)):
+        stack.fill(kind, init_adapter_stack_slot(AdapterConfig(4, kind), 32, 2, seed))
+    for rng, adapters, nodes in ((np.random.default_rng(0), None, 28), (None, None, 23),
+                                 (None, stack, 27)):  # one node per slot and layer
         created.clear()
-        enc.encode(ids, np.ones_like(ids), rng=rng)
+        enc.encode(ids, np.ones_like(ids), stack=adapters, rng=rng)
         assert len(created) == nodes
 
 

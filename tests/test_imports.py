@@ -205,6 +205,7 @@ def test_package_module_has_no_orphaned_member(module):
 
 # ``module.name`` or ``module.Class.member`` -> why it stays while only tests read it
 KEPT = {
+    "autodiff.matmul": "perfbench/tracing._OP_NAMES names it by string (Direction 10)",
     "autodiff.softmax_rows": "perfbench/tracing._OP_NAMES names it by string (Direction 10)",
     "autodiff.grad_check": "the reference every op's test compares against (Aim 3)",
     "optim.Adam.state_checksum": "shows the second optimizer's state stays its own "
