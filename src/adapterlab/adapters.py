@@ -12,11 +12,11 @@ is one graph node, ``autodiff.adapter``.
 A slot's shape and layout live here alone: ``slot_layout`` names and shapes
 a slot's ``[H, dim]`` / ``[dim, H]`` tensors and refuses ``dim >= H``, so
 every path that builds, fills, saves or loads a slot does; ``zero_slot`` builds
-them, ``slot_config`` checks a slot against it for one config and layer 0's H,
-``slot_arrays`` names them by it, in a ParamSet and in files, and
-``check_registered`` requires a stack a phase runs or a checkpoint saves to be,
-slot for slot, the one registered. The training phase ids are named here too;
-which weights each phase trains is decided by ``training.trainable_names``.
+them, ``slot_arrays`` is the one check of a slot's layers and names them by
+it, in a ParamSet and in files, ``AdapterStack.slots`` lists a stack's slots,
+and ``check_registered`` requires a stack a phase runs or a checkpoint saves to
+be, slot for slot, the one registered. The training phase ids are named here
+too; which weights each phase trains is decided by ``training.trainable_names``.
 """
 
 from __future__ import annotations
@@ -93,33 +93,22 @@ def zero_slot(config: AdapterConfig, hidden: int, num_layers: int) -> list[Adapt
     return [AdapterWeights(config, w_down, w_up) for w_down, w_up in zip(t[::2], t[1::2])]
 
 
-def _hidden(weights: list[AdapterWeights]) -> int:
-    """A slot's hidden size: its layer 0 ``w_down``'s first axis, 0 if that tensor is 0-d."""
-    return (weights[0].w_down.shape or (0,))[0]
-
-
 def slot_arrays(weights: list[AdapterWeights], prefix: str = "") -> list[tuple[str, Tensor]]:
-    """A slot's tensors, named and ordered by ``slot_layout`` with the slot's ``_hidden`` size
-    (the shapes it gives are not read)."""
-    layout = (slot_layout(weights[0].config, _hidden(weights), len(weights), prefix)
-              if weights else ())
-    tensors = (t for w in weights for t in (w.w_down, w.w_up))
-    return [(name, t) for (name, _), t in zip(layout, tensors)]
-
-
-def slot_config(weights: list[AdapterWeights]) -> AdapterConfig:
-    """The config a slot's layers share, each tensor shaped by ``slot_layout`` for the slot's
-    ``_hidden`` size; else ContractError, or slot_layout's ConfigError."""
+    """A slot's tensors named by ``slot_layout``: ContractError unless the slot's layers are one
+    or more, share one config and are shaped by it for layer 0's hidden size (0 if 0-d)."""
     configs = [w.config for w in weights]
     if not configs or any(c != configs[0] for c in configs):
         raise ContractError(f"a slot needs at least one layer, and its layers must "
                             f"share one config; got {configs}")
-    shapes = (shape for _, shape in slot_layout(configs[0], _hidden(weights), len(weights)))
-    for i, (w, down, up) in enumerate(zip(weights, shapes, shapes)):  # two shapes a layer
+    layout = slot_layout(configs[0], (weights[0].w_down.shape or (0,))[0], len(weights), prefix)
+    arrays = []
+    for i, w in enumerate(weights):
+        (down_name, down), (up_name, up) = next(layout), next(layout)
         if (w.w_down.shape, w.w_up.shape) != (down, up):
             raise ContractError(f"layer {i} of the slot holds {w.w_down.shape}/"
                                 f"{w.w_up.shape}, not {down}/{up}")
-    return configs[0]
+        arrays += [(down_name, w.w_down), (up_name, w.w_up)]
+    return arrays
 
 
 def init_adapter_stack_slot(config: AdapterConfig, hidden: int, num_layers: int,
@@ -147,29 +136,39 @@ class AdapterStack:
         self.task: list[AdapterWeights] | None = None
 
     def fill(self, kind: str, weights: list[AdapterWeights]) -> None:
-        if len(weights) != self.num_layers or slot_config(weights).kind != kind:
-            raise ContractError(f"the {kind} slot needs {self.num_layers} {kind} adapters, "
-                                f"got {[w.config for w in weights]}")
-        if kind == LANGUAGE:
-            self.lang = weights
-        else:
-            self.task = weights
+        _arrays({kind: weights}, self.num_layers)
+        setattr(self, "lang" if kind == LANGUAGE else "task", weights)
 
-    def slot(self, kind: str) -> list[AdapterWeights] | None:
-        return self.lang if kind == LANGUAGE else self.task
+    def slots(self) -> dict[str, list[AdapterWeights]]:
+        """The occupied slots by kind, in stacking order (``SLOT_PREFIX``'s)."""
+        held = {LANGUAGE: self.lang, TASK: self.task}
+        return {kind: held[kind] for kind in SLOT_PREFIX if held[kind] is not None}
 
     def register(self, params: ParamSet) -> None:
-        """Declare all adapter tensors in the ParamSet under dotted names."""
-        for kind, prefix in SLOT_PREFIX.items():
-            for name, tensor in slot_arrays(self.slot(kind) or [], prefix):
-                params.add(name, tensor)
+        """Declare all adapter tensors in the ParamSet under dotted names, if all slots fit."""
+        for name, tensor in _arrays(self.slots(), self.num_layers):
+            params.add(name, tensor)
+
+
+def _arrays(slots: dict[str, list[AdapterWeights]], num_layers: int) -> list[tuple[str, Tensor]]:
+    """The tensors of ``slots`` (kind -> layers) by ``slot_arrays`` under each kind's prefix;
+    ``ContractError`` unless each slot fits: one adapter of its kind per stack layer."""
+    arrays = []
+    for kind, weights in slots.items():
+        if not weights or [w.config.kind for w in weights] != [kind] * num_layers:
+            raise ContractError(f"the {kind} slot needs {num_layers} {kind} adapters, "
+                                f"got {[w.config for w in weights]}")
+        arrays += slot_arrays(weights, SLOT_PREFIX[kind])
+    return arrays
 
 
 def check_registered(stack: AdapterStack | None, params: ParamSet) -> None:
     """``ConfigError`` naming every slot of ``stack`` (``None`` has none) that does not
-    hold exactly the tensor objects ``params`` registers under the slot's prefix."""
+    hold exactly the tensor objects ``params`` registers under the slot's prefix; first,
+    ``_arrays``' ContractError for a slot that does not fit the stack."""
+    arrays = _arrays(stack.slots(), stack.num_layers) if stack is not None else []
     differ = [f"the {kind} slot ({prefix}*)" for kind, prefix in SLOT_PREFIX.items()
-              if {n: id(t) for n, t in slot_arrays(stack and stack.slot(kind) or [], prefix)}
+              if {n: id(t) for n, t in arrays if n.startswith(prefix)}
               != {n: id(t) for n, t in params.items() if n.startswith(prefix)}]
     if differ:
         raise ConfigError("the stack is not the one registered in " + " and ".join(differ))

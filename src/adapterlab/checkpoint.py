@@ -6,8 +6,8 @@ bytes of every named array in declaration order. Raw bytes make the
 round-trip bit-exact. A write goes to a temporary file beside the target
 and is renamed over it, so a write that fails partway leaves any earlier
 file at the path whole. Both kinds of file lay a slot out by
-``adapters.slot_arrays`` and ``adapters.slot_config``, and a loader copies
-a file's slot into an ``adapters.zero_slot``. A read refuses a path it
+``adapters.slot_arrays``, which checks its layers first, and take its config
+from layer 0; a loader copies a file's slot into an ``adapters.zero_slot``. A read refuses a path it
 cannot read (absent, a directory), a header that is not UTF-8 JSON, lacks
 a key it needs, holds a container of the wrong type, a config entry its
 class does not take or refuses (``num_heads: 0``) or, in a checkpoint, of
@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .adapters import (SLOT_PREFIX, AdapterConfig, AdapterStack, check_registered,
-                       slot_arrays, slot_config, slot_layout, zero_slot)
+                       slot_arrays, slot_layout, zero_slot)
 from .autodiff import Tensor
 from .encoder import HEAD_SEED_OFFSET, Encoder, EncoderConfig, backbone_layout, head_layout
 from .errors import ConfigError, MissingArtifactError, require_int
@@ -166,8 +166,8 @@ def _copy_arrays(directory: dict, body: bytes, tensors: dict[str, Tensor]) -> No
 
 def save_checkpoint(path, encoder: Encoder, stack: AdapterStack | None = None) -> None:
     """Serialize the encoder (heads included) plus any attached adapter stack."""
-    slots = {kind: slot_config(stack.slot(kind))
-             for kind in SLOT_PREFIX if stack and stack.slot(kind)}
+    check_registered(stack, encoder.params)  # checks each slot; else the file would not load
+    slots = {kind: layers[0].config for kind, layers in stack.slots().items()} if stack else {}
     manifest = {
         "kind": "checkpoint",
         "seed": encoder.seed,
@@ -177,7 +177,6 @@ def save_checkpoint(path, encoder: Encoder, stack: AdapterStack | None = None) -
         "adapters": {kind: dataclasses.asdict(slots[kind]) if kind in slots else None
                      for kind in SLOT_PREFIX},
     }
-    check_registered(stack, encoder.params)  # else the file would not load
     arrays = list(encoder.params.items())
     _check_layout(path, {name: t.shape for name, t in arrays},
                   lambda: _layout(encoder.config, encoder.head_classes, slots), ConfigError)
@@ -222,13 +221,14 @@ def load_checkpoint(path) -> tuple[Encoder, AdapterStack | None, dict]:
 
 def save_adapter(path, weights: list, language: str | None = None) -> None:
     """Standalone adapter file of a slot: one (w_down, w_up) pair per layer."""
+    arrays = slot_arrays(weights)
     manifest = {
         "kind": "adapter",
         "language": language,
-        "adapter_config": dataclasses.asdict(slot_config(weights)),
+        "adapter_config": dataclasses.asdict(weights[0].config),
         "num_layers": len(weights),
     }
-    _write_container(path, manifest, slot_arrays(weights))
+    _write_container(path, manifest, arrays)
 
 
 def load_adapter(path) -> tuple[AdapterConfig, list[tuple[np.ndarray, np.ndarray]], dict]:

@@ -8,8 +8,8 @@ heads; the output projection (``linear``), dropout and one ``layer_norm``
 node over the residual sum follow. The feed-forward sublayer and the heads
 use ``linear`` too, so every weight GEMM and its bias is one node. The
 adapter injection point sits after the feed-forward sublayer's residual
-layer norm. The occupied adapter slots apply there in the order of
-``adapters.SLOT_PREFIX``: language first, then task, each one
+layer norm. The occupied adapter slots apply there in the stacking order
+of ``AdapterStack.slots``: language first, then task, each one
 ``autodiff.adapter`` node per layer. For each occupied slot
 ``encode`` records, per layer, the values of the slot's input and the
 weights it applied, so the orthogonality loss can recompute the slot output
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adapters import SLOT_PREFIX, AdapterStack, AdapterWeights, adapter_forward
+from .adapters import AdapterStack, AdapterWeights, adapter_forward
 from .autodiff import (
     Tensor,
     add,
@@ -178,7 +178,7 @@ class Encoder:
             raise ConfigError(f"adapter stack has {stack.num_layers} layers, "
                               f"the encoder {c.num_layers}")
         drop = c.dropout if rng is not None else 0.0
-        slots = {kind: stack.slot(kind) for kind in SLOT_PREFIX if stack and stack.slot(kind)}
+        slots = stack.slots() if stack is not None else {}
 
         x = dropout(add(embedding_lookup(p["embed.tok"], ids),
                         embedding_lookup(p["embed.pos"], np.arange(ids.shape[1]))), drop, rng)

@@ -38,7 +38,7 @@ from .autodiff import (
     reshape,
     tsum,
 )
-from .errors import ConfigError, ContractError, EmptyLossError, ShapeError
+from .errors import ContractError, EmptyLossError, ShapeError, require_int
 from .synthlang import FIRST_REGULAR, MASK
 
 
@@ -52,9 +52,8 @@ class MaskingPolicy:
 
     vocab: int
 
-    def __post_init__(self):
-        if self.vocab <= FIRST_REGULAR:
-            raise ConfigError("vocab leaves no regular ids to mask")
+    def __post_init__(self):  # a vocab of reserved ids only leaves no regular ids to mask
+        require_int("vocab", self.vocab, FIRST_REGULAR + 1)
 
 
 def apply_masking(

@@ -10,8 +10,9 @@ slot's recorded input and live weights and differentiates only that.
 The ortho loss is never added to the main loss, and the two optimizers
 never share moment buffers.
 
-What a phase trains is decided in one place, ``trainable_names``, and the
-stack it runs must be the one registered (``adapters.check_registered``). A
+What a phase trains is decided in one place, ``trainable_names``; the stack
+it runs must be the one registered, each of its slots one adapter of its kind
+per layer that passes the one slot check (``adapters.check_registered``). A
 weight is frozen until a phase trains it, and frozen again when the phase
 ends, returning or raising. The freeze flag is the one graph switch, so an
 encode outside a phase records no graph. A task phase runs on a stack with

@@ -23,6 +23,7 @@ from adapterlab.training import (
     PHASE_LANG,
     PHASE_TASK,
     PhaseConfig,
+    train_language_adapter,
     trainable_names,
 )
 
@@ -144,15 +145,35 @@ def test_fill_refuses_weights_that_do_not_fit_the_slot():
     lang4 = init_adapter_stack_slot(AdapterConfig(dim=4, kind=LANGUAGE), 8, 2, 0)
     task = init_adapter_stack_slot(AdapterConfig(dim=3, kind=TASK), 8, 2, 0)
     stack = AdapterStack(2)
-    for kind, weights, match in ((LANGUAGE, [lang3[0], lang4[1]], "share one config"),
-                                 (LANGUAGE, task, "language slot needs 2 language"),
-                                 (TASK, lang3, "task slot needs 2 task"),
-                                 ("bogus", lang3, "bogus slot needs 2 bogus"),
-                                 (LANGUAGE, lang3[:1], "needs 2 language adapters"),
-                                 (LANGUAGE, lang3 + lang4[:1], "needs 2 language adapters")):
+    refused = ((LANGUAGE, [lang3[0], lang4[1]], "share one config"),
+               (LANGUAGE, task, "language slot needs 2 language"),
+               (TASK, lang3, "task slot needs 2 task"),
+               ("bogus", lang3, "bogus slot needs 2 bogus"),
+               (LANGUAGE, lang3[:1], "needs 2 language adapters"),
+               (LANGUAGE, lang3 + lang4[:1], "needs 2 language adapters"))
+    for kind, weights, match in refused:
         with pytest.raises(ContractError, match=match):
             stack.fill(kind, weights)
     assert stack.lang is None and stack.task is None
+
+    # the same language slots set directly on a registered stack, past fill: neither
+    # register nor a phase takes them, and the phase moves no weight
+    enc = small_encoder()
+    stack.fill(LANGUAGE, lang3)
+    stack.register(enc.params)
+    before = enc.params.checksum()
+    cfg = PhaseConfig(phase=PHASE_LANG, main_loss="mlm", steps=3, batch_size=2)
+    for kind, weights, match in refused:
+        if kind != LANGUAGE:
+            continue
+        stack.lang = weights
+        params = ParamSet()
+        with pytest.raises(ContractError, match=match):
+            stack.register(params)
+        assert params.names() == []
+        with pytest.raises(ContractError, match=match):
+            train_language_adapter(enc, stack, [np.array([2, 5, 6, 7])] * 4, cfg)
+        assert enc.params.checksum() == before
 
 
 def test_fill_refuses_a_hand_built_slot_not_narrower_than_the_hidden_size():
@@ -188,7 +209,7 @@ def test_fill_order_does_not_change_the_stacking_order():
     for order in ((LANGUAGE, TASK), (TASK, LANGUAGE)):
         stack = AdapterStack(2)
         for kind in order:
-            stack.fill(kind, trained.slot(kind))
+            stack.fill(kind, trained.slots()[kind])
         out, acts = enc.encode(ids, mask, stack=stack)
         assert list(acts) == [LANGUAGE, TASK]
         states.append(out.values.tobytes())
@@ -202,12 +223,12 @@ def test_encode_records_only_the_occupied_slots():
     for kinds in ((LANGUAGE,), (TASK,), (LANGUAGE, TASK)):
         stack = AdapterStack(2)
         for kind in kinds:
-            stack.fill(kind, trained.slot(kind))
+            stack.fill(kind, trained.slots()[kind])
         _, acts = enc.encode(ids, np.ones_like(ids), stack=stack)
         assert list(acts) == list(kinds)
         for kind in kinds:
             assert len(acts[kind]) == enc.config.num_layers
-            for (x_in, weights), applied in zip(acts[kind], trained.slot(kind)):
+            for (x_in, weights), applied in zip(acts[kind], trained.slots()[kind]):
                 assert type(x_in) is np.ndarray and x_in.shape == (1, 4, 8)
                 assert weights is applied
 

@@ -32,6 +32,8 @@ from adapterlab.checkpoint import (
 )
 from adapterlab.encoder import Encoder, EncoderConfig
 from adapterlab.errors import AdapterLabError, ConfigError, ContractError, MissingArtifactError
+from adapterlab.optim import ParamSet
+from adapterlab.training import PHASE_FULL, PhaseConfig, run_phase
 
 
 # orders in which a pipeline may build heads and register its adapter stack
@@ -246,15 +248,31 @@ def test_checkpoint_loader_rejects_adapter_file(tmp_path):
         load_checkpoint(path)
 
 
+def refused_before_step_0(enc, stack, match):
+    """Assert a phase on ``stack`` raises ContractError matching ``match`` and moves no weight."""
+    before = enc.params.checksum()
+    cfg = PhaseConfig(phase=PHASE_FULL, main_loss="mlm", steps=3, batch_size=2)
+    with pytest.raises(ContractError, match=match):
+        run_phase(enc, stack, cfg, corpus=[np.array([2, 5, 6, 7])] * 4)
+    assert enc.params.checksum() == before
+
+
 def test_slot_of_mixed_layers_is_never_written(tmp_path):
     enc, stack = build_model()
     mixed = [stack.lang[0],
              init_adapter_stack_slot(AdapterConfig(dim=4, kind=LANGUAGE), 8, 2, 0)[1]]
-    stack.lang = mixed  # set directly, since fill refuses it
-    for name, write in (("lang.adapter", lambda path: save_adapter(path, mixed)),
-                        ("model.ckpt", lambda path: save_checkpoint(path, enc, stack))):
-        with pytest.raises(ContractError, match="share one config"):
-            write(tmp_path / name)
+    savers = {"lang.adapter": lambda path: save_adapter(path, stack.lang),
+              "model.ckpt": lambda path: save_checkpoint(path, enc, stack)}
+    # set directly, since fill refuses them; a short slot is a whole slot to save_adapter
+    for bad, match, names in ((mixed, "share one config", list(savers)),
+                              (stack.lang[:1], "needs 2 language adapters", ["model.ckpt"])):
+        stack.lang = bad
+        with pytest.raises(ContractError, match=match):
+            stack.register(ParamSet())
+        refused_before_step_0(enc, stack, match)
+        for name in names:
+            with pytest.raises(ContractError, match=match):
+                savers[name](tmp_path / name)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -336,6 +354,9 @@ def test_misshapen_slot_is_refused_and_never_written(drawn, data):
     setattr(stack, "lang" if kind == LANGUAGE else "task", bad)  # fill refuses it
     with pytest.raises(ContractError, match=f"layer {layer} of the slot"):
         AdapterStack(len(slot)).fill(kind, bad)
+    with pytest.raises(ContractError, match=f"layer {layer} of the slot"):
+        stack.register(ParamSet())
+    refused_before_step_0(enc, stack, f"layer {layer} of the slot")
     with tempfile.TemporaryDirectory() as tmp:
         for write in (lambda path: save_adapter(path, bad),
                       lambda path: save_checkpoint(path, enc, stack)):
@@ -363,7 +384,7 @@ def models(draw):
         config = AdapterConfig(dim=draw(st.integers(1, hidden - 1)), kind=kind)
         stack.fill(kind, init_adapter_stack_slot(config, hidden, num_layers, seed))
         fresh.fill(kind, init_adapter_stack_slot(config, hidden, num_layers, seed))
-        for w in stack.slot(kind):
+        for w in stack.slots()[kind]:
             w.w_up.values[...] = r.normal(size=w.w_up.shape)
     heads = draw(st.lists(st.sampled_from(["cls", "tag"]), unique=True))
     for part in draw(st.permutations(heads + ["stack"])):

@@ -61,8 +61,10 @@ def test_exhaustive_masking(monkeypatch):
 
 
 def test_zero_mask_fraction_rejected():
-    with pytest.raises(ConfigError):  # a vocab of reserved ids only leaves nothing to mask
-        MaskingPolicy(vocab=FIRST_REGULAR)
+    # a vocab of reserved ids only leaves nothing to mask; a non-integer vocab no range
+    for vocab in (FIRST_REGULAR, "40", None, 40.5):
+        with pytest.raises(ConfigError, match="vocab must be an integer"):
+            MaskingPolicy(vocab=vocab)
 
 
 def test_special_only_sequence_skipped_with_count():
