@@ -140,14 +140,24 @@ class AdapterStack:
         setattr(self, "lang" if kind == LANGUAGE else "task", weights)
 
     def slots(self) -> dict[str, list[AdapterWeights]]:
-        """The occupied slots by kind, in stacking order (``SLOT_PREFIX``'s)."""
+        """The occupied slots by kind, in stacking order (``SLOT_PREFIX``'s); ``_arrays``'
+        ContractError for a slot that does not hold one layer per stack layer."""
         held = {LANGUAGE: self.lang, TASK: self.task}
-        return {kind: held[kind] for kind in SLOT_PREFIX if held[kind] is not None}
+        slots = {kind: held[kind] for kind in SLOT_PREFIX if held[kind] is not None}
+        for kind, weights in slots.items():
+            if len(weights) != self.num_layers:
+                raise _misfit(kind, weights, self.num_layers)
+        return slots
 
     def register(self, params: ParamSet) -> None:
         """Declare all adapter tensors in the ParamSet under dotted names, if all slots fit."""
         for name, tensor in _arrays(self.slots(), self.num_layers):
             params.add(name, tensor)
+
+
+def _misfit(kind: str, weights: list[AdapterWeights], num_layers: int) -> ContractError:
+    return ContractError(f"the {kind} slot needs {num_layers} {kind} adapters, "
+                         f"got {[w.config for w in weights]}")
 
 
 def _arrays(slots: dict[str, list[AdapterWeights]], num_layers: int) -> list[tuple[str, Tensor]]:
@@ -156,8 +166,7 @@ def _arrays(slots: dict[str, list[AdapterWeights]], num_layers: int) -> list[tup
     arrays = []
     for kind, weights in slots.items():
         if not weights or [w.config.kind for w in weights] != [kind] * num_layers:
-            raise ContractError(f"the {kind} slot needs {num_layers} {kind} adapters, "
-                                f"got {[w.config for w in weights]}")
+            raise _misfit(kind, weights, num_layers)
         arrays += slot_arrays(weights, SLOT_PREFIX[kind])
     return arrays
 
@@ -179,9 +188,10 @@ def swap_language_adapter(stack: AdapterStack, new_weights: list[tuple[np.ndarra
 
     ``new_weights`` is one (w_down, w_up) array pair per layer. Task slots and
     everything else are untouched. Raises SwapError on any shape mismatch,
-    naming the offending layer.
+    naming the offending layer, and ``stack.slots()``' ContractError on a slot that
+    does not hold one layer per stack layer.
     """
-    if stack.lang is None:
+    if LANGUAGE not in stack.slots():
         raise SwapError("stack has no language slot to swap")
     if len(new_weights) != stack.num_layers:
         raise SwapError(

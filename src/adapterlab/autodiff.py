@@ -31,6 +31,18 @@ is not, since a max rounds nothing, so ``_minus_row_max`` may reduce a row
 in any order. (Of two tied values only +0 and -0 differ in their bits, and
 each use of a row max gives both the same result: ``exp`` of ``x - m``, and
 ``cross_entropy``'s ``+ m`` to a log that is at least 0.)
+
+A row set ``(read, (B, T))`` lets ``linear`` and ``dropout`` run on the flat,
+strictly increasing rows ``read`` of a [B, T, ...] input alone, ``take_rows``
+picks those rows and ``scatter_rows`` puts them back into zeros. Each value
+and gradient on the read rows, and each weight's gradient, is then bit for
+bit that of the full-size op whose other rows are zero, by four rules: a
+weight's gradient is one GEMM over all B*T rows, zero where none was
+computed; a bias's is summed over B, then T, as for a [B, T, N] gradient;
+an input's gradient is read from the full-size product dC @ w^T (a GEMM over
+fewer rows rounds apart, for the transposed operand most); and dropout draws
+the full [B, T, H] mask, so the generator moves as far. The forward product
+``x @ w`` rounds each row alike over any row count.
 """
 
 from __future__ import annotations
@@ -146,6 +158,14 @@ def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
     return g.reshape(shape)
 
 
+def _full_rows(rows: Array, read: Array, lead: tuple[int, ...]) -> Array:
+    """A zero ``lead + rows.shape[1:]`` array holding the [n, ...] ``rows`` at its flat rows
+    ``read``."""
+    full = np.zeros(lead + rows.shape[1:])
+    full.reshape((-1,) + rows.shape[1:])[read] = rows
+    return full
+
+
 def add(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     values = a.values + b.values
@@ -171,19 +191,26 @@ def mul(a, b) -> Tensor:
     return _node(values, (a, b), backward)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None, rows=None) -> Tensor:
     """``x @ w + b`` for a 2-D weight ``w`` and an optional bias ``b`` of its width, as one node.
 
     ``x`` is viewed as [n, K] over its flattened leading axes, so the product
     and the weight's gradient x^T @ dC are each one GEMM over all n rows; the
     bias is added after the product. A gradient is computed only for an
     input that requires one.
+
+    With a row set ``rows = (read, (B, T))``, ``x`` is [n, K], the rows ``read``
+    of a [B, T, K] input, and only the product runs on those n rows: the
+    backward puts dC into zero [B, T, N] rows and keeps the full-size node's
+    GEMMs and bias sums (the module's rules for a row set).
     """
     x, w, b = _wrap(x), _wrap(w), b if b is None else _wrap(b)
     if (x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0]
-            or b is not None and b.shape != w.shape[1:]):
-        raise ShapeError(f"linear needs a >=2-d x, a 2-d w and an optional bias of w's width, "
-                         f"got {x.shape} @ {w.shape}" + ("" if b is None else f" + {b.shape}"))
+            or b is not None and b.shape != w.shape[1:]
+            or rows is not None and x.shape[:-1] != np.shape(rows[0])):
+        raise ShapeError(f"linear needs a >=2-d x (one row per read row), a 2-d w and an "
+                         f"optional bias of w's width, got {x.shape} @ {w.shape}"
+                         + ("" if b is None else f" + {b.shape}"))
     k, n = w.shape
     x2 = x.values.reshape(-1, k)  # a view when ``x`` is contiguous
     values = (x2 @ w.values).reshape(x.shape[:-1] + (n,))
@@ -191,12 +218,17 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         values += b.values
 
     def backward(g):
+        if rows is not None:
+            read, lead = rows
+            g = _full_rows(g, read, lead)
         g2 = g.reshape(-1, n)
         grads = []
         if x.requires_grad:
-            grads.append((x, (g2 @ w.values.T).reshape(x.shape)))
+            gx = g2 @ w.values.T
+            grads.append((x, (gx if rows is None else gx[read]).reshape(x.shape)))
         if w.requires_grad:
-            grads.append((w, x2.T @ g2))
+            xs = x2 if rows is None else _full_rows(x2, read, lead).reshape(-1, k)
+            grads.append((w, xs.T @ g2))
         if b is not None and b.requires_grad:
             grads.append((b, _unbroadcast(g, b.shape)))
         return grads
@@ -319,6 +351,31 @@ def select_token(x: Tensor, position: int) -> Tensor:
         gx = np.zeros_like(x.values)
         gx[:, position, :] = g
         return ((x, gx),)
+
+    return _node(values, (x,), backward)
+
+
+def take_rows(x: Tensor, read: Array) -> Tensor:
+    """The flat rows ``read`` of a [B, T, H] tensor -> [n, H]; the backward writes the
+    gradient into zero rows, so it keeps each value's bits, a zero's sign too (the sums
+    of ``embedding_lookup``'s backward would turn -0 into +0)."""
+    x = _wrap(x)
+    values = x.values.reshape(-1, x.shape[-1])[read]
+
+    def backward(g):
+        return ((x, _full_rows(g, read, x.shape[:-1])),)
+
+    return _node(values, (x,), backward)
+
+
+def scatter_rows(x: Tensor, read: Array, lead: tuple[int, ...]) -> Tensor:
+    """[n, H] rows placed at the flat rows ``read`` of a zero ``lead + (H,)`` tensor: the
+    adjoint of ``take_rows``."""
+    x = _wrap(x)
+    values = _full_rows(x.values, read, lead)
+
+    def backward(g):
+        return ((x, g.reshape(-1, x.shape[-1])[read]),)
 
     return _node(values, (x,), backward)
 
@@ -503,12 +560,20 @@ def layer_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return _node(values, (x, y, gain, bias), backward)
 
 
-def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; the kept mask is a constant of the forward pass."""
+def dropout(x: Tensor, p: float, rng: np.random.Generator, rows=None) -> Tensor:
+    """Inverted dropout; the kept mask is a constant of the forward pass.
+
+    With a row set ``rows = (read, (B, T))`` (as ``linear``'s), ``x`` holds the
+    rows ``read`` of a [B, T, H] input: the mask is drawn for all [B, T, H],
+    so ``rng`` moves as far as for the full input, and its rows ``read`` apply.
+    """
     if p <= 0.0:
         return x
     x = _wrap(x)
-    keep = (rng.random(x.shape) >= p) / (1.0 - p)
+    kept = rng.random(x.shape if rows is None else rows[1] + x.shape[-1:]) >= p
+    if rows is not None:
+        kept = kept.reshape(-1, x.shape[-1])[rows[0]]
+    keep = kept / (1.0 - p)
     values = x.values * keep
 
     def backward(g):

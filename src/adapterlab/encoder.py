@@ -15,6 +15,15 @@ of ``AdapterStack.slots``: language first, then task, each one
 weights it applied, so the orthogonality loss can recompute the slot output
 from that input taken as a constant.
 
+``encode(read=...)`` runs the last layer's tail after attention (the output
+projection, both layer norms, the feed-forward sublayer and their dropout)
+on the rows ``read`` alone: the rows some loss reads. One ``scatter_rows``
+node puts them back into a zero [B, T, H] before the slots, which run
+full-size: their products too would round apart over fewer rows. Rows
+outside ``read`` are zero in the returned states and in the last layer's
+slot records; on the read rows, every value and gradient is bit for bit
+that of the full forward (``autodiff``'s four rules for a row set).
+
 ``backbone_layout`` and ``head_layout`` state each weight's name and shape
 once: the encoder builds its weights by them, and ``checkpoint`` checks files.
 """
@@ -35,11 +44,13 @@ from .autodiff import (
     layer_norm,
     linear,
     relu,
+    scatter_rows,
     select_token,
     swap_last,
+    take_rows,
     tanh,
 )
-from .errors import ConfigError, SequenceLengthError, require_fraction, require_int
+from .errors import ConfigError, ContractError, SequenceLengthError, require_fraction, require_int
 from .optim import ParamSet
 
 MASK_BIAS = -1e9
@@ -149,6 +160,7 @@ class Encoder:
         mask: np.ndarray,
         stack: AdapterStack | None = None,
         rng: np.random.Generator | None = None,
+        read: np.ndarray | None = None,
     ) -> tuple[Tensor, dict[str, list[tuple[np.ndarray, AdapterWeights]]]]:
         """Run the backbone over a [B, T] id batch.
 
@@ -158,6 +170,12 @@ class Encoder:
         ``rng`` is given and never otherwise. Returns final states [B, T, H]
         and, per occupied slot kind, one (input values, weights) pair per
         layer; empty kinds are absent.
+
+        ``read``, if given, lists the flat rows of [B*T] that a loss reads,
+        strictly increasing integers in [0, B*T), else ``ContractError``. The
+        last layer then runs its tail after attention on those rows only, and
+        its slots see (and record) them in a zero [B, T, H], so every other
+        row of the final states is zero.
         """
         c = self.config
         p = self.params
@@ -177,6 +195,13 @@ class Encoder:
         if stack is not None and stack.num_layers != c.num_layers:
             raise ConfigError(f"adapter stack has {stack.num_layers} layers, "
                               f"the encoder {c.num_layers}")
+        if read is not None:
+            read = np.asarray(read)
+            if (read.ndim != 1 or read.size and read.dtype.kind not in "iu"
+                    or (np.diff(read.astype(np.int64), prepend=-1, append=ids.size) <= 0).any()):
+                raise ContractError(f"read must be strictly increasing integer rows in "
+                                    f"[0, {ids.size}), got {read}")
+            read = read.astype(np.int64, copy=False)
         drop = c.dropout if rng is not None else 0.0
         slots = stack.slots() if stack is not None else {}
 
@@ -186,26 +211,33 @@ class Encoder:
         key_bias = (1.0 - mask.astype(np.float64))[:, None, None, :] * MASK_BIAS
         acts = {kind: [] for kind in slots}
         for i in range(c.num_layers):
-            x = self._attention_sublayer(i, x, key_bias, drop, rng)
-            x = self._ffn_sublayer(i, x, drop, rng)
+            rows = (read, ids.shape) if read is not None and i == c.num_layers - 1 else None
+            x = self._attention_sublayer(i, x, key_bias, drop, rng, rows)
+            x = self._ffn_sublayer(i, x, drop, rng, rows)
+            if rows is not None:
+                x = scatter_rows(x, *rows)
             for kind, weights in slots.items():
                 acts[kind].append((x.values, weights[i]))
                 x = adapter_forward(x, weights[i].w_down, weights[i].w_up)
         return x, acts
 
-    def _attention_sublayer(self, i, x, key_bias, drop, rng):
+    def _attention_sublayer(self, i, x, key_bias, drop, rng, rows):
         p = self.params
         q = linear(x, p[f"layer.{i}.attn.wq"], p[f"layer.{i}.attn.bq"])
         k = linear(x, p[f"layer.{i}.attn.wk"], p[f"layer.{i}.attn.bk"])
         v = linear(x, p[f"layer.{i}.attn.wv"], p[f"layer.{i}.attn.bv"])
         ctx = attention(q, k, v, key_bias, self.config.num_heads)
-        out = dropout(linear(ctx, p[f"layer.{i}.attn.wo"], p[f"layer.{i}.attn.bo"]), drop, rng)
+        if rows is not None:  # the tail after attention runs on the read rows
+            ctx, x = take_rows(ctx, rows[0]), take_rows(x, rows[0])
+        out = linear(ctx, p[f"layer.{i}.attn.wo"], p[f"layer.{i}.attn.bo"], rows)
+        out = dropout(out, drop, rng, rows)
         return layer_norm(x, out, p[f"layer.{i}.ln1.gain"], p[f"layer.{i}.ln1.bias"])
 
-    def _ffn_sublayer(self, i, x, drop, rng):
+    def _ffn_sublayer(self, i, x, drop, rng, rows):
         p = self.params
-        inner = relu(linear(x, p[f"layer.{i}.ffn.w1"], p[f"layer.{i}.ffn.b1"]))
-        out = dropout(linear(inner, p[f"layer.{i}.ffn.w2"], p[f"layer.{i}.ffn.b2"]), drop, rng)
+        inner = relu(linear(x, p[f"layer.{i}.ffn.w1"], p[f"layer.{i}.ffn.b1"], rows))
+        out = linear(inner, p[f"layer.{i}.ffn.w2"], p[f"layer.{i}.ffn.b2"], rows)
+        out = dropout(out, drop, rng, rows)
         return layer_norm(x, out, p[f"layer.{i}.ln2.gain"], p[f"layer.{i}.ln2.bias"])
 
     # --- output heads ------------------------------------------------------------

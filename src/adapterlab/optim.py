@@ -101,6 +101,12 @@ class Adam:
         self.v = {n: np.zeros_like(params[n].values) for n in self.names}
 
     def step(self) -> None:
+        """Move each weight by ``lr * m_hat / (sqrt(v_hat) + EPS)``.
+
+        Two temporaries per weight hold each intermediate in turn; every element
+        goes through the ufuncs of the out-of-place expressions in their order
+        (a product's operands may swap, which rounds the same).
+        """
         self.t += 1
         for name in self.names:
             p = self.params[name]
@@ -109,13 +115,19 @@ class Adam:
             g = p.grad
             m = self.m[name]
             v = self.v[name]
+            step, denom = np.empty_like(g), np.empty_like(g)  # arrays even for a 0-d weight
             m *= BETA1
-            m += (1.0 - BETA1) * g
+            m += np.multiply(g, 1.0 - BETA1, out=step)
             v *= BETA2
-            v += (1.0 - BETA2) * (g * g)
-            m_hat = m / (1.0 - BETA1 ** self.t)
-            v_hat = v / (1.0 - BETA2 ** self.t)
-            p.values -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)
+            np.multiply(g, g, out=step)
+            v += np.multiply(step, 1.0 - BETA2, out=step)
+            np.divide(m, 1.0 - BETA1 ** self.t, out=step)  # m_hat
+            step *= self.lr
+            np.divide(v, 1.0 - BETA2 ** self.t, out=denom)  # v_hat
+            np.sqrt(denom, out=denom)
+            denom += EPS
+            step /= denom
+            p.values -= step
         for name in self.names:
             self.params[name].grad = None
 

@@ -279,6 +279,15 @@ def test_swap_without_language_slot():
         swap_language_adapter(stack, [])
 
 
+def test_swap_refuses_a_short_unregistered_slot():
+    # a 1-layer language slot set directly on a 2-layer stack, never registered
+    stack = AdapterStack(2)
+    stack.lang = init_adapter_stack_slot(AdapterConfig(dim=4, kind=LANGUAGE), 8, 1, 0)
+    pair = (np.zeros((8, 4)), np.zeros((4, 8)))
+    with pytest.raises(ContractError, match="the language slot needs 2 language adapters"):
+        swap_language_adapter(stack, [pair, pair])
+
+
 # --- frozen weights -----------------------------------------------------------
 
 

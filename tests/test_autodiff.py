@@ -23,9 +23,11 @@ from adapterlab.autodiff import (
     mul,
     relu,
     reshape,
+    scatter_rows,
     select_token,
     softmax_rows,
     swap_last,
+    take_rows,
     tanh,
     transpose,
     tsum,
@@ -533,6 +535,79 @@ def test_linear_refuses_mismatched_operands():
         linear(Tensor(np.zeros(4)), Tensor(np.zeros((4, 5))), Tensor(np.zeros(5)))
 
 
+# --- row sets ----------------------------------------------------------------------
+
+READ = np.array([1, 4, 5, 10])  # flat rows of a [3, 4] lead
+ROWS = (READ, (3, 4))
+
+
+def test_row_ops_gradcheck():
+    r = rng(70)
+    w = Tensor(r.normal(size=(3, 4, 5)))
+    v = Tensor(r.normal(size=(4, 5)))
+    cases = (
+        (lambda ts: tsum(mul(take_rows(ts[0], READ), v)), (3, 4, 5)),
+        (lambda ts: tsum(mul(scatter_rows(ts[0], READ, (3, 4)), w)), (4, 5)),
+        # a fresh generator on every call draws the same mask each time
+        (lambda ts: tsum(mul(dropout(ts[0], 0.3, np.random.default_rng(7), ROWS), v)), (4, 5)),
+    )
+    for f, shape in cases:
+        x = Tensor(r.normal(size=shape))
+        assert grad_check(f, [x]) < 1e-6
+    values = [r.normal(size=(4, 6)), r.normal(size=(6, 5)), r.normal(size=5)]
+    for mask in range(1, 8):  # each non-empty subset of {x, w, b}
+        ts = [Tensor(a.copy()) for a in values]
+        picked = [ts[i] for i in range(3) if mask >> i & 1]
+        f = lambda _: tsum(mul(linear(*ts, rows=ROWS), v))
+        assert grad_check(f, picked) < 1e-6, mask
+        assert all(t.grad is None for t in ts if t not in picked)
+
+
+def test_take_and_scatter_rows_are_adjoint():
+    r = rng(71)
+    full, part = r.normal(size=(3, 4, 2)), r.normal(size=(4, 2))
+    taken = take_rows(Tensor(full), READ).values
+    placed = scatter_rows(Tensor(part), READ, (3, 4)).values
+    assert taken.tobytes() == full.reshape(12, 2)[READ].tobytes()
+    assert placed.shape == (3, 4, 2) and np.count_nonzero(np.delete(placed.reshape(12, 2),
+                                                                    READ, axis=0)) == 0
+    assert (taken * part).sum() == pytest.approx((full * placed).sum())
+    g = np.array(-0.0) * np.ones((4, 2))  # the backward keeps each bit, a zero's sign too
+    back = take_rows(Tensor(full, requires_grad=True), READ)._backward(g)[0][1]
+    assert np.signbit(back.reshape(12, 2)[READ]).all()
+
+
+@pytest.mark.parametrize("m, n_read", [(12, 3), (160, 17), (448, 49), (1600, 400)])
+def test_linear_on_rows_is_the_full_linear_bytes(m, n_read):
+    # the full node on an input whose unread rows are zero, and on a gradient
+    # that is zero there: same values on the read rows and same gradients (with
+    # OpenBLAS 0.3.31, x^T @ dC over 400 of 1600 rows rounds apart from the full one)
+    r = rng(72 + m)
+    read = np.sort(r.choice(m, size=n_read, replace=False))
+    lead = (m // 4, 4)
+    for k, n in ((32, 32), (32, 64), (64, 32)):
+        x, w, b = r.normal(size=(read.size, k)), r.normal(size=(k, n)), r.normal(size=n)
+        g = r.normal(size=(read.size, n))
+        x_full, g_full = np.zeros(lead + (k,)), np.zeros(lead + (n,))
+        x_full.reshape(m, k)[read], g_full.reshape(m, n)[read] = x, g
+        part = linear(*(Tensor(a, requires_grad=True) for a in (x, w, b)), rows=(read, lead))
+        full = linear(*(Tensor(a, requires_grad=True) for a in (x_full, w, b)))
+        (gx, gw, gb), (fx, fw, fb) = ([pg for _, pg in node._backward(grad)]
+                                      for node, grad in ((part, g), (full, g_full)))
+        assert part.values.tobytes() == full.values.reshape(m, n)[read].tobytes()
+        assert gx.tobytes() == fx.reshape(m, k)[read].tobytes()
+        assert (gw.tobytes(), gb.tobytes()) == (fw.tobytes(), fb.tobytes())
+
+
+def test_dropout_on_rows_draws_the_full_mask():
+    x = rng(73).normal(size=(3, 4, 5))
+    full_rng, rows_rng = np.random.default_rng(9), np.random.default_rng(9)
+    full = dropout(Tensor(x), 0.3, full_rng).values
+    part = dropout(Tensor(x.reshape(12, 5)[READ]), 0.3, rows_rng, ROWS).values
+    assert part.tobytes() == full.reshape(12, 5)[READ].tobytes()
+    assert rows_rng.random() == full_rng.random()  # the stream moved alike
+
+
 # --- dropout -------------------------------------------------------------------
 
 
@@ -712,6 +787,7 @@ FROZEN_CASES = {
     "mul": (mul, [(2, 3, 4), ()]),
     "layer_norm": (layer_norm, [(3, 4), (3, 4), (4,), (4,)]),
     "linear": (linear, [(2, 3, 4), (4, 5), (5,)]),
+    "linear_rows": (lambda x, w, b: linear(x, w, b, ROWS), [(4, 4), (4, 5), (5,)]),
     "cosine_sq_rows": (cosine_sq_rows, [(3, 4), (3, 4)]),
 }
 
@@ -777,12 +853,16 @@ def test_forward_values_stay_finite():
 # each op whose arithmetic runs in buffers, and its constant (non-tensor) inputs
 IN_PLACE_CASES = {
     "linear": (linear, [(2, 3, 4), (4, 5), (5,)], ()),
+    "linear_rows": (lambda x, w, b: linear(x, w, b, ROWS), [(4, 4), (4, 5), (5,)], ()),
+    "take_rows": (lambda x: take_rows(x, READ), [(3, 4, 2)], ()),
+    "scatter_rows": (lambda x: scatter_rows(x, READ, (3, 4)), [(4, 2)], ()),
     "adapter": (adapter, [(2, 3, 4), (4, 2), (2, 4)], ()),
     "attention": (lambda q, k, v, bias: attention(q, k, v, bias, 2), [(2, 3, 4)] * 3,
                   (KEY_BIAS,)),
     "layer_norm": (layer_norm, [(2, 3, 4), (2, 3, 4), (4,), (4,)], ()),
     "softmax_rows": (softmax_rows, [(2, 3, 5)], ()),
     "dropout": (lambda x: dropout(x, 0.3, np.random.default_rng(1)), [(3, 4)], ()),
+    "dropout_rows": (lambda x: dropout(x, 0.3, np.random.default_rng(1), ROWS), [(4, 3)], ()),
     "cross_entropy": (cross_entropy, [(4, 5)], (np.array([0, 4, 2, 2]),)),
 }
 

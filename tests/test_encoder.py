@@ -11,10 +11,11 @@ from adapterlab.adapters import (
     AdapterStack,
     init_adapter_stack_slot,
 )
-from adapterlab.autodiff import Tensor, grad_check, mul, tsum
+from adapterlab.autodiff import IGNORE_LABEL, Tensor, grad_check, mul, tsum
 from adapterlab.encoder import Encoder, EncoderConfig
 from adapterlab.errors import ConfigError, ContractError, SequenceLengthError, VocabError
 from adapterlab.objectives import labelled_rows, mlm_loss
+from adapterlab.optim import Adam
 
 
 def encoder(**kw):
@@ -247,6 +248,14 @@ def test_stack_with_wrong_layer_count_is_refused(stack_layers):
         enc.encode(BATCH, MASK, stack=stack)
 
 
+def test_stack_with_a_short_unregistered_slot_is_refused():
+    # the stack's layer count fits; its hand-set language slot has one layer
+    stack = AdapterStack(2)
+    stack.lang = init_adapter_stack_slot(AdapterConfig(dim=3, kind=LANGUAGE), 8, 1, 1)
+    with pytest.raises(ContractError, match="the language slot needs 2 language adapters"):
+        encoder().encode(BATCH[:1, :3], MASK[:1, :3], stack=stack)
+
+
 def test_heads_gradcheck():
     enc = encoder(vocab=7, num_layers=1, hidden=4, num_heads=2, ffn=6, max_len=4)
     enc.ensure_cls_head(3)
@@ -279,3 +288,82 @@ def test_end_to_end_mlm_gradcheck_one_layer():
 
     tensors = [enc.params[n] for n in enc.params.names()]
     assert grad_check(f, tensors) < 1e-4
+
+
+# --- the read-rows tail ----------------------------------------------------------
+
+
+def tail_case(loss, tie_mlm, seed, slots=True):
+    """A dropout-0.1 model with both slots (or none), and a [16, 20] batch whose read rows
+    are at most 15% of its positions: the labelled ones, or each [CLS] row for seq_cls."""
+    enc = Encoder(EncoderConfig(vocab=40, hidden=32, num_heads=4, ffn=64, max_len=32,
+                                dropout=0.1, tie_mlm=tie_mlm), seed=seed)
+    stack = AdapterStack(2)
+    for kind, dim in ((LANGUAGE, 8), (TASK, 4)) if slots else ():
+        stack.fill(kind, init_adapter_stack_slot(AdapterConfig(dim, kind), 32, 2, seed + dim))
+    stack.register(enc.params)
+    r = np.random.default_rng(seed)
+    b, t = 16, 20
+    mask = (np.arange(t) < r.integers(6, t + 1, size=(b, 1))).astype(np.int64)
+    ids = np.where(mask == 1, r.integers(4, 40, size=(b, t)), 0)
+    if loss == "seq_cls":
+        enc.ensure_cls_head(3)
+        return enc, stack, ids, mask, r.integers(0, 3, size=b), np.arange(b) * t
+    labels = np.full((b, t), IGNORE_LABEL)
+    picked = (r.random((b, t)) < 0.12) & (mask == 1)
+    labels[picked] = r.integers(0, 40 if loss == "mlm" else 5, size=picked.sum())
+    if loss == "tagging":
+        enc.ensure_tag_head(5)
+    return enc, stack, ids, mask, labels, np.flatnonzero(picked)
+
+
+def one_step(loss, tie_mlm, slots, seed, tail):
+    """The loss, every gradient and the weights after one Adam step, as bytes."""
+    enc, stack, ids, mask, labels, read = tail_case(loss, tie_mlm, seed, slots)
+    assert read.size <= 0.15 * ids.size
+    heads = {"mlm": "head.mlm.", "seq_cls": "head.cls.", "tagging": "head.tag."}
+    names = [n for n in enc.params.names()
+             if not n.startswith("head.") or n.startswith(heads[loss])]
+    enc.params.set_trainable(names)
+    states, _ = enc.encode(ids, mask, stack=stack, rng=np.random.default_rng(seed),
+                           read=read if tail else None)
+    if loss == "seq_cls":
+        out = mlm_loss(enc.cls_logits(states), labels)
+    else:
+        rows, targets = labelled_rows(states, labels)
+        head = enc.mlm_logits if loss == "mlm" else enc.tag_logits
+        out = mlm_loss(head(rows), targets)
+    out.backward()
+    grads = [enc.params[n].grad.tobytes() for n in names]
+    Adam(enc.params, names, lr=1e-3).step()
+    return repr(out.item()), grads, enc.params.checksum()
+
+
+@pytest.mark.parametrize("loss, tie_mlm, slots", [
+    ("mlm", True, True), ("mlm", False, True), ("mlm", True, False), ("tagging", True, True),
+    ("seq_cls", True, True)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_tail_on_read_rows_is_the_full_forward_bytes(loss, tie_mlm, slots, seed):
+    case = (loss, tie_mlm, slots, seed)
+    assert one_step(*case, tail=True) == one_step(*case, tail=False)
+
+
+def test_rows_outside_read_are_zero_in_states_and_last_slot_records():
+    enc, stack, ids, mask, _, read = tail_case("mlm", True, 0)
+    states, acts = enc.encode(ids, mask, stack=stack, read=read)
+    full, full_acts = enc.encode(ids, mask, stack=stack)
+    unread = np.delete(np.arange(ids.size), read)
+    for got, want in [(states.values, full.values)] + [
+            (acts[kind][-1][0], full_acts[kind][-1][0]) for kind in (LANGUAGE, TASK)]:
+        assert not got.reshape(ids.size, -1)[unread].any()
+        assert got.reshape(ids.size, -1)[read].tobytes() == \
+            want.reshape(ids.size, -1)[read].tobytes()
+    assert acts[LANGUAGE][0][0].tobytes() == full_acts[LANGUAGE][0][0].tobytes()
+
+
+@pytest.mark.parametrize("read", [[2, 1], [0, 0], [-1, 3], [0, 10], [0.0, 1.0], [[0, 1]], 3,
+                                  np.array([3, 2], dtype=np.uint8)])
+def test_encode_refuses_read_rows_not_strictly_increasing_in_range(read):
+    with pytest.raises(ContractError, match=r"read must be strictly increasing .* \[0, 10\)"):
+        encoder().encode(BATCH, MASK, read=read)
+    encoder().encode(BATCH, MASK, read=[])  # no row read is a legal, empty read

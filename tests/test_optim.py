@@ -86,6 +86,36 @@ def test_three_step_trajectory_matches_scalar_oracle():
     np.testing.assert_allclose(got, expect, atol=1e-12, rtol=0)
 
 
+def test_step_is_byte_equal_to_the_out_of_place_expressions():
+    # the step reuses two buffers per weight; a 0-d weight, a vector and a matrix
+    # must each move to the bytes of Adam's out-of-place expressions
+    rng = np.random.default_rng(0)
+    shapes = {"s": (), "v": (5,), "w": (3, 4)}
+    ps = ParamSet()
+    for name, shape in shapes.items():
+        ps.add(name, Tensor(rng.normal(size=shape)))
+    ps.set_trainable(ps.names())
+    opt = Adam(ps, ps.names(), lr=0.01)
+    ref = {n: ps[n].values.copy() for n in shapes}
+    m = {n: np.zeros(shape) for n, shape in shapes.items()}
+    v = {n: np.zeros(shape) for n, shape in shapes.items()}
+    for t in range(1, 5):
+        for name, shape in shapes.items():
+            g = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3)
+            ps[name].grad = np.array(g)
+            m[name] = 0.9 * m[name] + (1.0 - 0.9) * g
+            v[name] = 0.999 * v[name] + (1.0 - 0.999) * (g * g)
+            m_hat = m[name] / (1.0 - 0.9 ** t)
+            v_hat = v[name] / (1.0 - 0.999 ** t)
+            ref[name] = ref[name] - 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
+        opt.step()
+        for name in shapes:
+            assert ps[name].values.shape == shapes[name]
+            assert ps[name].values.tobytes() == np.asarray(ref[name]).tobytes(), (t, name)
+            assert opt.m[name].tobytes() == np.asarray(m[name]).tobytes()
+            assert opt.v[name].tobytes() == np.asarray(v[name]).tobytes()
+
+
 def test_two_optimizers_same_params_independent_state():
     ps = make_params()
     opt_a = Adam(ps, ps.names(), lr=0.1)

@@ -30,6 +30,7 @@ from adapterlab.synthlang import (
     generate_corpus,
 )
 from adapterlab.training import (
+    TAIL_SHARE,
     PhaseConfig,
     config_hash,
     make_mlm_batch,
@@ -450,6 +451,41 @@ def test_alternation_consumes_identical_batches(monkeypatch):
     for (main_ids, main_mask), (ortho_ids, ortho_mask) in zip(received[::2], received[1::2]):
         np.testing.assert_array_equal(ortho_ids, main_ids)
         np.testing.assert_array_equal(ortho_mask, main_mask)
+
+
+@pytest.mark.parametrize("phase, loss", [(PHASE_LANG, "mlm"), (PHASE_TASK, "tagging"),
+                                         (PHASE_TASK, "seq_cls")])
+def test_phase_on_read_rows_logs_and_trains_the_full_forward_bytes(monkeypatch, phase, loss):
+    # each forward reads only its loss's rows; a phase whose forwards run full-size
+    # (``read`` dropped) must log the same bytes and end on the same weights
+    vocab, corpus = setup_bed()
+    spec = SyntheticLanguageSpec("src")
+    data = {"mlm": dict(corpus=corpus),
+            "tagging": dict(dataset=gen_tag_task(corpus, spec, vocab, 40, "train", 1, 4)),
+            "seq_cls": dict(dataset=gen_seq_task(corpus, spec, vocab, 30, "train", 1))}[loss]
+    cfg = PhaseConfig(phase=phase, main_loss=loss, ortho=True, steps=4, batch_size=8, seed=3)
+    encode, reads, runs = Encoder.encode, [], []
+
+    def full_size(self, ids, mask, **kwargs):
+        reads.append((kwargs.pop("read"), np.asarray(mask)))
+        return encode(self, ids, mask, **kwargs)
+
+    for tail in (True, False):
+        enc, stack = fresh_model(vocab, lang=True, task=phase == PHASE_TASK, dropout=0.1)
+        enc.ensure_tag_head(4)
+        enc.ensure_cls_head(3)
+        if not tail:
+            monkeypatch.setattr(Encoder, "encode", full_size)
+        stats = run_phase(enc, stack, cfg, **data)
+        runs.append((stats.log_lines, enc.params.checksum()))
+    assert runs[0] == runs[1]
+    assert len(reads) == 8  # a main and an ortho forward per step
+    for read, mask in reads[1::2]:  # the ortho step's forward reads the real tokens
+        assert read.tolist() == np.flatnonzero(mask.reshape(-1) == 1).tolist()
+    if loss == "tagging":  # it reads every real token but [CLS]: over TAIL_SHARE of the rows
+        assert all(read is None for read, _ in reads[::2])
+    else:
+        assert all(0 < read.size <= TAIL_SHARE * mask.size for read, mask in reads[::2])
 
 
 def test_ortho_forward_records_no_graph(monkeypatch):
