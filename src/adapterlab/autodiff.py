@@ -612,7 +612,7 @@ def cosine_sq_rows(u: Tensor, v: Tensor) -> Tensor:
     return _node(values, (u, v), backward)
 
 
-# the label of a position no loss reads; ``objectives.labelled_rows`` drops them
+# the label of a position no main loss reads; ``objectives.labelled_rows`` leaves it out
 IGNORE_LABEL = -1
 
 

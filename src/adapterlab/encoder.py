@@ -45,7 +45,6 @@ from .autodiff import (
     linear,
     relu,
     scatter_rows,
-    select_token,
     swap_last,
     take_rows,
     tanh,
@@ -248,10 +247,10 @@ class Encoder:
         proj = swap_last(p["embed.tok"]) if self.config.tie_mlm else p["head.mlm.proj"]
         return linear(states, proj, p["head.mlm.bias"])
 
-    def cls_logits(self, states: Tensor) -> Tensor:
-        """Sequence-level logits from a tanh pool over position 0."""
+    def cls_logits(self, rows: Tensor) -> Tensor:
+        """Sequence-level logits from a tanh pool over the [n, H] [CLS] rows it is given."""
         p = self.params
-        pooled = tanh(linear(select_token(states, 0), p["head.cls.pool_w"], p["head.cls.pool_b"]))
+        pooled = tanh(linear(rows, p["head.cls.pool_w"], p["head.cls.pool_b"]))
         return linear(pooled, p["head.cls.out_w"], p["head.cls.out_b"])
 
     def tag_logits(self, states: Tensor) -> Tensor:

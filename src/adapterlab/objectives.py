@@ -4,12 +4,14 @@ Masked LM selects ``MASK_FRACTION`` of each sequence's maskable tokens and
 splits them ``MASK_SPLIT`` into ``[MASK]``, a random regular id and kept, as
 BERT does (Devlin et al. 2019, arXiv 1810.04805).
 
-Every loss is a plain mean over the rows it receives, and which rows a loss
-reads is decided once, before the head or the adapter recompute runs:
-``labelled_rows`` picks the masked-LM and tagged positions (the ones whose
-label is not ``IGNORE_LABEL``), sequence classification reads the [CLS]
-pool, and ``ortho_loss`` reads the real tokens (1 in the mask). A position
-a loss does not read cannot move its value or its gradient.
+Every loss is a plain mean over the rows it reads, and two rules, each
+stated once, say which rows those are. A main loss (masked LM, tagging,
+sequence classification) reads the ``labelled_rows`` of its [B, T] labels:
+the positions whose label is not ``IGNORE_LABEL``; sequence classification
+labels each sequence at its [CLS] position. The orthogonality loss reads
+the ``real_rows`` of the mask: the real tokens. A training step hands the
+rows a rule gives to ``Encoder.encode``'s ``read`` and to the loss alike,
+so a position a loss does not read cannot move its value or its gradient.
 
 The orthogonality loss is computed one way. It reads the (input values,
 weights) pairs that ``Encoder.encode`` returns for one slot kind. Per layer
@@ -33,9 +35,7 @@ from .autodiff import (
     add,
     cosine_sq_rows,
     cross_entropy,
-    embedding_lookup,
     mul,
-    reshape,
     tsum,
 )
 from .errors import ContractError, EmptyLossError, ShapeError, require_int
@@ -112,8 +112,8 @@ def ortho_loss(
     ``acts`` is the second return value of ``Encoder.encode``: per occupied
     slot kind, one (slot input values, weights) pair per layer. ``slot``
     ("language" or "task") must be one of its kinds. The slot output is
-    recomputed from the real tokens' rows of the recorded slot input, taken
-    as a constant, so gradients reach the slot's own weights and nothing
+    recomputed from the ``real_rows`` of ``mask`` in the recorded slot input,
+    taken as a constant, so gradients reach the slot's own weights and nothing
     upstream of it. Padded tokens (0 in ``mask``, the [B, T] mask of the
     batch encode ran on) are never read. ``exclude_residual`` scores only the
     bottleneck's own contribution (with the residual term, full
@@ -131,7 +131,7 @@ def ortho_loss(
     if mask.shape != records[0][0].shape[:-1]:
         raise ShapeError(f"mask {mask.shape} does not match the slot inputs "
                          f"{records[0][0].shape}")
-    real = np.flatnonzero(mask.reshape(-1) == 1)
+    real = real_rows(mask)
     if real.size == 0:
         raise ContractError("ortho_loss: no tokens left after padding exclusion")
     total: Tensor | None = None
@@ -145,31 +145,31 @@ def ortho_loss(
     return OrthoLossReport(loss=total, per_layer=per_layer)
 
 
-def labelled_rows(states: Tensor, labels: np.ndarray) -> tuple[Tensor, np.ndarray]:
-    """The rows of [B, T, H] states whose label is not ``IGNORE_LABEL``.
+def labelled_rows(labels: np.ndarray) -> np.ndarray:
+    """The flat rows of a [B, T] label batch that a main loss reads: the positions whose
+    label is not ``IGNORE_LABEL``, in increasing order.
 
-    Returns them as [n, H], in row-major position order, with their n
-    labels, so a head can score only the positions a loss reads. Raises
-    ``EmptyLossError`` when no position carries a label.
+    Raises ``ShapeError`` unless ``labels`` is 2-D and ``EmptyLossError`` when
+    no position carries a label.
     """
-    b, t, h = states.shape
     labels = np.asarray(labels)
-    if labels.shape != (b, t):
-        raise ShapeError(f"labels {labels.shape} do not match states {states.shape}")
-    flat = labels.reshape(-1)
-    picked = np.flatnonzero(flat != IGNORE_LABEL)
-    if picked.size == 0:
+    if labels.ndim != 2:
+        raise ShapeError(f"labels must be [B, T], got shape {labels.shape}")
+    rows = np.flatnonzero(labels != IGNORE_LABEL)
+    if rows.size == 0:
         raise EmptyLossError("every position carries the ignore marker")
-    return embedding_lookup(reshape(states, (b * t, h)), picked), flat[picked]
+    return rows
+
+
+def real_rows(mask: np.ndarray) -> np.ndarray:
+    """The flat rows of a [B, T] mask that the orthogonality loss reads: the real tokens
+    (1 in the mask), in increasing order."""
+    return np.flatnonzero(np.asarray(mask) == 1)
 
 
 def mlm_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean cross-entropy of [n, C] logits against their n labels.
-
-    The rows are the ones the loss reads, chosen before the head: the
-    ``labelled_rows`` of the states for masked LM and tagging, one [CLS] pool
-    per sequence for sequence classification.
-    """
+    """Mean cross-entropy of [n, C] logits, the head's over the ``labelled_rows`` of the
+    states alone, against their n labels."""
     return cross_entropy(logits, labels)
 
 

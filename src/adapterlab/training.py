@@ -10,13 +10,15 @@ slot's recorded input and live weights and differentiates only that.
 The ortho loss is never added to the main loss, and the two optimizers
 never share moment buffers.
 
-Each forward is passed the rows its loss reads (``Encoder.encode``'s
-``read``): the labelled rows for masked LM and tagging, each [CLS] row for
-sequence classification and the real tokens for the ortho step's forward.
-The last layer's tail runs on those rows only; losses, gradients and
-weights are bit for bit those of full-size forwards. The main step passes
-none when its loss reads more than ``TAIL_SHARE`` of the rows, where the
-tail would cost more than it skips.
+Each step computes the rows its main loss reads once, as the batch's
+``labelled_rows`` (sequence classification labels each sequence at its
+[CLS] position), and the loss gathers exactly the rows passed to
+``Encoder.encode``'s ``read``; the ortho step's forward reads the
+``real_rows`` of the mask, the rows ``ortho_loss`` reads. The last layer's
+tail runs on those rows only; losses, gradients and weights are bit for bit
+those of full-size forwards. The main step passes no ``read`` when its loss
+reads more than ``TAIL_SHARE`` of the rows, where the tail would cost more
+than it skips.
 
 What a phase trains is decided in one place, ``trainable_names``; the stack
 it runs must be the one registered, each of its slots one adapter of its kind
@@ -51,7 +53,7 @@ from .adapters import (
     AdapterStack,
     check_registered,
 )
-from .autodiff import IGNORE_LABEL, Tensor
+from .autodiff import IGNORE_LABEL, Tensor, take_rows
 from .encoder import Encoder
 from .errors import ConfigError, MissingArtifactError, NumericError, require_int
 from .objectives import (
@@ -60,6 +62,7 @@ from .objectives import (
     labelled_rows,
     mlm_loss,
     ortho_loss,
+    real_rows,
     seq_cls_loss,
     tagging_loss,
 )
@@ -153,10 +156,11 @@ def make_mlm_batch(corpus: list[np.ndarray], picks: np.ndarray,
 
 
 def make_seq_batch(examples: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """[CLS] sent1 [SEP] sent2 inputs with whole-sequence labels."""
+    """[CLS] sent1 [SEP] sent2 inputs, each sequence's label at its [CLS] position."""
     seqs = [np.concatenate(([CLS], a, [SEP], b)) for a, b, _ in examples]
     ids, mask = pad_sequences(seqs)
-    labels = np.array([label for _, _, label in examples], dtype=np.int64)
+    labels = np.full_like(ids, IGNORE_LABEL)
+    labels[:, 0] = [label for _, _, label in examples]
     return ids, mask, labels
 
 
@@ -191,31 +195,12 @@ def _batches(cfg: PhaseConfig, vocab_size: int, corpus: list[np.ndarray] | None,
         yield (*build(examples), 0)
 
 
-def _read_rows(cfg: PhaseConfig, mask: np.ndarray, labels: np.ndarray) -> np.ndarray | None:
-    """The flat rows of a [B, T] batch that the phase's main loss reads, each sequence's
-    [CLS] row for sequence classification, else the ``labelled_rows``; None when they are
-    more than ``TAIL_SHARE`` of the batch."""
-    b, t = mask.shape
-    if cfg.main_loss == "seq_cls":
-        read = np.arange(b) * t
-    else:
-        read = np.flatnonzero(labels.reshape(-1) != IGNORE_LABEL)
-    return read if read.size <= TAIL_SHARE * mask.size else None
-
-
-def _main_loss(cfg: PhaseConfig, encoder: Encoder, states, labels) -> Tensor:
-    """The phase's main loss on one batch's final states.
-
-    The rows a loss reads are picked before its head runs: masked LM and
-    tagging score only the ``labelled_rows`` of the states, sequence
-    classification one [CLS] pool per sequence.
-    """
-    if cfg.main_loss == "seq_cls":
-        return seq_cls_loss(encoder.cls_logits(states), labels)
-    rows, targets = labelled_rows(states, labels)
-    if cfg.main_loss == "mlm":
-        return mlm_loss(encoder.mlm_logits(rows), targets)
-    return tagging_loss(encoder.tag_logits(rows), targets)
+def _main_loss(cfg: PhaseConfig, encoder: Encoder, rows: Tensor, targets) -> Tensor:
+    """The phase's main loss on the [n, H] rows it reads and their n labels."""
+    loss, head = {"mlm": (mlm_loss, encoder.mlm_logits),
+                  "seq_cls": (seq_cls_loss, encoder.cls_logits),
+                  "tagging": (tagging_loss, encoder.tag_logits)}[cfg.main_loss]
+    return loss(head(rows), targets)
 
 
 def trainable_names(params: ParamSet, cfg: PhaseConfig) -> list[str]:
@@ -302,9 +287,10 @@ def run_phase(
         # the range comes first, so no batch is drawn after the last step
         for step, (ids, mask, labels, skipped) in zip(range(cfg.steps), batches):
             stats.skipped_sequences += skipped
+            rows = labelled_rows(labels)
             states, _ = encoder.encode(ids, mask, stack=stack, rng=drop_rng,
-                                       read=_read_rows(cfg, mask, labels))
-            loss = _main_loss(cfg, encoder, states, labels)
+                                       read=rows if rows.size <= TAIL_SHARE * mask.size else None)
+            loss = _main_loss(cfg, encoder, take_rows(states, rows), labels.reshape(-1)[rows])
             value, norm = _descend(loss, opt_main, cfg.main_loss, step)
             stats.main_losses.append(value)
             stats.log_lines.append(
@@ -315,7 +301,7 @@ def run_phase(
                 # frozen so it records nothing: ortho_loss differentiates its own recompute
                 encoder.params.set_trainable(())
                 _, acts = encoder.encode(ids, mask, stack=stack, rng=drop_rng,
-                                         read=np.flatnonzero(mask.reshape(-1) == 1))
+                                         read=real_rows(mask))
                 encoder.params.set_trainable(trainable)
                 report = ortho_loss(acts, cfg.slot(), mask)
                 total, norm = _descend(report.loss, opt_ortho, "ortho", step)

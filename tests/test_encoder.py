@@ -11,7 +11,7 @@ from adapterlab.adapters import (
     AdapterStack,
     init_adapter_stack_slot,
 )
-from adapterlab.autodiff import IGNORE_LABEL, Tensor, grad_check, mul, tsum
+from adapterlab.autodiff import IGNORE_LABEL, Tensor, grad_check, mul, take_rows, tsum
 from adapterlab.encoder import Encoder, EncoderConfig
 from adapterlab.errors import ConfigError, ContractError, SequenceLengthError, VocabError
 from adapterlab.objectives import labelled_rows, mlm_loss
@@ -202,7 +202,7 @@ def test_cls_head_zero_states_gives_output_bias():
     enc.ensure_cls_head(3)
     enc.params["head.cls.out_b"].values[...] = [1.0, 2.0, 3.0]
     enc.params["head.cls.pool_b"].values[...] = 0.0
-    logits = enc.cls_logits(Tensor(np.zeros((2, 4, 8)))).values
+    logits = enc.cls_logits(Tensor(np.zeros((2, 8)))).values
     np.testing.assert_allclose(logits, [[1.0, 2.0, 3.0]] * 2)
 
 
@@ -264,8 +264,9 @@ def test_heads_gradcheck():
     w_cls = np.random.default_rng(1).normal(size=(2, 3))
     w_tag = np.random.default_rng(2).normal(size=(2, 3, 2))
     w_mlm = np.random.default_rng(3).normal(size=(2, 3, 7))
+    cls_rows = np.array([0, 3])  # each sequence's [CLS] row
     checks = [
-        (lambda ts: tsum(mul(enc.cls_logits(ts[0]), Tensor(w_cls))), 1e-4),
+        (lambda ts: tsum(mul(enc.cls_logits(take_rows(ts[0], cls_rows)), Tensor(w_cls))), 1e-4),
         (lambda ts: tsum(mul(enc.tag_logits(ts[0]), Tensor(w_tag))), 1e-4),
         (lambda ts: tsum(mul(enc.mlm_logits(ts[0]), Tensor(w_mlm))), 1e-4),
     ]
@@ -283,8 +284,8 @@ def test_end_to_end_mlm_gradcheck_one_layer():
 
     def f(_):
         states, _acts = enc.encode(ids, mask)
-        rows, targets = labelled_rows(states, labels)
-        return mlm_loss(enc.mlm_logits(rows), targets)
+        rows = labelled_rows(labels)
+        return mlm_loss(enc.mlm_logits(take_rows(states, rows)), labels.reshape(-1)[rows])
 
     tensors = [enc.params[n] for n in enc.params.names()]
     assert grad_check(f, tensors) < 1e-4
@@ -295,7 +296,7 @@ def test_end_to_end_mlm_gradcheck_one_layer():
 
 def tail_case(loss, tie_mlm, seed, slots=True):
     """A dropout-0.1 model with both slots (or none), and a [16, 20] batch whose read rows
-    are at most 15% of its positions: the labelled ones, or each [CLS] row for seq_cls."""
+    are at most 15% of its positions: the labelled ones, each [CLS] row for seq_cls."""
     enc = Encoder(EncoderConfig(vocab=40, hidden=32, num_heads=4, ffn=64, max_len=32,
                                 dropout=0.1, tie_mlm=tie_mlm), seed=seed)
     stack = AdapterStack(2)
@@ -306,10 +307,11 @@ def tail_case(loss, tie_mlm, seed, slots=True):
     b, t = 16, 20
     mask = (np.arange(t) < r.integers(6, t + 1, size=(b, 1))).astype(np.int64)
     ids = np.where(mask == 1, r.integers(4, 40, size=(b, t)), 0)
+    labels = np.full((b, t), IGNORE_LABEL)
     if loss == "seq_cls":
         enc.ensure_cls_head(3)
-        return enc, stack, ids, mask, r.integers(0, 3, size=b), np.arange(b) * t
-    labels = np.full((b, t), IGNORE_LABEL)
+        labels[:, 0] = r.integers(0, 3, size=b)
+        return enc, stack, ids, mask, labels, np.arange(b) * t
     picked = (r.random((b, t)) < 0.12) & (mask == 1)
     labels[picked] = r.integers(0, 40 if loss == "mlm" else 5, size=picked.sum())
     if loss == "tagging":
@@ -327,12 +329,9 @@ def one_step(loss, tie_mlm, slots, seed, tail):
     enc.params.set_trainable(names)
     states, _ = enc.encode(ids, mask, stack=stack, rng=np.random.default_rng(seed),
                            read=read if tail else None)
-    if loss == "seq_cls":
-        out = mlm_loss(enc.cls_logits(states), labels)
-    else:
-        rows, targets = labelled_rows(states, labels)
-        head = enc.mlm_logits if loss == "mlm" else enc.tag_logits
-        out = mlm_loss(head(rows), targets)
+    assert labelled_rows(labels).tolist() == read.tolist()
+    head = {"mlm": enc.mlm_logits, "seq_cls": enc.cls_logits, "tagging": enc.tag_logits}[loss]
+    out = mlm_loss(head(take_rows(states, read)), labels.reshape(-1)[read])
     out.backward()
     grads = [enc.params[n].grad.tobytes() for n in names]
     Adam(enc.params, names, lr=1e-3).step()

@@ -207,6 +207,7 @@ def test_package_module_has_no_orphaned_member(module):
 KEPT = {
     "autodiff.matmul": "perfbench/tracing._OP_NAMES names it by string (Direction 10)",
     "autodiff.softmax_rows": "perfbench/tracing._OP_NAMES names it by string (Direction 10)",
+    "autodiff.select_token": "perfbench/tracing._OP_NAMES names it by string (Direction 10)",
     "autodiff.grad_check": "the reference every op's test compares against (Aim 3)",
     "optim.Adam.state_checksum": "shows the second optimizer's state stays its own "
                                  "(Direction 4)",

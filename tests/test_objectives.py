@@ -12,7 +12,7 @@ from adapterlab.adapters import (
     AdapterWeights,
     init_adapter_stack_slot,
 )
-from adapterlab.autodiff import Tensor, cross_entropy, grad_check, matmul
+from adapterlab.autodiff import Tensor, cross_entropy, grad_check, matmul, take_rows
 from adapterlab.encoder import Encoder, EncoderConfig
 from adapterlab.errors import ConfigError, ContractError, EmptyLossError, ShapeError
 from adapterlab.objectives import (
@@ -328,12 +328,14 @@ def test_labelled_rows_match_full_logits(tie_mlm):
             enc.params.set_trainable(enc.params.names())
             logits_of = enc.mlm_logits if head == "mlm" else enc.tag_logits
             states, _ = enc.encode(ids, mask)
+            rows = labelled_rows(labels)
+            targets = labels.reshape(-1)[rows]
             if gather_first:
-                rows, targets = labelled_rows(states, labels)
-                assert rows.shape == (int((labels != -1).sum()), 8)
-                loss = loss_fn(logits_of(rows), targets)
+                picked = take_rows(states, rows)
+                assert picked.shape == (int((labels != -1).sum()), 8)
+                loss = loss_fn(logits_of(picked), targets)
             else:
-                loss = loss_fn(*labelled_rows(logits_of(states), labels))
+                loss = loss_fn(take_rows(logits_of(states), rows), targets)
             loss.backward()
             results.append((loss.item(), {n: t.grad for n, t in enc.params.items()
                                           if t.grad is not None}))
@@ -349,20 +351,20 @@ def test_labelled_rows_match_full_logits(tie_mlm):
 
 def test_labelled_rows_ignored_positions_carry_no_gradient():
     states = Tensor(np.random.default_rng(14).normal(size=(1, 3, 4)), requires_grad=True)
-    rows, targets = labelled_rows(states, np.array([[2, -1, 0]]))
-    tagging_loss(rows, targets).backward()
+    labels = np.array([[2, -1, 0]])
+    rows = labelled_rows(labels)
+    assert rows.tolist() == [0, 2]
+    tagging_loss(take_rows(states, rows), labels.reshape(-1)[rows]).backward()
     np.testing.assert_array_equal(states.grad[0, 1], 0.0)
     assert np.any(states.grad[0, 0] != 0.0)
 
 
 def test_labelled_rows_refuses_bad_labels():
-    enc, _ = encoder_with_stack()
-    ids = np.array([[2, 7, 8], [2, 9, 0]])
-    states, _ = enc.encode(ids, np.array([[1, 1, 1], [1, 1, 0]]))
     with pytest.raises(EmptyLossError):
-        labelled_rows(states, np.full(ids.shape, -1))
-    with pytest.raises(ShapeError):
-        labelled_rows(states, np.array([7, 8, 9]))
+        labelled_rows(np.full((2, 3), -1))
+    for labels in (np.array([7, 8, 9]), np.zeros((1, 2, 3), dtype=np.int64)):
+        with pytest.raises(ShapeError, match=r"labels must be \[B, T\]"):
+            labelled_rows(labels)
 
 
 def test_seq_cls_loss_uniform_logits():
@@ -381,8 +383,9 @@ def test_tagging_loss_ignores_padding():
 
     def loss_and_grad(values):
         x = Tensor(values, requires_grad=True)
-        rows, targets = labelled_rows(x, labels[:, :values.shape[1]])
-        loss = tagging_loss(matmul(rows, w), targets)
+        row_labels = labels[:, :values.shape[1]]
+        rows = labelled_rows(row_labels)
+        loss = tagging_loss(matmul(take_rows(x, rows), w), row_labels.reshape(-1)[rows])
         loss.backward()
         return loss.item(), x.grad
 

@@ -1,10 +1,13 @@
 import math
 import re
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from adapterlab import autodiff, training
+from adapterlab import autodiff, objectives, training
 from adapterlab.adapters import (
     LANGUAGE,
     PHASE_FULL,
@@ -15,11 +18,12 @@ from adapterlab.adapters import (
     AdapterStack,
     init_adapter_stack_slot,
 )
-from adapterlab.autodiff import IGNORE_LABEL
+from adapterlab.autodiff import IGNORE_LABEL, take_rows
 from adapterlab.encoder import Encoder, EncoderConfig
 from adapterlab.errors import ConfigError, EmptyLossError, MissingArtifactError, NumericError
 from adapterlab.objectives import MaskingPolicy, labelled_rows, mlm_loss
 from adapterlab.synthlang import (
+    FIRST_REGULAR,
     UNK,
     SyntheticLanguageSpec,
     TaskDataset,
@@ -389,7 +393,8 @@ def test_batch_builders():
     ])
     np.testing.assert_array_equal(ids[0], [2, 7, 8, 4, 9, 0])
     np.testing.assert_array_equal(mask[1], [1, 1, 1, 1, 1, 1])
-    np.testing.assert_array_equal(labels, [1, 0])
+    # each sequence is labelled at its [CLS] position only
+    np.testing.assert_array_equal(labels, [[1, -1, -1, -1, -1, -1], [0, -1, -1, -1, -1, -1]])
 
     ids, mask, labels = make_tag_batch([
         (np.array([7, 8]), np.array([0, 3])),
@@ -488,6 +493,84 @@ def test_phase_on_read_rows_logs_and_trains_the_full_forward_bytes(monkeypatch, 
         assert all(0 < read.size <= TAIL_SHARE * mask.size for read, mask in reads[::2])
 
 
+@cache
+def rows_bed():
+    """A vocab and the data each main loss trains on, built once for every example."""
+    vocab, corpus = setup_bed()
+    spec = SyntheticLanguageSpec("src")
+    return vocab, {"mlm": dict(corpus=corpus),
+                   "tagging": dict(dataset=gen_tag_task(corpus, spec, vocab, 40, "train", 1, 4)),
+                   "seq_cls": dict(dataset=gen_seq_task(corpus, spec, vocab, 30, "train", 1))}
+
+
+@st.composite
+def row_batches(draw, loss, vocab_size):
+    """A [B, T] batch with random padding and random labelled real tokens; sequence
+    classification labels each sequence's [CLS] position, as ``make_seq_batch`` does."""
+    b, t = draw(st.integers(1, 4)), draw(st.integers(2, 8))
+    lengths = draw(st.lists(st.integers(1, t), min_size=b, max_size=b))
+    mask = (np.arange(t) < np.array(lengths)[:, None]).astype(np.int64)
+    r = np.random.default_rng(draw(st.integers(0, 2**16)))
+    ids = np.where(mask == 1, r.integers(FIRST_REGULAR, vocab_size, size=(b, t)), 0)
+    if loss == "seq_cls":
+        picked = np.arange(t) == 0
+    else:
+        flags = draw(st.lists(st.booleans(), min_size=b * t, max_size=b * t))
+        picked = np.array(flags).reshape(b, t) & (mask == 1)
+    assume(picked.any())
+    classes = {"mlm": vocab_size, "tagging": 4, "seq_cls": 3}[loss]
+    labels = np.where(picked, r.integers(0, classes, size=(b, t)), IGNORE_LABEL)
+    return ids, mask, labels
+
+
+@pytest.mark.parametrize("phase, loss", [(PHASE_LANG, "mlm"), (PHASE_TASK, "tagging"),
+                                         (PHASE_TASK, "seq_cls")])
+@settings(max_examples=40)
+@given(data=st.data())
+def test_each_step_hands_encode_the_rows_its_loss_gathers(phase, loss, data):
+    # the main step's ``read`` is the very array its loss gathers, or None above
+    # TAIL_SHARE, and the gather is the labelled rows either way; the ortho step's
+    # forward reads the real tokens, the rows ortho_loss reads
+    vocab, inputs = rows_bed()
+    ids, mask, labels = data.draw(row_batches(loss, vocab.size))
+    reads, gathers, ortho_gathers = [], [], []
+    encode, take, real = Encoder.encode, training.take_rows, objectives.real_rows
+
+    def recording_encode(self, ids, mask, **kwargs):
+        reads.append(kwargs["read"])
+        return encode(self, ids, mask, **kwargs)
+
+    def recording_take(states, rows):
+        gathers.append(rows)
+        return take(states, rows)
+
+    def recording_real(mask):
+        ortho_gathers.append(real(mask))
+        return ortho_gathers[-1]
+
+    builder = {"mlm": "make_mlm_batch", "tagging": "make_tag_batch",
+               "seq_cls": "make_seq_batch"}[loss]
+    batch = (ids, mask, labels, 0) if loss == "mlm" else (ids, mask, labels)
+    enc, stack = fresh_model(vocab, task=phase == PHASE_TASK)
+    enc.ensure_tag_head(4)
+    enc.ensure_cls_head(3)
+    cfg = PhaseConfig(phase=phase, main_loss=loss, ortho=True, steps=1,
+                      batch_size=len(ids), seed=3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Encoder, "encode", recording_encode)
+        mp.setattr(training, "take_rows", recording_take)
+        mp.setattr(objectives, "real_rows", recording_real)
+        mp.setattr(training, builder, lambda *args: batch)
+        run_phase(enc, stack, cfg, **inputs[loss])
+    (main_read, ortho_read), [gathered], [ortho_gathered] = reads, gathers, ortho_gathers
+    assert gathered.tolist() == np.flatnonzero(labels != IGNORE_LABEL).tolist()
+    if gathered.size <= TAIL_SHARE * mask.size:
+        assert main_read is gathered
+    else:
+        assert main_read is None
+    assert ortho_read.tolist() == ortho_gathered.tolist() == np.flatnonzero(mask == 1).tolist()
+
+
 def test_ortho_forward_records_no_graph(monkeypatch):
     vocab, corpus = setup_bed()
     enc, stack = fresh_model(vocab, task=False)
@@ -536,8 +619,8 @@ def test_optimizer_independence_byte_level():
 
     for _ in range(3):
         states, acts = enc.encode(ids, mask, stack=stack)
-        rows, targets = labelled_rows(states, labels)
-        mlm_loss(enc.mlm_logits(rows), targets).backward()
+        rows = labelled_rows(labels)
+        mlm_loss(enc.mlm_logits(take_rows(states, rows)), labels.reshape(-1)[rows]).backward()
         clip_grad_norm(enc.params, trainable, 1.0)
         ortho_before = opt_ortho.state_checksum()
         opt_main.step()
@@ -564,8 +647,9 @@ def _mean_masked_loss(enc, batches):
     total = count = 0
     for ids, mask, labels in batches:
         states, _ = enc.encode(ids, mask)
-        rows, targets = labelled_rows(states, labels)
-        loss = mlm_loss(enc.mlm_logits(rows), targets).item()
+        rows = labelled_rows(labels)
+        targets = labels.reshape(-1)[rows]
+        loss = mlm_loss(enc.mlm_logits(take_rows(states, rows)), targets).item()
         total += loss * targets.size
         count += targets.size
     return total / count
