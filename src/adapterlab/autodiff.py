@@ -32,6 +32,11 @@ in any order. (Of two tied values only +0 and -0 differ in their bits, and
 each use of a row max gives both the same result: ``exp`` of ``x - m``, and
 ``cross_entropy``'s ``+ m`` to a log that is at least 0.)
 
+Ops here and in ``objectives``, ``optim`` and ``encoder`` call the ufunc or
+array method that does the work (``np.add.reduce`` for ``.sum``, ``_row_mean``
+for ``.mean``, ...), not numpy's Python-level wrappers, which cost more than
+these small arrays' arithmetic and call that same work: the bits are the same.
+
 A row set ``(read, (B, T))`` lets ``linear`` and ``dropout`` run on the flat,
 strictly increasing rows ``read`` of a [B, T, ...] input alone, ``take_rows``
 picks those rows and ``scatter_rows`` puts them back into zeros. Each value
@@ -91,7 +96,7 @@ class Tensor:
 
     def accumulate_grad(self, g: Array) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.values)
+            self.grad = np.zeros(self.values.shape)
         self.grad += g
 
     def backward(self, seed: Array | None = None) -> None:
@@ -141,21 +146,27 @@ def _wrap(x) -> Tensor:
 
 def _node(values: Array, parents: Sequence[Tensor], backward) -> Tensor:
     out = Tensor(values)
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward
+    for p in parents:
+        if p.requires_grad:
+            out.requires_grad, out._parents, out._backward = True, tuple(parents), backward
+            break
     return out
 
 
 def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
     """Sum a gradient over the axes numpy broadcast when producing it."""
     while g.ndim > len(shape):
-        g = g.sum(axis=0)
+        g = np.add.reduce(g, axis=0)
     for axis, dim in enumerate(shape):
         if dim == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
+            g = np.add.reduce(g, axis=axis, keepdims=True)
     return g.reshape(shape)
+
+
+def _row_mean(x: Array) -> Array:
+    """``x.mean(axis=-1, keepdims=True)`` by ``mean``'s own arithmetic, so bit for bit."""
+    m = np.add.reduce(x, axis=-1, keepdims=True)
+    return np.divide(m, x.shape[-1], out=m)
 
 
 def _full_rows(rows: Array, read: Array, lead: tuple[int, ...]) -> Array:
@@ -305,11 +316,11 @@ def tanh(x: Tensor) -> Tensor:
 
 def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     x = _wrap(x)
-    values = np.transpose(x.values, axes)
-    inverse = tuple(np.argsort(axes))
+    values = x.values.transpose(axes)
+    inverse = tuple(sorted(range(len(axes)), key=axes.__getitem__))
 
     def backward(g):
-        return ((x, np.transpose(g, inverse)),)
+        return ((x, g.transpose(inverse)),)
 
     return _node(values, (x,), backward)
 
@@ -334,7 +345,7 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 def tsum(x: Tensor) -> Tensor:
     """Sum of every element, a 0-d tensor."""
     x = _wrap(x)
-    values = x.values.sum()
+    values = np.add.reduce(x.values, axis=None)
 
     def backward(g):
         return ((x, np.broadcast_to(g, x.shape).copy()),)
@@ -348,7 +359,7 @@ def select_token(x: Tensor, position: int) -> Tensor:
     values = x.values[:, position, :].copy()
 
     def backward(g):
-        gx = np.zeros_like(x.values)
+        gx = np.zeros(x.shape)
         gx[:, position, :] = g
         return ((x, gx),)
 
@@ -387,9 +398,10 @@ def _ids(ids, size: int, name: str) -> Array:
     ids = np.asarray(ids)
     if ids.size and ids.dtype.kind not in "iu":
         raise ContractError(f"{name} must be integers, of an integer dtype, got {ids.dtype}")
-    if ids.size and (ids.min() < 0 or ids.max() >= size):
-        bad = ids.min() if ids.min() < 0 else ids.max()
-        raise VocabError(f"{name} must lie in [0, {size}), got {bad}")
+    if ids.size:
+        lo, hi = np.minimum.reduce(ids, axis=None), np.maximum.reduce(ids, axis=None)
+        if lo < 0 or hi >= size:
+            raise VocabError(f"{name} must lie in [0, {size}), got {lo if lo < 0 else hi}")
     return ids.astype(np.int64, copy=False)
 
 
@@ -428,12 +440,12 @@ def _minus_row_max(x: Array) -> tuple[Array, Array]:
     then takes ``x - m``.
     """
     if x.shape[-1] > SHORT_ROW:
-        m = x.max(axis=-1, keepdims=True)
+        m = np.maximum.reduce(x, axis=-1, keepdims=True)
         return x - m, m
     buf = np.empty(x.size)
     rows = buf.reshape(x.shape[-1:] + x.shape[:-1])
-    np.copyto(rows, np.moveaxis(x, -1, 0))
-    m = rows.max(axis=0)[..., None]
+    np.copyto(rows, x.transpose((x.ndim - 1,) + tuple(range(x.ndim - 1))))
+    m = np.maximum.reduce(rows, axis=0)[..., None]
     return np.subtract(x, m, out=buf.reshape(x.shape)), m
 
 
@@ -441,14 +453,14 @@ def _softmax(x: Array) -> Array:
     """Softmax over the last axis, computed with max-subtraction for stability."""
     e, _ = _minus_row_max(x)
     np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e
 
 
 def _softmax_backward(probs: Array, g: Array) -> Array:
     """The gradient of a softmax's input, from its output ``probs`` and ``g``."""
     gx = g * probs
-    np.subtract(g, gx.sum(axis=-1, keepdims=True), out=gx)
+    np.subtract(g, np.add.reduce(gx, axis=-1, keepdims=True), out=gx)
     gx *= probs
     return gx
 
@@ -495,7 +507,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, key_bias: Array, num_heads: int) 
         return z.transpose(0, 2, 1, 3).reshape(b, t, h)
 
     q4, k4, v4 = split(q.values), split(k.values), split(v.values)
-    scores = q4 @ np.swapaxes(k4, -1, -2)
+    scores = q4 @ k4.swapaxes(-1, -2)
     scores *= scale
     scores += key_bias
     probs = _softmax(scores)
@@ -505,14 +517,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor, key_bias: Array, num_heads: int) 
         g4 = split(g)
         grads = []
         if q.requires_grad or k.requires_grad:
-            gs = _softmax_backward(probs, g4 @ np.swapaxes(v4, -1, -2))
+            gs = _softmax_backward(probs, g4 @ v4.swapaxes(-1, -2))
             gs *= scale
             if q.requires_grad:
                 grads.append((q, merge(gs @ k4)))
             if k.requires_grad:  # (q^T gs)^T: gs^T q is the same sum, rounded apart
-                grads.append((k, merge(np.swapaxes(np.swapaxes(q4, -1, -2) @ gs, -1, -2))))
+                grads.append((k, merge((q4.swapaxes(-1, -2) @ gs).swapaxes(-1, -2))))
         if v.requires_grad:
-            grads.append((v, merge(np.swapaxes(probs, -1, -2) @ g4)))
+            grads.append((v, merge(probs.swapaxes(-1, -2) @ g4)))
         return grads
 
     return _node(values, (q, k, v), backward)
@@ -534,8 +546,8 @@ def layer_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
             f"layer_norm affine params must be ({h},), got {gain.shape} and {bias.shape}"
         )
     xhat = x.values + y.values  # the sum, centred, then normalised in this one buffer
-    xhat -= xhat.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(np.square(xhat).mean(axis=-1, keepdims=True) + LN_EPS)
+    xhat -= _row_mean(xhat)
+    inv = 1.0 / np.sqrt(_row_mean(np.square(xhat)) + LN_EPS)
     xhat *= inv
     values = xhat * gain.values
     values += bias.values
@@ -545,16 +557,16 @@ def layer_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         if x.requires_grad or y.requires_grad:
             gs = g * gain.values  # dxhat, then the sum's gradient in the same buffer
             proj = gs * xhat  # dxhat * xhat, then xhat times its row mean
-            np.multiply(xhat, proj.mean(axis=-1, keepdims=True), out=proj)
-            gs -= gs.mean(axis=-1, keepdims=True)
+            np.multiply(xhat, _row_mean(proj), out=proj)
+            gs -= _row_mean(gs)
             gs -= proj
             gs *= inv
             grads += [(t, gs) for t in (x, y) if t.requires_grad]
         lead = tuple(range(g.ndim - 1))
         if gain.requires_grad:
-            grads.append((gain, (g * xhat).sum(axis=lead)))
+            grads.append((gain, np.add.reduce(g * xhat, axis=lead)))
         if bias.requires_grad:
-            grads.append((bias, g.sum(axis=lead)))
+            grads.append((bias, np.add.reduce(g, axis=lead)))
         return grads
 
     return _node(values, (x, y, gain, bias), backward)
@@ -591,9 +603,9 @@ def cosine_sq_rows(u: Tensor, v: Tensor) -> Tensor:
     u, v = _wrap(u), _wrap(v)
     if u.shape != v.shape:
         raise ShapeError(f"cosine_sq_rows operands differ in shape: {u.shape} vs {v.shape}")
-    s = (u.values * v.values).sum(axis=-1)
-    p = (u.values * u.values).sum(axis=-1) + COSINE_EPS
-    q = (v.values * v.values).sum(axis=-1) + COSINE_EPS
+    s = np.add.reduce(u.values * v.values, axis=-1)
+    p = np.add.reduce(u.values * u.values, axis=-1) + COSINE_EPS
+    q = np.add.reduce(v.values * v.values, axis=-1) + COSINE_EPS
     # the exact ratio is strictly below 1; clamp away the last-ulp rounding
     values = np.minimum((s * s) / (p * q), 1.0)
 
@@ -634,8 +646,8 @@ def cross_entropy(logits: Tensor, labels: Array) -> Tensor:
     labels = _ids(labels, n_classes, "labels")
     rows = np.arange(n)
     shifted, row_max = _minus_row_max(logits.values)
-    logsumexp = np.log(np.exp(shifted, out=shifted).sum(axis=-1)) + row_max[:, 0]
-    values = np.asarray((logsumexp - logits.values[rows, labels]).sum() / n)
+    logsumexp = np.log(np.add.reduce(np.exp(shifted, out=shifted), axis=-1)) + row_max[:, 0]
+    values = np.asarray(np.add.reduce(logsumexp - logits.values[rows, labels], axis=None) / n)
 
     def backward(g):
         probs = _softmax(logits.values)
@@ -672,7 +684,7 @@ def grad_check(
     finally:
         for t in inputs:
             t.requires_grad = False  # so the perturbed evaluations record no graph
-    analytic = [t.grad if t.grad is not None else np.zeros_like(t.values) for t in inputs]
+    analytic = [t.grad if t.grad is not None else np.zeros(t.shape) for t in inputs]
 
     worst = 0.0
     for idx, t in enumerate(inputs):

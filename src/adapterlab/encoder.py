@@ -185,7 +185,7 @@ class Encoder:
                               f"[B, T] with B, T >= 1")
         if ids.dtype.kind not in "iu":
             raise ConfigError(f"token ids must be integers, got dtype {ids.dtype}")
-        if not ((mask == 0) | (mask == 1)).all():
+        if not np.logical_and.reduce((mask == 0) | (mask == 1), axis=None):
             raise ConfigError(f"mask entries must be 0 or 1, got {np.unique(mask)}")
         if ids.shape[1] > c.max_len:
             raise SequenceLengthError(
@@ -196,8 +196,8 @@ class Encoder:
                               f"the encoder {c.num_layers}")
         if read is not None:
             read = np.asarray(read)
-            if (read.ndim != 1 or read.size and read.dtype.kind not in "iu"
-                    or (np.diff(read.astype(np.int64), prepend=-1, append=ids.size) <= 0).any()):
+            if read.ndim != 1 or read.size and (read.dtype.kind not in "iu" or read[0] < 0
+                    or read[-1] >= ids.size or not np.logical_and.reduce(read[1:] > read[:-1])):
                 raise ContractError(f"read must be strictly increasing integer rows in "
                                     f"[0, {ids.size}), got {read}")
             read = read.astype(np.int64, copy=False)

@@ -67,30 +67,35 @@ def apply_masking(
     Reserved ids below ``FIRST_REGULAR`` are never selected. Selected positions
     keep their original id as the label; everything else is the ignore marker.
     Sequences with no maskable token are skipped; their count is returned.
+    ``ShapeError`` unless the ids are [B, T] and the mask has their shape.
+
+    The draws, which fix a seed's masks, go row by row: a row of ``n > 0``
+    maskable positions draws ``rng.choice(n, k, replace=False)`` for its ``k``
+    picks, ``rng.random(k)`` for their rolls, then one ``rng.integers`` for
+    each pick, in pick order, whose roll falls in the random-replacement band.
     """
-    ids = np.asarray(token_ids, dtype=np.int64)
-    corrupted = ids.copy()
-    labels = np.full_like(ids, IGNORE_LABEL)
-    skipped = 0
-    for b in range(ids.shape[0]):
-        maskable = np.flatnonzero(
-            (mask[b] == 1) & (ids[b] >= FIRST_REGULAR)
-        )
-        if maskable.size == 0:
-            skipped += 1
-            continue
-        n_pick = max(1, round(MASK_FRACTION * maskable.size))
-        picked = rng.choice(maskable, size=n_pick, replace=False)
-        labels[b, picked] = ids[b, picked]
-        rolls = rng.random(n_pick)
-        p_mask, p_rand, _ = MASK_SPLIT
-        for pos, roll in zip(picked, rolls):
-            if roll < p_mask:
-                corrupted[b, pos] = MASK
-            elif roll < p_mask + p_rand:
-                corrupted[b, pos] = rng.integers(FIRST_REGULAR, policy.vocab)
-            # else: keep original
-    return corrupted, labels, skipped
+    ids, mask = np.asarray(token_ids, dtype=np.int64), np.asarray(mask)
+    if ids.ndim != 2 or mask.shape != ids.shape:
+        raise ShapeError(f"apply_masking needs [B, T] ids and mask, got {ids.shape}, {mask.shape}")
+    maskable = (mask == 1) & (ids >= FIRST_REGULAR)
+    positions = maskable.ravel().nonzero()[0]  # row by row, so each row's are a slice
+    counts = np.add.reduce(maskable, axis=1).tolist()
+    p_mask, p_rand, _ = MASK_SPLIT
+    picked, rolls, replacements, start = [], [], [], 0
+    for n in counts:
+        if n:
+            k = max(1, round(MASK_FRACTION * n))
+            picked += positions[start + rng.choice(n, size=k, replace=False)].tolist()
+            rolls += rng.random(k).tolist()
+            replacements += [rng.integers(FIRST_REGULAR, policy.vocab)
+                             for roll in rolls[-k:] if p_mask <= roll < p_mask + p_rand]
+        start += n
+    picked, rolls = np.array(picked, dtype=np.int64), np.array(rolls)
+    corrupted, labels = ids.copy(), np.full(ids.shape, IGNORE_LABEL, dtype=np.int64)
+    labels.reshape(-1)[picked] = ids.reshape(-1)[picked]
+    corrupted.reshape(-1)[picked[rolls < p_mask]] = MASK  # a roll above the band keeps its id
+    corrupted.reshape(-1)[picked[(p_mask <= rolls) & (rolls < p_mask + p_rand)]] = replacements
+    return corrupted, labels, counts.count(0)
 
 
 @dataclass
@@ -155,7 +160,7 @@ def labelled_rows(labels: np.ndarray) -> np.ndarray:
     labels = np.asarray(labels)
     if labels.ndim != 2:
         raise ShapeError(f"labels must be [B, T], got shape {labels.shape}")
-    rows = np.flatnonzero(labels != IGNORE_LABEL)
+    rows = (labels != IGNORE_LABEL).ravel().nonzero()[0]
     if rows.size == 0:
         raise EmptyLossError("every position carries the ignore marker")
     return rows
@@ -164,7 +169,7 @@ def labelled_rows(labels: np.ndarray) -> np.ndarray:
 def real_rows(mask: np.ndarray) -> np.ndarray:
     """The flat rows of a [B, T] mask that the orthogonality loss reads: the real tokens
     (1 in the mask), in increasing order."""
-    return np.flatnonzero(np.asarray(mask) == 1)
+    return (np.asarray(mask) == 1).ravel().nonzero()[0]
 
 
 def mlm_loss(logits: Tensor, labels: np.ndarray) -> Tensor:

@@ -74,7 +74,7 @@ def clip_grad_norm(params: ParamSet, names, max_norm: float) -> float:
     grads = [params[n].grad for n in names if params[n].grad is not None]
     total = 0.0
     for g in grads:
-        total += float((g * g).sum())
+        total += float(np.add.reduce(g * g, axis=None))
     norm = total ** 0.5
     if norm > max_norm and norm > 0.0:
         scale = max_norm / norm
@@ -97,8 +97,8 @@ class Adam:
         self.names = list(names)
         self.lr = lr
         self.t = 0
-        self.m = {n: np.zeros_like(params[n].values) for n in self.names}
-        self.v = {n: np.zeros_like(params[n].values) for n in self.names}
+        self.m = {n: np.zeros(params[n].shape) for n in self.names}
+        self.v = {n: np.zeros(params[n].shape) for n in self.names}
 
     def step(self) -> None:
         """Move each weight by ``lr * m_hat / (sqrt(v_hat) + EPS)``.

@@ -55,7 +55,7 @@ from .adapters import (
 )
 from .autodiff import IGNORE_LABEL, Tensor, take_rows
 from .encoder import Encoder
-from .errors import ConfigError, MissingArtifactError, NumericError, require_int
+from .errors import ConfigError, MissingArtifactError, NumericError, ShapeError, require_int
 from .objectives import (
     MaskingPolicy,
     apply_masking,
@@ -135,42 +135,47 @@ class TrainStats:
     skipped_sequences: int = 0
 
 
-def pad_sequences(seqs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack variable-length id sequences into [B, T] ids + 0/1 mask."""
-    t = max(len(s) for s in seqs)
-    ids = np.full((len(seqs), t), PAD, dtype=np.int64)
-    mask = np.zeros((len(seqs), t), dtype=np.int64)
-    for i, s in enumerate(seqs):
-        ids[i, : len(s)] = s
-        mask[i, : len(s)] = 1
-    return ids, mask
+def _padded(seqs: list[tuple[np.ndarray, ...]], head: int):
+    """PAD-filled [B, T] ids of ``head`` then each sequence's parts (a tuple of 1-D id arrays,
+    as many per sequence), joined by one ``np.concatenate``; their 0/1 mask; and the flat
+    positions the parts fill, in order. ``ConfigError`` for an empty batch."""
+    if not seqs:
+        raise ConfigError("a batch needs at least one example")
+    parts = [part for seq in seqs for part in seq]
+    lengths = np.add.reduce(np.array([len(p) for p in parts]).reshape(len(seqs), -1), axis=1)
+    cols = np.arange(1 + np.maximum.reduce(lengths))
+    real = cols <= lengths[:, None]
+    mask, body = real.astype(np.int64), (real & (cols > 0)).ravel().nonzero()[0]
+    ids = np.where(real, head, PAD)
+    ids.reshape(-1)[body] = np.concatenate(parts)
+    return ids, mask, body
 
 
 def make_mlm_batch(corpus: list[np.ndarray], picks: np.ndarray,
                    policy: MaskingPolicy, rng: np.random.Generator):
     """[CLS]-prefixed corpus sentences, corrupted for MLM."""
-    seqs = [np.concatenate(([CLS], corpus[int(i)])) for i in picks]
-    ids, mask = pad_sequences(seqs)
+    ids, mask, _ = _padded([(corpus[int(i)],) for i in picks], CLS)
     corrupted, labels, skipped = apply_masking(ids, mask, policy, rng)
     return corrupted, mask, labels, skipped
 
 
 def make_seq_batch(examples: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """[CLS] sent1 [SEP] sent2 inputs, each sequence's label at its [CLS] position."""
-    seqs = [np.concatenate(([CLS], a, [SEP], b)) for a, b, _ in examples]
-    ids, mask = pad_sequences(seqs)
-    labels = np.full_like(ids, IGNORE_LABEL)
+    ids, mask, _ = _padded([(a, [SEP], b) for a, b, _ in examples], CLS)
+    labels = np.full(ids.shape, IGNORE_LABEL, dtype=np.int64)
     labels[:, 0] = [label for _, _, label in examples]
     return ids, mask, labels
 
 
 def make_tag_batch(examples: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """[CLS]-prefixed sentences with per-token tags; CLS and padding ignored."""
-    seqs = [np.concatenate(([CLS], sent)) for sent, _ in examples]
-    ids, mask = pad_sequences(seqs)
-    labels = np.full_like(ids, IGNORE_LABEL)
-    for i, (_, tags) in enumerate(examples):
-        labels[i, 1 : 1 + len(tags)] = tags
+    """[CLS]-prefixed sentences with per-token tags; CLS and padding ignored. ``ShapeError``
+    names the first example whose tag count is not its sentence length."""
+    for i, (sent, tags) in enumerate(examples):
+        if len(tags) != len(sent):
+            raise ShapeError(f"example {i} has {len(tags)} tags for its {len(sent)} tokens")
+    ids, mask, body = _padded([(sent,) for sent, _ in examples], CLS)
+    labels = np.full(ids.shape, IGNORE_LABEL, dtype=np.int64)
+    labels.reshape(-1)[body] = np.concatenate([tags for _, tags in examples])
     return ids, mask, labels
 
 

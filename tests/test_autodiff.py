@@ -31,6 +31,7 @@ from adapterlab.autodiff import (
     tanh,
     transpose,
     tsum,
+    _row_mean,
 )
 from adapterlab.errors import ContractError, EmptyLossError, ShapeError, VocabError
 
@@ -886,3 +887,32 @@ def test_op_writes_into_no_input_and_returns_no_view_of_one(name):
     # a second backward reads the same saved arrays, so it returns the same bytes
     assert [v.tobytes() for v in again] == [v.tobytes() for v in returned]
     assert not any(np.shares_memory(v, a) for v in returned for a in inputs)
+
+
+def bytes_of(a):
+    return type(a), np.asarray(a).dtype, np.shape(a), np.asarray(a).tobytes()
+
+
+@pytest.mark.parametrize("ndim", [0, 1, 2, 3, 4])
+def test_row_mean_and_direct_reduces_are_the_methods_bytes(ndim):
+    # the ops call these in place of ``ndarray.mean`` / ``.sum`` / ``.max`` / ``.min`` /
+    # ``.all``; a row length past 8 and past 128 changes how a pairwise sum is split
+    rng = np.random.default_rng(ndim)
+    for n in range(1, 131) if ndim else [None]:
+        shape = () if n is None else (3, 2, 4)[: ndim - 1] + (n,)
+        x = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+        if ndim:
+            x[..., :: max(1, n // 3)] *= -0.0  # a signed zero in each row
+        axes = [None] if not ndim else [None, -1, 0, tuple(range(ndim - 1))]
+        for axis in axes:
+            for keepdims in (False, True):
+                assert (bytes_of(np.add.reduce(x, axis=axis, keepdims=keepdims))
+                        == bytes_of(x.sum(axis=axis, keepdims=keepdims)))
+                assert (bytes_of(np.maximum.reduce(x, axis=axis, keepdims=keepdims))
+                        == bytes_of(x.max(axis=axis, keepdims=keepdims)))
+                assert (bytes_of(np.minimum.reduce(x, axis=axis, keepdims=keepdims))
+                        == bytes_of(x.min(axis=axis, keepdims=keepdims)))
+                assert (bytes_of(np.logical_and.reduce(x > 0, axis=axis, keepdims=keepdims))
+                        == bytes_of((x > 0).all(axis=axis, keepdims=keepdims)))
+        if ndim:
+            assert bytes_of(_row_mean(x)) == bytes_of(x.mean(axis=-1, keepdims=True))

@@ -77,6 +77,16 @@ def test_special_only_sequence_skipped_with_count():
     assert np.any(labels[1] != -1)
 
 
+@pytest.mark.parametrize("ids, mask", [
+    (np.full((2, 5), 7), np.ones((2, 4), dtype=np.int64)),  # a mask of another shape
+    (np.array([2, 7, 8]), np.array([1, 1, 1])),  # 1-D ids
+    (np.full((2, 3), 7), np.ones((1, 3), dtype=np.int64)),  # a mask that only broadcasts
+], ids=["mask_2x4", "ids_1d", "mask_1x3"])
+def test_apply_masking_refuses_ids_not_bt_or_a_mask_of_another_shape(ids, mask):
+    with pytest.raises(ShapeError, match="apply_masking needs \\[B, T\\] ids"):
+        apply_masking(ids, mask, MaskingPolicy(vocab=VOCAB), np.random.default_rng(0))
+
+
 def test_masking_statistics_over_10k_tokens():
     policy = MaskingPolicy(vocab=VOCAB)
     rng = np.random.default_rng(7)

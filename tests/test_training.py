@@ -20,10 +20,20 @@ from adapterlab.adapters import (
 )
 from adapterlab.autodiff import IGNORE_LABEL, take_rows
 from adapterlab.encoder import Encoder, EncoderConfig
-from adapterlab.errors import ConfigError, EmptyLossError, MissingArtifactError, NumericError
+from adapterlab.errors import (
+    ConfigError,
+    EmptyLossError,
+    MissingArtifactError,
+    NumericError,
+    ShapeError,
+)
 from adapterlab.objectives import MaskingPolicy, labelled_rows, mlm_loss
 from adapterlab.synthlang import (
+    CLS,
     FIRST_REGULAR,
+    MASK,
+    PAD,
+    SEP,
     UNK,
     SyntheticLanguageSpec,
     TaskDataset,
@@ -41,7 +51,6 @@ from adapterlab.training import (
     make_seq_batch,
     make_tag_batch,
     model_selection,
-    pad_sequences,
     pretrain_backbone,
     read_run_manifest,
     run_phase,
@@ -328,7 +337,8 @@ def test_a_phase_that_raises_leaves_every_weight_frozen(monkeypatch, where):
         train_language_adapter(enc, stack, corpus, cfg)
     assert [n for n, t in enc.params.items() if t.requires_grad] == []
     recorded = count_recorded_nodes(monkeypatch)
-    ids, mask = pad_sequences(corpus[:3])
+    ids, mask = make_mlm_batch(corpus, np.arange(3), MaskingPolicy(vocab=vocab.size),
+                               np.random.default_rng(0))[:2]
     enc.mlm_logits(enc.encode(ids, mask, stack=stack)[0])
     assert recorded == []
 
@@ -402,6 +412,102 @@ def test_batch_builders():
     ])
     np.testing.assert_array_equal(ids, [[2, 7, 8], [2, 9, 0]])
     np.testing.assert_array_equal(labels, [[-1, 0, 3], [-1, 2, -1]])
+
+
+def per_sequence_padding(seqs):
+    """The per-sequence definition of a batch's ids and mask: row i holds ``seqs[i]``
+    from position 0, PAD after it."""
+    t = max(len(s) for s in seqs)
+    ids = np.full((len(seqs), t), PAD, dtype=np.int64)
+    mask = np.zeros((len(seqs), t), dtype=np.int64)
+    for i, s in enumerate(seqs):
+        ids[i, : len(s)] = s
+        mask[i, : len(s)] = 1
+    return ids, mask
+
+
+def per_row_masking(ids, mask, policy, rng):
+    """The per-row definition of ``apply_masking``: each row's picks drawn over its own
+    maskable positions, its corruptions written pick by pick."""
+    corrupted, labels, skipped = ids.copy(), np.full_like(ids, IGNORE_LABEL), 0
+    p_mask, p_rand, _ = objectives.MASK_SPLIT
+    for b in range(ids.shape[0]):
+        maskable = np.flatnonzero((mask[b] == 1) & (ids[b] >= FIRST_REGULAR))
+        if maskable.size == 0:
+            skipped += 1
+            continue
+        n_pick = max(1, round(objectives.MASK_FRACTION * maskable.size))
+        picked = rng.choice(maskable, size=n_pick, replace=False)
+        labels[b, picked] = ids[b, picked]
+        for pos, roll in zip(picked, rng.random(n_pick)):
+            if roll < p_mask:
+                corrupted[b, pos] = MASK
+            elif roll < p_mask + p_rand:
+                corrupted[b, pos] = rng.integers(FIRST_REGULAR, policy.vocab)
+    return corrupted, labels, skipped
+
+
+def assert_same_bytes(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+
+
+# ragged sentences over reserved and regular ids, empty ones included
+sentences = st.lists(st.lists(st.integers(0, 11), max_size=40), min_size=1, max_size=6).map(
+    lambda seqs: [np.array(s, dtype=np.int64) for s in seqs])
+
+
+@settings(max_examples=80)
+@given(corpus=sentences, data=st.data())
+def test_array_wide_builders_equal_their_per_sequence_definitions(corpus, data):
+    picks = np.array(data.draw(st.lists(st.integers(0, len(corpus) - 1), min_size=1,
+                                        max_size=8)))
+    seed = data.draw(st.integers(0, 2**16))
+    policy, rng, reference_rng = (MaskingPolicy(vocab=12), np.random.default_rng(seed),
+                                  np.random.default_rng(seed))
+    rows = [corpus[i] for i in picks]
+    corrupted, mask, labels, skipped = make_mlm_batch(corpus, picks, policy, rng)
+    ids, want_mask = per_sequence_padding([np.concatenate(([CLS], s)) for s in rows])
+    want_corrupted, want_labels, want_skipped = per_row_masking(ids, want_mask, policy,
+                                                                reference_rng)
+    assert_same_bytes((corrupted, mask, labels), (want_corrupted, want_mask, want_labels))
+    assert skipped == want_skipped
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    tags = [np.random.default_rng(seed + i).integers(0, 4, size=len(s))
+            for i, s in enumerate(rows)]
+    ids, mask = per_sequence_padding([np.concatenate(([CLS], s)) for s in rows])
+    labels = np.full_like(ids, IGNORE_LABEL)
+    for i, t in enumerate(tags):
+        labels[i, 1 : 1 + len(t)] = t
+    assert_same_bytes(make_tag_batch(list(zip(rows, tags))), (ids, mask, labels))
+
+    pairs = [(a, b, i % 3) for i, (a, b) in enumerate(zip(rows, rows[::-1]))]
+    ids, mask = per_sequence_padding([np.concatenate(([CLS], a, [SEP], b)) for a, b, _ in pairs])
+    labels = np.full_like(ids, IGNORE_LABEL)
+    labels[:, 0] = [label for _, _, label in pairs]
+    assert_same_bytes(make_seq_batch(pairs), (ids, mask, labels))
+
+
+def test_make_tag_batch_refuses_a_tag_count_other_than_its_sentence_length():
+    ok = (np.array([7, 8]), np.array([0, 3]))
+    with pytest.raises(ShapeError, match="example 1 has 1 tags for its 3 tokens"):
+        make_tag_batch([ok, (np.array([7, 8, 9]), np.array([1])),
+                        (np.array([7]), np.array([1, 2, 3]))])
+    with pytest.raises(ShapeError, match="example 0 has 3 tags for its 1 tokens"):
+        make_tag_batch([(np.array([7]), np.array([1, 2, 3])), ok])
+
+
+@pytest.mark.parametrize("builder", ["mlm", "seq", "tag"])
+def test_builders_refuse_an_empty_batch(builder):
+    vocab, corpus = setup_bed()
+    build = {"mlm": lambda: make_mlm_batch(corpus, np.array([], dtype=np.int64),
+                                           MaskingPolicy(vocab=vocab.size),
+                                           np.random.default_rng(0)),
+             "seq": lambda: make_seq_batch([]),
+             "tag": lambda: make_tag_batch([])}[builder]
+    with pytest.raises(ConfigError, match="a batch needs at least one example"):
+        build()
 
 
 def ortho_totals(stats):
