@@ -127,11 +127,11 @@ class AdapterStack:
 
     The occupied slots apply in ``SLOT_PREFIX`` order (language before task),
     whatever order they were filled in. Every layer carries the same
-    occupancy pattern.
+    occupancy pattern. ``ConfigError`` unless ``num_layers`` is an int of at least 1.
     """
 
     def __init__(self, num_layers: int):
-        self.num_layers = num_layers
+        self.num_layers = require_int("num_layers", num_layers, 1)
         self.lang: list[AdapterWeights] | None = None
         self.task: list[AdapterWeights] | None = None
 

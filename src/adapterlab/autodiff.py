@@ -32,10 +32,10 @@ in any order. (Of two tied values only +0 and -0 differ in their bits, and
 each use of a row max gives both the same result: ``exp`` of ``x - m``, and
 ``cross_entropy``'s ``+ m`` to a log that is at least 0.)
 
-Ops here and in ``objectives``, ``optim`` and ``encoder`` call the ufunc or
-array method that does the work (``np.add.reduce`` for ``.sum``, ``_row_mean``
-for ``.mean``, ...), not numpy's Python-level wrappers, which cost more than
-these small arrays' arithmetic and call that same work: the bits are the same.
+Ops here and in ``objectives``, ``optim``, ``encoder`` and ``training`` call the
+ufunc or array method that does the work (``np.add.reduce`` for ``.sum``, ``_row_mean``
+for ``.mean``, ...), not numpy's Python-level wrappers, which cost more than these small
+arrays' arithmetic and call that same work: the bits are the same.
 
 A row set ``(read, (B, T))`` lets ``linear`` and ``dropout`` run on the flat,
 strictly increasing rows ``read`` of a [B, T, ...] input alone, ``take_rows``
@@ -391,13 +391,20 @@ def scatter_rows(x: Tensor, read: Array, lead: tuple[int, ...]) -> Tensor:
     return _node(values, (x,), backward)
 
 
-def _ids(ids, size: int, name: str) -> Array:
-    """``ids`` as int64. ``ContractError`` unless they are of an integer dtype, since the cast
-    would truncate a float id; ``VocabError`` naming the negative id, else the largest, unless
-    each lies in [0, size), since an index would wrap a negative one."""
-    ids = np.asarray(ids)
-    if ids.size and ids.dtype.kind not in "iu":
-        raise ContractError(f"{name} must be integers, of an integer dtype, got {ids.dtype}")
+def integer_array(values, name: str) -> Array:
+    """``values`` as an array; ``ContractError`` unless it is empty or of an integer dtype,
+    since a cast would truncate a float and read a bool as 0 or 1."""
+    values = np.asarray(values)
+    if values.size and values.dtype.kind not in "iu":
+        raise ContractError(f"{name} must be integers, of an integer dtype, got {values.dtype}")
+    return values
+
+
+def index_ids(ids, size: float, name: str) -> Array:
+    """``ids`` as int64: ``integer_array``'s ContractError, then ``VocabError`` naming the
+    negative id, else the largest, unless each lies in [0, size), since an index would wrap
+    a negative one. A ``size`` of ``math.inf`` bounds them from below only."""
+    ids = integer_array(ids, name)
     if ids.size:
         lo, hi = np.minimum.reduce(ids, axis=None), np.maximum.reduce(ids, axis=None)
         if lo < 0 or hi >= size:
@@ -413,7 +420,7 @@ def embedding_lookup(table: Tensor, ids: Array) -> Tensor:
     ``np.add.at`` would, so repeated ids accumulate bit for bit the same.
     """
     table = _wrap(table)
-    ids = _ids(ids, table.shape[0], "ids")
+    ids = index_ids(ids, table.shape[0], "ids")
     values = table.values[ids]
 
     def backward(g):
@@ -643,7 +650,7 @@ def cross_entropy(logits: Tensor, labels: Array) -> Tensor:
     n, n_classes = logits.shape
     if n == 0:
         raise EmptyLossError("cross_entropy over zero rows")
-    labels = _ids(labels, n_classes, "labels")
+    labels = index_ids(labels, n_classes, "labels")
     rows = np.arange(n)
     shifted, row_max = _minus_row_max(logits.values)
     logsumexp = np.log(np.add.reduce(np.exp(shifted, out=shifted), axis=-1)) + row_max[:, 0]

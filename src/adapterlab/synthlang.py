@@ -20,11 +20,13 @@ The bytes are those of the token-by-token definitions the docstrings give.
 from __future__ import annotations
 
 import hashlib
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .autodiff import integer_array
 from .errors import ConfigError, ContractError, require_fraction, require_int
 
 PAD, UNK, CLS, MASK, SEP = 0, 1, 2, 3, 4
@@ -88,7 +90,8 @@ class SyntheticLanguageSpec:
     ``order_map`` gives each output position of a sentence its source
     position. ``divergence`` is the fraction of the regular vocabulary the
     cipher remaps; the rest map to themselves. ``word_order`` is "identity",
-    "reverse", or "rotate:<k>" (each run rolled by k, as ``np.roll`` does).
+    "reverse", or "rotate:<k>" (each run rolled by k, as ``np.roll`` does), with k a
+    nonzero int spelled as ``str`` prints it, so that each order has one spelling.
     """
 
     code: str
@@ -101,13 +104,13 @@ class SyntheticLanguageSpec:
         require_fraction("divergence", self.divergence)
         if not isinstance(self.word_order, str):
             raise ConfigError(f"word_order must be a string, got {self.word_order!r}")
+        shifts = {"identity": 0, "reverse": None}  # how far each run rotates; None reverses
         kind, _, k = self.word_order.partition(":")
-        named = {"identity": 0, "reverse": None}  # how far each run rotates; None reverses
-        try:
-            shift = int(k) if kind == "rotate" else named[self.word_order]
-        except (KeyError, ValueError):
-            raise ConfigError(f"unknown word order transform {self.word_order!r}") from None
-        object.__setattr__(self, "_shift", shift)
+        if kind == "rotate" and re.fullmatch("-?[1-9][0-9]*", k):  # k as str(int(k)) spells it
+            shifts[self.word_order] = int(k)
+        if self.word_order not in shifts:
+            raise ConfigError(f"unknown word order transform {self.word_order!r}")
+        object.__setattr__(self, "_shift", shifts[self.word_order])
 
     def cipher(self, vocab_size: int) -> np.ndarray:
         """Permutation over all ids: reserved fixed, a seeded subset rotated.
@@ -169,9 +172,7 @@ def _joined_ids(sentences, vocab_size: int) -> np.ndarray:
     """The sentences' ids joined as int64; ``ContractError`` for a float or bool
     sentence, which the cast would truncate (an empty one may be float, as
     ``np.asarray([])`` is), or for an id outside ``[0, vocab_size)``."""
-    parts = [np.asarray(s) for s in sentences]
-    if any(p.size and p.dtype.kind not in "iu" for p in parts):
-        raise ContractError("token ids must be integers, of an integer dtype")
+    parts = [integer_array(s, "token ids") for s in sentences]
     ids = np.concatenate(parts, dtype=np.int64, casting="unsafe")
     if ids.size and (ids.min() < 0 or ids.max() >= vocab_size):
         raise ContractError("token id outside the vocabulary")

@@ -16,9 +16,7 @@ Each step computes the rows its main loss reads once, as the batch's
 ``Encoder.encode``'s ``read``; the ortho step's forward reads the
 ``real_rows`` of the mask, the rows ``ortho_loss`` reads. The last layer's
 tail runs on those rows only; losses, gradients and weights are bit for bit
-those of full-size forwards. The main step passes no ``read`` when its loss
-reads more than ``TAIL_SHARE`` of the rows, where the tail would cost more
-than it skips.
+those of full-size forwards.
 
 What a phase trains is decided in one place, ``trainable_names``; the stack
 it runs must be the one registered, each of its slots one adapter of its kind
@@ -53,7 +51,7 @@ from .adapters import (
     AdapterStack,
     check_registered,
 )
-from .autodiff import IGNORE_LABEL, Tensor, take_rows
+from .autodiff import IGNORE_LABEL, Tensor, index_ids, integer_array, take_rows
 from .encoder import Encoder
 from .errors import ConfigError, MissingArtifactError, NumericError, ShapeError, require_int
 from .objectives import (
@@ -72,12 +70,6 @@ from .synthlang import CLS, PAD, SEP, TaskDataset
 CLIP_NORM = 1.0
 MAIN_LR = 1e-3
 ORTHO_LR = 1e-4
-# the main step's forward runs the last layer's tail on the rows its loss reads only when
-# they are at most this share of the batch's rows: the tail's backward adds a zero-filled
-# full-size array and a row gather per op. On the bench (2 CPUs), masked LM reads ~10% and
-# its step took 9% less time; tagging reads ~62% and its step took 2% more. The ortho
-# step's forward records no graph and reads the real tokens (~69%) at any share, 3% faster.
-TAIL_SHARE = 0.5
 # each main loss and the head it trains through, whose weights are named head.<head>.*
 LOSS_HEADS = {"mlm": "mlm", "seq_cls": "cls", "tagging": "tag"}
 MAIN_LOSSES = tuple(LOSS_HEADS)
@@ -153,29 +145,35 @@ def _padded(seqs: list[tuple[np.ndarray, ...]], head: int):
 
 def make_mlm_batch(corpus: list[np.ndarray], picks: np.ndarray,
                    policy: MaskingPolicy, rng: np.random.Generator):
-    """[CLS]-prefixed corpus sentences, corrupted for MLM."""
-    ids, mask, _ = _padded([(corpus[int(i)],) for i in picks], CLS)
+    """[CLS]-prefixed corpus sentences, corrupted for MLM; ``index_ids`` checks each pick."""
+    picks = index_ids(picks, len(corpus), "picks")
+    ids, mask, _ = _padded([(corpus[i],) for i in picks.tolist()], CLS)
     corrupted, labels, skipped = apply_masking(ids, mask, policy, rng)
     return corrupted, mask, labels, skipped
 
 
 def make_seq_batch(examples: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """[CLS] sent1 [SEP] sent2 inputs, each sequence's label at its [CLS] position."""
+    """[CLS] sent1 [SEP] sent2 inputs, each sequence's label at its [CLS] position; a label
+    must be an integer >= 0, as a negative one would read as ``IGNORE_LABEL``."""
     ids, mask, _ = _padded([(a, [SEP], b) for a, b, _ in examples], CLS)
     labels = np.full(ids.shape, IGNORE_LABEL, dtype=np.int64)
-    labels[:, 0] = [label for _, _, label in examples]
+    labels[:, 0] = index_ids([integer_array(label, f"example {i}'s label")
+                              for i, (_, _, label) in enumerate(examples)], math.inf, "labels")
     return ids, mask, labels
 
 
 def make_tag_batch(examples: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """[CLS]-prefixed sentences with per-token tags; CLS and padding ignored. ``ShapeError``
-    names the first example whose tag count is not its sentence length."""
+    """[CLS]-prefixed sentences with per-token tags, integers >= 0 as labels are; CLS and
+    padding ignored. ``ShapeError`` names the first example whose tag count is not its
+    sentence length, and ``integer_array``'s ContractError the first whose tags are no integers."""
     for i, (sent, tags) in enumerate(examples):
         if len(tags) != len(sent):
             raise ShapeError(f"example {i} has {len(tags)} tags for its {len(sent)} tokens")
+        integer_array(tags, f"example {i}'s tags")
     ids, mask, body = _padded([(sent,) for sent, _ in examples], CLS)
     labels = np.full(ids.shape, IGNORE_LABEL, dtype=np.int64)
     labels.reshape(-1)[body] = np.concatenate([tags for _, tags in examples])
+    index_ids(labels.reshape(-1)[body], math.inf, "tags")
     return ids, mask, labels
 
 
@@ -293,8 +291,7 @@ def run_phase(
         for step, (ids, mask, labels, skipped) in zip(range(cfg.steps), batches):
             stats.skipped_sequences += skipped
             rows = labelled_rows(labels)
-            states, _ = encoder.encode(ids, mask, stack=stack, rng=drop_rng,
-                                       read=rows if rows.size <= TAIL_SHARE * mask.size else None)
+            states, _ = encoder.encode(ids, mask, stack=stack, rng=drop_rng, read=rows)
             loss = _main_loss(cfg, encoder, take_rows(states, rows), labels.reshape(-1)[rows])
             value, norm = _descend(loss, opt_main, cfg.main_loss, step)
             stats.main_losses.append(value)

@@ -91,6 +91,14 @@ def test_adapter_config_validation():
         AdapterConfig(dim=2).dim = 0
 
 
+def test_stack_layer_count_is_an_int_of_at_least_one():
+    # 1.5 and "1" would build a stack whose fill fails with a raw TypeError; True is no count
+    for bad in (0, -1, 1.5, "1", True, None):
+        with pytest.raises(ConfigError, match="num_layers must be an integer >= 1"):
+            AdapterStack(bad)
+    assert AdapterStack(1).num_layers == 1
+
+
 def test_init_adapter_dim_too_large():
     with pytest.raises(ConfigError):
         init_adapter_stack_slot(AdapterConfig(dim=8), 8, 1, 0)

@@ -1,11 +1,12 @@
 """The step path calls the ufunc or array method that does the work, not a numpy wrapper.
 
-``autodiff``, ``objectives``, ``optim`` and ``encoder`` run on every training
-step, on arrays small enough that a call's Python cost outweighs its
-arithmetic. The ``sum``, ``mean``, ``max``, ``min``, ``all`` and ``any``
-methods go through ``numpy/_core/_methods.py`` before they reach their
-reduction, and ``np.moveaxis``, ``np.flatnonzero``, ``np.zeros_like`` and the
-``np.`` functions below are Python functions over an array method or a ufunc.
+``autodiff``, ``objectives``, ``optim``, ``encoder`` and ``training`` (``run_phase``
+and the batch builders) run on every training step, on arrays small enough that
+a call's Python cost outweighs its arithmetic. The ``sum``, ``mean``, ``max``,
+``min``, ``all`` and ``any`` methods go through ``numpy/_core/_methods.py``
+before they reach their reduction, and ``np.moveaxis``, ``np.flatnonzero``,
+``np.zeros_like`` and the ``np.`` functions below are Python functions over an
+array method or a ufunc.
 The rule is stated in ``autodiff``'s module docstring; this stdlib AST check
 keeps a wrapper call from creeping back.
 """
@@ -18,7 +19,7 @@ import pytest
 import adapterlab
 
 PACKAGE = Path(adapterlab.__file__).parent
-STEP_PATH = ("autodiff", "objectives", "optim", "encoder")
+STEP_PATH = ("autodiff", "objectives", "optim", "encoder", "training")
 WRAPPER_METHODS = ("all", "any", "max", "mean", "min", "sum")
 WRAPPER_FUNCTIONS = ("all", "any", "argsort", "flatnonzero", "max", "mean", "min", "moveaxis",
                      "sum", "swapaxes", "transpose", "zeros_like")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,16 @@ def test_divergence_controls_remapped_fraction():
     cipher = spec.cipher(105)
     moved = (cipher[FIRST_REGULAR:] != np.arange(FIRST_REGULAR, 105)).mean()
     assert abs(moved - 0.5) < 0.02
+
+
+def test_each_word_order_has_one_spelling():
+    # each would build the corpora of "rotate:2" or "identity" under another config hash
+    for bad in ("rotate: 2", "rotate:+2", "rotate:02", "rotate:2 ", "rotate:\u0662", "rotate:1_0",
+                "rotate:2\n", "rotate:0", "rotate:-0", " rotate:2", "rotate", "rotate:--2"):
+        with pytest.raises(ConfigError, match=re.escape(repr(bad))):
+            SyntheticLanguageSpec("xx", word_order=bad)
+    for good in ("identity", "reverse", "rotate:2", "rotate:-1", "rotate:1", "rotate:10"):
+        assert SyntheticLanguageSpec("xx", word_order=good).word_order == good
 
 
 def test_spec_validation():

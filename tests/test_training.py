@@ -22,10 +22,12 @@ from adapterlab.autodiff import IGNORE_LABEL, take_rows
 from adapterlab.encoder import Encoder, EncoderConfig
 from adapterlab.errors import (
     ConfigError,
+    ContractError,
     EmptyLossError,
     MissingArtifactError,
     NumericError,
     ShapeError,
+    VocabError,
 )
 from adapterlab.objectives import MaskingPolicy, labelled_rows, mlm_loss
 from adapterlab.synthlang import (
@@ -44,7 +46,6 @@ from adapterlab.synthlang import (
     generate_corpus,
 )
 from adapterlab.training import (
-    TAIL_SHARE,
     PhaseConfig,
     config_hash,
     make_mlm_batch,
@@ -510,6 +511,50 @@ def test_builders_refuse_an_empty_batch(builder):
         build()
 
 
+def raises_exactly(error, match, build):
+    """``build()`` raises ``error`` itself, not a subclass (a VocabError is a ContractError)."""
+    with pytest.raises(error, match=match) as info:
+        build()
+    assert type(info.value) is error
+
+
+# a cast would truncate a float and read a bool as 1, and an index would wrap -1 to the
+# last sentence; a label or tag of -1 would equal IGNORE_LABEL and drop out of the loss
+@pytest.mark.parametrize("picks, error, match", [
+    (np.array([0, -1]), VocabError, r"picks must lie in \[0, 2\), got -1"),
+    (np.array([2]), VocabError, r"picks must lie in \[0, 2\), got 2"),
+    (np.array([0.9]), ContractError, "picks must be integers, of an integer dtype, got float64"),
+    (np.array([True]), ContractError, "picks must be integers, of an integer dtype, got bool"),
+])
+def test_make_mlm_batch_refuses_a_pick_it_would_change(picks, error, match):
+    corpus = [np.array([7, 8]), np.array([9])]
+    raises_exactly(error, match, lambda: make_mlm_batch(corpus, picks, MaskingPolicy(vocab=12),
+                                                        np.random.default_rng(0)))
+
+
+@pytest.mark.parametrize("label, error, match", [
+    (1.5, ContractError, "example 1's label must be integers, of an integer dtype, got float64"),
+    (True, ContractError, "example 1's label must be integers, of an integer dtype, got bool"),
+    (-1, VocabError, r"labels must lie in \[0, inf\), got -1"),
+])
+def test_make_seq_batch_refuses_a_label_it_would_change(label, error, match):
+    a, b = np.array([7, 8]), np.array([9])
+    raises_exactly(error, match, lambda: make_seq_batch([(a, b, 0), (a, b, label)]))
+
+
+@pytest.mark.parametrize("tags, error, match", [
+    ([0.7, 2.9], ContractError, "example 1's tags must be integers, of an integer dtype"),
+    (np.array([True, False]), ContractError, "example 1's tags must be integers"),
+    ([1, -1], VocabError, r"tags must lie in \[0, inf\), got -1"),
+])
+def test_make_tag_batch_refuses_a_tag_it_would_change(tags, error, match):
+    raises_exactly(error, match,
+                   lambda: make_tag_batch([(np.array([7]), [0]), (np.array([7, 8]), tags)]))
+    # an empty sentence with an empty tag list, float-typed as ``np.asarray([])`` is, is legal
+    _, _, labels = make_tag_batch([(np.array([], dtype=np.int64), []), (np.array([7]), [3])])
+    assert labels.tolist() == [[-1, -1], [-1, 3]]
+
+
 def ortho_totals(stats):
     """The total of each ortho step, from field 3 of its ``ort`` log line."""
     fields = [line.split("\t") for line in stats.log_lines]
@@ -593,10 +638,12 @@ def test_phase_on_read_rows_logs_and_trains_the_full_forward_bytes(monkeypatch, 
     assert len(reads) == 8  # a main and an ortho forward per step
     for read, mask in reads[1::2]:  # the ortho step's forward reads the real tokens
         assert read.tolist() == np.flatnonzero(mask.reshape(-1) == 1).tolist()
-    if loss == "tagging":  # it reads every real token but [CLS]: over TAIL_SHARE of the rows
-        assert all(read is None for read, _ in reads[::2])
-    else:
-        assert all(0 < read.size <= TAIL_SHARE * mask.size for read, mask in reads[::2])
+    for read, mask in reads[::2]:  # the main step's forward reads fewer rows than the batch's
+        assert 0 < read.size < mask.size
+        if loss == "tagging":  # every real token but [CLS]
+            body = mask.copy()
+            body[:, 0] = 0
+            assert read.tolist() == np.flatnonzero(body.reshape(-1)).tolist()
 
 
 @cache
@@ -634,9 +681,8 @@ def row_batches(draw, loss, vocab_size):
 @settings(max_examples=40)
 @given(data=st.data())
 def test_each_step_hands_encode_the_rows_its_loss_gathers(phase, loss, data):
-    # the main step's ``read`` is the very array its loss gathers, or None above
-    # TAIL_SHARE, and the gather is the labelled rows either way; the ortho step's
-    # forward reads the real tokens, the rows ortho_loss reads
+    # the main step's ``read`` is the very array its loss gathers, the labelled rows;
+    # the ortho step's forward reads the real tokens, the rows ortho_loss reads
     vocab, inputs = rows_bed()
     ids, mask, labels = data.draw(row_batches(loss, vocab.size))
     reads, gathers, ortho_gathers = [], [], []
@@ -670,10 +716,7 @@ def test_each_step_hands_encode_the_rows_its_loss_gathers(phase, loss, data):
         run_phase(enc, stack, cfg, **inputs[loss])
     (main_read, ortho_read), [gathered], [ortho_gathered] = reads, gathers, ortho_gathers
     assert gathered.tolist() == np.flatnonzero(labels != IGNORE_LABEL).tolist()
-    if gathered.size <= TAIL_SHARE * mask.size:
-        assert main_read is gathered
-    else:
-        assert main_read is None
+    assert main_read is gathered
     assert ortho_read.tolist() == ortho_gathered.tolist() == np.flatnonzero(mask == 1).tolist()
 
 
