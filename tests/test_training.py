@@ -413,6 +413,9 @@ def test_batch_builders():
     ])
     np.testing.assert_array_equal(ids, [[2, 7, 8], [2, 9, 0]])
     np.testing.assert_array_equal(labels, [[-1, 0, 3], [-1, 2, -1]])
+    # an empty sentence with an empty tag list, float-typed as ``np.asarray([])`` is, is legal
+    _, _, labels = make_tag_batch([(np.array([], dtype=np.int64), []), (np.array([7]), [3])])
+    np.testing.assert_array_equal(labels, [[-1, -1], [-1, 3]])
 
 
 def per_sequence_padding(seqs):
@@ -550,9 +553,6 @@ def test_make_seq_batch_refuses_a_label_it_would_change(label, error, match):
 def test_make_tag_batch_refuses_a_tag_it_would_change(tags, error, match):
     raises_exactly(error, match,
                    lambda: make_tag_batch([(np.array([7]), [0]), (np.array([7, 8]), tags)]))
-    # an empty sentence with an empty tag list, float-typed as ``np.asarray([])`` is, is legal
-    _, _, labels = make_tag_batch([(np.array([], dtype=np.int64), []), (np.array([7]), [3])])
-    assert labels.tolist() == [[-1, -1], [-1, 3]]
 
 
 def ortho_totals(stats):
@@ -638,12 +638,16 @@ def test_phase_on_read_rows_logs_and_trains_the_full_forward_bytes(monkeypatch, 
     assert len(reads) == 8  # a main and an ortho forward per step
     for read, mask in reads[1::2]:  # the ortho step's forward reads the real tokens
         assert read.tolist() == np.flatnonzero(mask.reshape(-1) == 1).tolist()
-    for read, mask in reads[::2]:  # the main step's forward reads fewer rows than the batch's
-        assert 0 < read.size < mask.size
+    for read, mask in reads[::2]:  # the main step's forward reads the rows its loss reads
+        body = mask.copy()
+        body[:, 0] = 0
+        body = np.flatnonzero(body.reshape(-1)).tolist()
         if loss == "tagging":  # every real token but [CLS]
-            body = mask.copy()
-            body[:, 0] = 0
-            assert read.tolist() == np.flatnonzero(body.reshape(-1)).tolist()
+            assert read.tolist() == body
+        elif loss == "seq_cls":  # each sequence's [CLS]
+            assert read.tolist() == (np.arange(mask.shape[0]) * mask.shape[1]).tolist()
+        else:  # the masked picks: real tokens but [CLS], at most half the batch's rows
+            assert 0 < read.size <= mask.size / 2 and set(read.tolist()) <= set(body)
 
 
 @cache
